@@ -1,17 +1,13 @@
 """Command-line front end: every analysis as a subcommand with CSV/JSON output.
 
 Exit codes: 0 success, 1 domain/configuration error, 2 numeric/convergence
-error. Results go to stdout or --output; warnings go to stderr. The
-DIPOLINK_THREADS environment variable caps worker count (0 = auto); sweeps
-are computed serially in ascending order, so the setting does not affect
-output content.
+error. Results go to stdout or --output; warnings go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -308,23 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("DIPOLINK_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        print(f"dipolink: ignoring invalid DIPOLINK_THREADS={raw!r}", file=sys.stderr)
-        return 0
-    return max(value, 0)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    _thread_cap()  # validated for forward compatibility; execution is serial
     try:
         args.func(args)
     except (NumericInputError, ConvergenceError, ExpansionInvalidError) as exc:

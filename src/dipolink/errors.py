@@ -18,14 +18,7 @@ class NumericInputError(DipolinkError):
 
 
 class ConvergenceError(DipolinkError):
-    """Raised when an iterative solver fails to converge.
-
-    Carries the remaining off-diagonal residual for diagnosis.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Raised when the eigensolver fails to converge."""
 
 
 class ShapeError(DipolinkError):

@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, InfeasibleConstraintError
 from .lattice import (
@@ -130,6 +129,8 @@ def optimize_placement(
     point closest to uniform. Raises InfeasibleConstraintError, with the
     best-fidelity point attached, if no candidate passes.
     """
+    from scipy.optimize import minimize  # slow import, paid only here
+
     if n < 3:
         raise DomainError(f"need at least 3 spins to optimize, got {n}")
     nfree = n_free_gaps(n)

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipolink import (
+    ConvergenceError,
     DomainError,
+    Geometry,
     NumericInputError,
     ShapeError,
     SiteState,
+    Topology,
     build_hamiltonian,
     decompose,
     fidelity,
@@ -19,6 +22,8 @@ from dipolink import (
     site_state,
     uniform_chain,
 )
+from dipolink.cli import main
+from dipolink.optimize import optimize_placement
 
 from conftest import rk4_evolve
 
@@ -26,6 +31,39 @@ from conftest import rk4_evolve
 def _random_symmetric(rng, n):
     a = rng.standard_normal((n, n))
     return (a + a.T) / 2.0
+
+
+def _graded_chain(n):
+    """Mirror-symmetric chain whose gaps widen from the centre to the ends."""
+    offsets = np.abs(np.arange(n - 1) - (n - 2) / 2.0)
+    gaps = 1.0 + 0.5 * offsets / offsets.max()
+    return Geometry(Topology.CHAIN, tuple(np.concatenate([[0.0], np.cumsum(gaps)])))
+
+
+@pytest.fixture(scope="module")
+def mirror_chains():
+    return {
+        "uniform-6": uniform_chain(6),
+        "uniform-23": uniform_chain(23),
+        "optimized-6": optimize_placement(6).geometry,
+        "graded-23": _graded_chain(23),
+    }
+
+
+def _direct_abs(spec, times, chunk=20_000):
+    """|f| for 1 -> N with one exponential per (t, m), chunked over t.
+
+    Energies are measured from E_0 as in the kernel: |f| does not depend on
+    the shift, while unshifted float64 phases E_m t lose about 1e-8 at
+    N = 64, where E_0 is near -73 and one beat lasts 2.5e6.
+    """
+    v = spec.eigenvectors
+    w = v[0] * v[-1]
+    e = spec.eigenvalues - spec.eigenvalues[0]
+    return np.concatenate([
+        np.abs(np.exp(-1j * np.outer(times[lo : lo + chunk], e)) @ w)
+        for lo in range(0, len(times), chunk)
+    ])
 
 
 class TestDecompose:
@@ -74,6 +112,40 @@ class TestDecompose:
     def test_non_finite_rejected(self):
         with pytest.raises(NumericInputError):
             decompose(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "name", ["uniform-6", "uniform-23", "optimized-6", "graded-23"]
+    )
+    def test_mirror_ties_resolve_to_lowest_index(self, mirror_chains, name):
+        h = build_hamiltonian(mirror_chains[name])
+        spec = decompose(h)
+        v = spec.eigenvectors
+        n = spec.n
+        mags = np.abs(v)
+        top = mags.max(axis=0)
+        # mirror symmetry: |v_j| = |v_{N+1-j}| up to roundoff, which can
+        # make either end of a pair the larger one
+        assert np.all(np.abs(mags - mags[::-1]) <= 1e-8 * top)
+        for m in range(n):
+            lead = int(np.flatnonzero(mags[:, m] >= top[m] * (1 - 1e-6))[0])
+            assert lead <= (n - 1) // 2
+            assert v[lead, m] > 0
+        # the two end-localized lowest states lead with the |v_1|, |v_N| pair
+        assert np.all(mags[0, :2] >= top[:2] * (1 - 1e-6))
+        assert np.all(v[0, :2] > 0)
+        again = decompose(h)
+        assert np.array_equal(again.eigenvalues, spec.eigenvalues)
+        assert np.array_equal(again.eigenvectors, v)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch, capsys):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError):
+            decompose(np.eye(3))
+        assert main(["chain-sweep", "--n-min", "2", "--n-max", "3"]) == 2
+        assert "numeric error" in capsys.readouterr().err
 
 
 class TestSiteState:
@@ -150,6 +222,43 @@ class TestPropagator:
         fwd = propagator_abs_grid(spec, site_state(n, 1), site_state(n, n), t)
         bwd = propagator_abs_grid(spec, site_state(n, n), site_state(n, 1), t)
         assert np.array_equal(fwd, bwd)
+
+
+class TestGridKernel:
+    @pytest.mark.parametrize("endpoint", [True, False])
+    @pytest.mark.parametrize("n", [2, 6, 23, 64])
+    def test_matches_direct_sum_over_one_beat(self, n, endpoint):
+        spec = decompose(build_hamiltonian(uniform_chain(n)))
+        # 30011 points: the last sqrt-sized block is partial
+        times = np.linspace(0.0, 2.0 * np.pi / spec.splitting, 30_011, endpoint=endpoint)
+        fa = propagator_abs_grid(spec, site_state(n, 1), site_state(n, n), times)
+        assert np.max(np.abs(fa - _direct_abs(spec, times))) <= 1e-9
+
+    def test_full_chain_sweep_grid(self):
+        # the coarse grid that chain-sweep scans at N = 23
+        spec = decompose(build_hamiltonian(uniform_chain(23)))
+        times = np.linspace(0.0, 2.0 * np.pi / spec.splitting, 774_496)
+        fa = propagator_abs_grid(spec, site_state(23, 1), site_state(23, 23), times)
+        assert np.max(np.abs(fa - _direct_abs(spec, times))) <= 1e-9
+
+    def test_short_grids(self):
+        spec = decompose(build_hamiltonian(uniform_chain(5)))
+        a, b = site_state(5, 1), site_state(5, 5)
+        for times in ([3.7], [0.0, 12.5], [1e4, 1e4]):
+            fa = propagator_abs_grid(spec, a, b, np.array(times))
+            expected = [abs(propagator(spec, a, b, t)) for t in times]
+            assert np.allclose(fa, expected, atol=1e-12)
+        assert propagator_abs_grid(spec, a, b, np.array([])).shape == (0,)
+
+    def test_non_uniform_grid_rejected(self):
+        spec = decompose(build_hamiltonian(uniform_chain(5)))
+        a, b = site_state(5, 1), site_state(5, 5)
+        with pytest.raises(DomainError):
+            propagator_abs_grid(spec, a, b, np.array([0.0, 1.0, 3.0]))
+        times = np.linspace(0.0, 100.0, 100_001)
+        times[70_000] += 1e-9
+        with pytest.raises(DomainError):
+            propagator_abs_grid(spec, a, b, times)
 
 
 class TestFidelity:
