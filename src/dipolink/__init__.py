@@ -41,9 +41,7 @@ from .lattice import (
     Geometry,
     NEAREST_NEIGHBOUR,
     Topology,
-    build_chain_hamiltonian,
     build_hamiltonian,
-    build_ring_hamiltonian,
     ring,
     ring_bloch_energies,
     uniform_chain,
@@ -53,7 +51,6 @@ from .optimize import (
     SearchConfig,
     encoded_end_states,
     n_free_gaps,
-    off_end_transfer_check,
     optimize_placement,
 )
 from .spectral import (
@@ -76,10 +73,8 @@ from .transfer import (
     default_window,
     end_to_end_summary,
     find_peak,
-    normalized_time_curve,
     ring_sweep,
     summarize_transfer,
-    sweep_csv,
 )
 
 __version__ = "0.1.0"
@@ -115,9 +110,7 @@ __all__ = [
     "Topology",
     "TransferSummary",
     "antipodal_site",
-    "build_chain_hamiltonian",
     "build_hamiltonian",
-    "build_ring_hamiltonian",
     "chain_sweep",
     "decompose",
     "default_window",
@@ -128,8 +121,6 @@ __all__ = [
     "find_peak",
     "fit_bound_state",
     "n_free_gaps",
-    "normalized_time_curve",
-    "off_end_transfer_check",
     "optimize_placement",
     "predict_splitting",
     "propagator",
@@ -140,7 +131,6 @@ __all__ = [
     "run_disorder",
     "site_state",
     "summarize_transfer",
-    "sweep_csv",
     "taylor_vs_exact_element",
     "uniform_chain",
 ]

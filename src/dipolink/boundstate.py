@@ -13,7 +13,6 @@ lowest eigenvector of the leading q x q corner of the chain Hamiltonian.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +41,14 @@ class BoundStateModel:
         arr.setflags(write=False)
         object.__setattr__(self, "coefficients", arr)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "q": self.q,
-                "source_n": self.source_n,
-                "a": list(self.coefficients),
-                "Q": self.q_sum,
-                "R": self.r_sum,
-            }
-        )
+    def as_dict(self) -> dict:
+        return {
+            "q": self.q,
+            "source_n": self.source_n,
+            "a": list(self.coefficients),
+            "Q": self.q_sum,
+            "R": self.r_sum,
+        }
 
 
 @dataclass(frozen=True)

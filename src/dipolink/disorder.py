@@ -10,7 +10,6 @@ classical threshold 2/3. Per-sample randomness derives solely from
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ from .spectral import decompose, fidelity, propagator, site_state
 from .transfer import DEFAULT_PEAK_SEARCH, PeakSearchConfig, summarize_transfer
 
 CLASSICAL_THRESHOLD = 2.0 / 3.0
+_MAX_REDRAWS = 100
 
 
 class NoiseModel(enum.Enum):
@@ -49,14 +49,15 @@ class DisorderConfig:
     """Placement-error ensemble: per-site displacement scale and sampling.
 
     ``error_fraction`` is the displacement half-width (uniform) or standard
-    deviation (gaussian) in units of the mean spacing a.
+    deviation (gaussian) in units of the mean spacing a. A sample whose draw
+    breaks the site ordering is redrawn at most 100 times before the run
+    fails with DomainError.
     """
 
     error_fraction: float
     samples: int
     seed: int = 0
     noise_model: NoiseModel = NoiseModel.UNIFORM_PER_SITE
-    max_redraws: int = 100
 
     def __post_init__(self):
         if self.error_fraction < 0:
@@ -87,29 +88,19 @@ class DisorderReport:
         arr.setflags(write=False)
         object.__setattr__(self, "sample_fidelities", arr)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "failures": self.failures,
-                "failure_rate": self.failure_rate,
-                "mean_f_at_nominal_time": self.mean_f_at_nominal_time,
-                "samples": self.samples,
-                "seed": self.seed,
-                "rejected": self.rejected,
-                "t_nominal": self.t_nominal,
-                "clean_f_max": self.clean_f_max,
-                "error_fraction": self.config.error_fraction,
-                "noise_model": self.config.noise_model.value,
-            }
-        )
-
-    def samples_csv(self) -> str:
-        lines = ["sample,F_at_t_nominal,failed"]
-        lines += [
-            f"{k},{f:.17g},{int(f < CLASSICAL_THRESHOLD)}"
-            for k, f in enumerate(self.sample_fidelities)
-        ]
-        return "\n".join(lines) + "\n"
+    def as_dict(self) -> dict:
+        return {
+            "failures": self.failures,
+            "failure_rate": self.failure_rate,
+            "mean_f_at_nominal_time": self.mean_f_at_nominal_time,
+            "samples": self.samples,
+            "seed": self.seed,
+            "rejected": self.rejected,
+            "t_nominal": self.t_nominal,
+            "clean_f_max": self.clean_f_max,
+            "error_fraction": self.config.error_fraction,
+            "noise_model": self.config.noise_model.value,
+        }
 
 
 def _draw_positions(
@@ -177,9 +168,9 @@ def run_disorder(
         while perturbed is None:
             rejected += 1
             redraws += 1
-            if redraws > config.max_redraws:
+            if redraws > _MAX_REDRAWS:
                 raise DomainError(
-                    f"sample {k}: exceeded {config.max_redraws} redraws; "
+                    f"sample {k}: exceeded {_MAX_REDRAWS} redraws; "
                     "error fraction too large for this geometry"
                 )
             perturbed = _draw_positions(positions, spacing, config, rng)

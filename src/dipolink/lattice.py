@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidGeometryError
+from .errors import DomainError, InvalidGeometryError
 
 
 class Topology(enum.Enum):
@@ -53,7 +53,7 @@ class CouplingSpec:
 
     def __post_init__(self):
         if not self.c_const > 0:
-            raise ValueError(f"coupling constant must be positive, got {self.c_const}")
+            raise DomainError(f"coupling constant must be positive, got {self.c_const}")
 
 
 DIPOLE = CouplingSpec(CouplingModel.DIPOLE)
@@ -110,8 +110,13 @@ class Geometry:
 
     @classmethod
     def from_json(cls, text: str) -> "Geometry":
-        data = json.loads(text)
-        return cls(Topology(data["topology"]), tuple(data["positions"]))
+        try:
+            data = json.loads(text)
+            return cls(Topology(data["topology"]), tuple(data["positions"]))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise InvalidGeometryError(
+                f"malformed geometry JSON ({type(exc).__name__}: {exc})"
+            ) from exc
 
 
 def uniform_chain(n: int, length: float | None = None) -> Geometry:
@@ -197,20 +202,6 @@ def build_hamiltonian(
     h = off.copy()
     np.fill_diagonal(h, ground + diag_coef * inv3.sum(axis=1))
     return ExcitationHamiltonian(h, ground, geometry, coupling)
-
-
-def build_chain_hamiltonian(
-    geometry: Geometry, coupling: CouplingSpec = DIPOLE
-) -> ExcitationHamiltonian:
-    if geometry.topology is not Topology.CHAIN:
-        raise InvalidGeometryError("expected a chain geometry")
-    return build_hamiltonian(geometry, coupling)
-
-
-def build_ring_hamiltonian(
-    n: int, coupling: CouplingSpec = DIPOLE
-) -> ExcitationHamiltonian:
-    return build_hamiltonian(ring(n), coupling)
 
 
 def ring_bloch_energies(n: int, coupling: CouplingSpec = DIPOLE) -> np.ndarray:

@@ -21,7 +21,6 @@ to the end-localized bound states.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,32 +35,31 @@ from .lattice import (
     build_hamiltonian,
 )
 from .spectral import SiteState, decompose, fidelity, site_state
-from .transfer import (
-    DEFAULT_PEAK_SEARCH,
-    PeakSearchConfig,
-    TransferSummary,
-    find_peak,
-    summarize_transfer,
-)
+from .transfer import PeakSearchConfig, find_peak
+
+# Smallest allowed gap of a unit chain; restart spread, in units of the
+# uniform gap; verification window, in beat periods; Nelder-Mead stopping.
+_GAP_MIN = 0.05
+_PERTURBATION = 0.25
+_VERIFY_BEATS = 20.0
+_NELDER_MEAD = {"xatol": 1e-7, "fatol": 1e-12, "maxiter": 400}
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Controls the mirror-symmetric placement search.
 
-    ``verify_beats`` sets the window (in beat periods 2 pi / dl) of the peak
-    search that checks the fidelity constraint at each converged candidate.
+    Each of the ``restarts`` extra starts perturbs every free gap of the
+    uniform chain by up to a quarter of the uniform gap, drawn from
+    ``seed``. Gaps below 0.05 are rejected. Nelder-Mead stops at xatol 1e-7
+    and fatol 1e-12 or after 400 iterations. The fidelity constraint
+    ``min_fidelity`` is checked at each converged candidate by a peak search
+    over 20 beat periods 2 pi / dl.
     """
 
     min_fidelity: float = 0.99
-    gap_min: float = 0.05
     restarts: int = 10
     seed: int = 0
-    perturbation: float = 0.25
-    verify_beats: float = 20.0
-    xatol: float = 1e-7
-    fatol: float = 1e-12
-    max_iter: int = 400
 
 
 DEFAULT_SEARCH = SearchConfig()
@@ -83,9 +81,6 @@ class PlacementResult:
     f_max: float
     t_best: float
     report: dict
-
-    def report_json(self) -> str:
-        return json.dumps(self.report)
 
 
 def n_free_gaps(n: int) -> int:
@@ -123,7 +118,7 @@ def optimize_placement(
     """Minimize tau over mirror-symmetric unit chains of n spins.
 
     Runs Nelder-Mead from the uniform gap vector and ``config.restarts``
-    seeded perturbations of it; gaps below ``config.gap_min`` are rejected
+    seeded perturbations of it; gaps below 0.05 are rejected
     outright. Converged candidates are screened in ascending-objective order
     against the fidelity constraint; ties within 1e-9 are broken toward the
     point closest to uniform. Raises InfeasibleConstraintError, with the
@@ -141,7 +136,7 @@ def optimize_placement(
         nonlocal evaluations
         evaluations += 1
         gaps = _gaps_from_free(np.asarray(x, dtype=float), n)
-        if np.any(gaps < config.gap_min):
+        if np.any(gaps < _GAP_MIN):
             return np.inf
         h = build_hamiltonian(_geometry_from_gaps(gaps), coupling)
         dl = decompose(h).splitting
@@ -151,7 +146,7 @@ def optimize_placement(
 
     rng = np.random.default_rng(config.seed)
     starts = [uniform_free]
-    scale = config.perturbation / (n - 1)
+    scale = _PERTURBATION / (n - 1)
     for _ in range(config.restarts):
         starts.append(uniform_free + rng.uniform(-scale, scale, size=nfree))
 
@@ -167,11 +162,7 @@ def optimize_placement(
                 objective,
                 x0,
                 method="Nelder-Mead",
-                options={
-                    "xatol": config.xatol,
-                    "fatol": config.fatol,
-                    "maxiter": config.max_iter,
-                },
+                options=_NELDER_MEAD,
             )
         if np.isfinite(result.fun):
             candidates.append((float(result.fun), np.asarray(result.x)))
@@ -179,7 +170,7 @@ def optimize_placement(
     if not candidates:
         raise InfeasibleConstraintError(
             f"no mirror-symmetric {n}-spin placement found with gaps above "
-            f"{config.gap_min}",
+            f"{_GAP_MIN}",
             best=None,
         )
     candidates.sort(
@@ -193,7 +184,7 @@ def optimize_placement(
         h = build_hamiltonian(geometry, coupling)
         spec = decompose(h)
         window = PeakSearchConfig(
-            t_max=config.verify_beats * 2.0 * np.pi / spec.splitting
+            t_max=_VERIFY_BEATS * 2.0 * np.pi / spec.splitting
         )
         f_abs, t_best, _ = find_peak(
             spec, site_state(n, 1), site_state(n, n), Topology.CHAIN, window
@@ -232,7 +223,7 @@ def optimize_placement(
             )
     raise InfeasibleConstraintError(
         f"no candidate reached f_max >= {config.min_fidelity} within "
-        f"{config.verify_beats} beats (best {best_seen.f_max:.6f})",
+        f"{_VERIFY_BEATS} beats (best {best_seen.f_max:.6f})",
         best=best_seen,
     )
 
@@ -257,16 +248,3 @@ def encoded_end_states(
     amp_out = np.zeros(n, dtype=complex)
     amp_out[n - width :] = coeffs[::-1]
     return SiteState(amp_in), SiteState(amp_out)
-
-
-def off_end_transfer_check(
-    h: ExcitationHamiltonian,
-    r: int,
-    s: int,
-    config: PeakSearchConfig = DEFAULT_PEAK_SEARCH,
-) -> TransferSummary:
-    """Transfer summary between arbitrary sites r and s (1-based)."""
-    n = h.n
-    if not (1 <= r <= n and 1 <= s <= n):
-        raise DomainError(f"sites ({r}, {s}) outside 1..{n}")
-    return summarize_transfer(h, site_state(n, r), site_state(n, s), config)

@@ -208,11 +208,10 @@ def fidelity(f_abs: float) -> float:
 
 @dataclass(frozen=True)
 class FidelityCurve:
-    """F(t) sampled on an ascending time grid, with provenance metadata."""
+    """F(t) sampled on an ascending time grid."""
 
     times: np.ndarray
     values: np.ndarray
-    metadata: dict
 
     def __post_init__(self):
         for name in ("times", "values"):
@@ -222,13 +221,6 @@ class FidelityCurve:
         if self.times.shape != self.values.shape:
             raise ShapeError("times and values must have equal length")
 
-    def to_csv(self) -> str:
-        lines = ["t,F"]
-        lines += [
-            f"{t:.17g},{v:.17g}" for t, v in zip(self.times, self.values)
-        ]
-        return "\n".join(lines) + "\n"
-
 
 def fidelity_curve(
     spec: SpectralDecomposition,
@@ -236,7 +228,6 @@ def fidelity_curve(
     output_state: SiteState,
     t_max: float,
     n_steps: int,
-    metadata: dict | None = None,
 ) -> FidelityCurve:
     """F(t) on a uniform grid t_k = k * t_max / (n_steps - 1)."""
     if t_max <= 0:
@@ -249,4 +240,4 @@ def fidelity_curve(
         raise DomainError(f"|f| = {f_abs.max()} outside [0, 1]")
     f_abs = np.minimum(f_abs, 1.0)
     values = f_abs / 3.0 + f_abs * f_abs / 6.0 + 0.5
-    return FidelityCurve(times, values, dict(metadata or {}))
+    return FidelityCurve(times, values)

@@ -46,6 +46,12 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # 0.24 GiB in batches.
 _SUBDIVIDE = 8
 _BATCH = 1 << 14
+# Coarse-grid samples per period of the fastest frequency, and their cap;
+# the search tolerance; splittings at or below the floor are degenerate.
+_OVERSAMPLE = 8.0
+_MAX_POINTS = 20_000_000
+_TOLERANCE = 1e-9
+_DEGENERATE_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,20 +62,18 @@ class PeakSearchConfig:
     2 pi / dl for chains, so the reported peak is the first beat maximum
     rather than a later, incidentally better-aligned recurrence; for rings
     max(2 pi / dl, 10 N), falling back to 10 N when the two lowest levels
-    are degenerate. ``coarse_points = None`` sizes the grid to oversample
-    the fastest spectral frequency; a floor of 5000 points applies either
-    way. The grid only seeds the search: a bounded screen (see
-    ``find_peak``) subdivides wherever the maximum could hide, so a coarse
-    grid costs time, not correctness. ``time_tolerance`` is both the
-    golden-section time tolerance and the height tolerance, in |f|, within
-    which the reported peak reaches the window's maximum.
+    are degenerate. ``coarse_points = None`` sizes the grid to 8 samples per
+    period of the fastest spectral frequency, capped at 2e7 points; a floor
+    of 5000 points applies either way. The grid only seeds the search: a
+    bounded screen (see ``find_peak``) subdivides wherever the maximum could
+    hide, so a coarse or capped grid costs time, not correctness. The search
+    tolerance, 1e-9, is both the golden-section time tolerance and the
+    height tolerance, in |f|, within which the reported peak reaches the
+    window's maximum.
     """
 
     t_max: float | None = None
     coarse_points: int | None = None
-    oversample: float = 8.0
-    time_tolerance: float = 1e-9
-    max_points: int = 20_000_000
 
 
 DEFAULT_PEAK_SEARCH = PeakSearchConfig()
@@ -94,8 +98,8 @@ class TransferSummary:
             "f_max": self.f_max,
             "t_peak": self.t_peak,
             "delta_lambda": self.delta_lambda,
-            "period": self.period,
             "tau": self.tau,
+            "period": self.period,
             "length": self.length,
             "boundary_peak": self.boundary_peak,
         }
@@ -136,7 +140,6 @@ def default_window(
     topology: Topology,
     coupling: CouplingSpec | None = None,
     mean_spacing: float = 1.0,
-    degenerate_floor: float = 1e-9,
 ) -> float:
     """Search window for the peak finder.
 
@@ -144,10 +147,11 @@ def default_window(
     2 pi / dl contains the first peak. The nn chain has no such pair of
     bound states and its best transfer can occur many traversals in; it
     gets a fixed horizon in units of the inverse nn coupling. Rings get
-    at least 10 N, covering several traversals of the arc.
+    at least 10 N, covering several traversals of the arc. Splittings up to
+    1e-9 count as degenerate: no beat.
     """
     dl = spec.splitting
-    beat = 2.0 * np.pi / dl if dl > degenerate_floor else 0.0
+    beat = 2.0 * np.pi / dl if dl > _DEGENERATE_FLOOR else 0.0
     if topology is Topology.RING:
         return max(beat, 10.0 * spec.n)
     if coupling is not None and coupling.model is CouplingModel.NEAREST_NEIGHBOUR:
@@ -163,8 +167,8 @@ def _grid_size(t_max: float, bandwidth: float, config: PeakSearchConfig) -> int:
         return max(int(config.coarse_points), 2)
     if bandwidth <= 0:
         return 5000
-    nyquist = int(np.ceil(t_max * bandwidth * config.oversample / (2.0 * np.pi)))
-    return min(max(5000, nyquist), config.max_points)
+    nyquist = int(np.ceil(t_max * bandwidth * _OVERSAMPLE / (2.0 * np.pi)))
+    return min(max(5000, nyquist), _MAX_POINTS)
 
 
 def find_peak(
@@ -184,7 +188,7 @@ def find_peak(
     coarse-grid intervals whose bound reaches the best sample are subdivided
     until M h^2 / 8 is below the tolerance, and each surviving run of them
     is golden-refined. Up to roundoff in evaluating f, the returned height is
-    therefore within ``time_tolerance`` of max |f| over [0, t_max]. The
+    therefore within the 1e-9 search tolerance of max |f| over [0, t_max]. The
     reported time is the earliest refined peak that comes within that
     tolerance of the bound on the maximum; the boundary flag is set when the
     best value sits on the window's trailing edge (window too small).
@@ -210,7 +214,7 @@ def find_peak(
     # kept ones, a batch at a time, until that excess is itself below
     # tolerance. A batch may lose all its intervals to a better sample
     # found in an earlier one.
-    tol = config.time_tolerance
+    tol = _TOLERANCE
     curvature = curvature_bound(w, e)
     slack = 8.0 * np.finfo(float).eps * (1.0 + t_max * bandwidth)
     best = fa.max()
@@ -372,28 +376,3 @@ def ring_sweep(
         )
         rows.append(SweepRow(n, coupling.model.value, "ring", summary))
     return rows
-
-
-def normalized_time_curve(
-    n_min: int,
-    n_max: int,
-    coupling: CouplingSpec = DIPOLE,
-    config: PeakSearchConfig = DEFAULT_PEAK_SEARCH,
-) -> list[tuple[int, float]]:
-    """(n, tau) for uniform dipole chains; tau is scale-invariant."""
-    return [
-        (row.n, row.summary.tau)
-        for row in chain_sweep(n_min, n_max, coupling, config)
-    ]
-
-
-def sweep_csv(rows: list[SweepRow]) -> str:
-    lines = ["n,model,topology,f_max,t_peak,delta_lambda,tau"]
-    for row in rows:
-        s = row.summary
-        tau = f"{s.tau:.17g}" if s.tau is not None else ""
-        lines.append(
-            f"{row.n},{row.model},{row.topology},"
-            f"{s.f_max:.17g},{s.t_peak:.17g},{s.delta_lambda:.17g},{tau}"
-        )
-    return "\n".join(lines) + "\n"

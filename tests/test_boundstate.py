@@ -55,7 +55,7 @@ class TestFit:
             fit_bound_state(0, 14)
 
     def test_json_shape(self, model):
-        data = json.loads(model.to_json())
+        data = json.loads(json.dumps(model.as_dict()))
         assert set(data) == {"q", "source_n", "a", "Q", "R"}
         assert len(data["a"]) == 4
 

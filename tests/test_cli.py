@@ -36,7 +36,10 @@ class TestSweeps:
         )
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == "n,model,topology,f_max,t_peak,delta_lambda,tau"
+        assert lines[0] == (
+            "n,model,topology,f_max,t_peak,delta_lambda,tau,period,length,"
+            "boundary_peak"
+        )
         assert len(lines) == 4
 
     def test_chain_sweep_json(self, capsys):
@@ -163,3 +166,111 @@ class TestModelCommands:
             "--samples", "5",
         )
         assert code == 1
+
+
+TABLE_COMMANDS = {
+    "chain-sweep": ["--n-min", "2", "--n-max", "3"],
+    "ring-sweep": ["--n-min", "3", "--n-max", "4"],
+    "fidelity-curve": ["--n", "3", "--t-max", "2", "--steps", "3"],
+    "onsite-energies": ["--n", "3"],
+    "spectrum-sweep": ["--n-min", "2", "--n-max", "3"],
+    "normalized-time": ["--n-min", "2", "--n-max", "3"],
+    "bound-state": ["--n-min", "10", "--n-max", "11"],
+}
+DOCUMENT_COMMANDS = {
+    "optimize-placement": ["--n", "4", "--restarts", "0"],
+    "encoded-transfer": ["--n", "6"],
+    "disorder": ["--n", "4", "--samples", "3"],
+}
+SEEDED = {"optimize-placement", "disorder"}
+
+
+class TestFormatContract:
+    @pytest.mark.parametrize("command", sorted(TABLE_COMMANDS))
+    def test_csv_header_is_json_keys(self, capsys, command):
+        argv = [command, *TABLE_COMMANDS[command]]
+        code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        code, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        data = json.loads(json_out)
+        records = data["rows"] if isinstance(data, dict) else data
+        lines = csv_out.strip().split("\n")
+        assert len(lines) == len(records) + 1
+        assert lines[0].split(",") == list(records[0])
+
+    def test_reshaped_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fidelity-curve", "--n", "3", "--t-max", "2", "--steps", "3",
+            "--format", "json",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["metadata"] == {"n": 3, "model": "dipole", "input": 1,
+                                    "output": 3}
+        assert [r["t"] for r in data["rows"]] == [0.0, 1.0, 2.0]
+        code, out, _ = run_cli(capsys, "onsite-energies", "--n", "3",
+                               "--format", "json")
+        assert code == 0
+        assert [r["site"] for r in json.loads(out)] == [1, 2, 3]
+
+    @pytest.mark.parametrize("command", sorted(DOCUMENT_COMMANDS))
+    def test_format_rejected_on_document_commands(self, capsys, command):
+        code, out, _ = run_cli(
+            capsys, command, *DOCUMENT_COMMANDS[command], "--format", "json"
+        )
+        assert code == 1 and out == ""
+
+    @pytest.mark.parametrize(
+        "command", sorted(set(TABLE_COMMANDS) | set(DOCUMENT_COMMANDS) - SEEDED)
+    )
+    def test_seed_rejected_where_unused(self, capsys, command):
+        args = {**TABLE_COMMANDS, **DOCUMENT_COMMANDS}[command]
+        code, out, _ = run_cli(capsys, command, *args, "--seed", "1")
+        assert code == 1 and out == ""
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("command", ["onsite-energies", "encoded-transfer",
+                                         "disorder", "fidelity-curve"])
+    def test_zero_n(self, capsys, command):
+        extra = ["--t-max", "1"] if command == "fidelity-curve" else []
+        code, out, err = run_cli(capsys, command, "--n", "0", *extra)
+        assert code == 1 and out == ""
+        assert "dipolink" in err
+
+    @pytest.mark.parametrize("flag", ["--input-site", "--output-site"])
+    def test_zero_site(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "fidelity-curve", "--n", "4", "--t-max", "1", flag, "0"
+        )
+        assert code == 1 and out == ""
+        assert "site 0 outside 1..4" in err
+
+    def test_zero_coupling_constant(self, capsys):
+        code, out, err = run_cli(
+            capsys, "chain-sweep", "--n-min", "2", "--n-max", "3",
+            "--c-const", "0",
+        )
+        assert code == 1 and out == ""
+        assert "coupling constant" in err
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"topology": "chain"}',
+        '{"topology": "line", "positions": [0, 1, 2]}',
+    ])
+    def test_malformed_geometry_file(self, capsys, tmp_path, text):
+        geo = tmp_path / "geo.json"
+        geo.write_text(text)
+        code, out, err = run_cli(
+            capsys, "onsite-energies", "--geometry-file", str(geo)
+        )
+        assert code == 1 and out == ""
+        assert "malformed geometry JSON" in err
+
+    def test_empty_size_range(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "spectrum-sweep", "--n-min", "5", "--n-max", "4"
+        )
+        assert code == 1 and out == ""

@@ -16,6 +16,7 @@ from dipolink import (
     run_disorder,
     uniform_chain,
 )
+from dipolink.cli import main
 
 
 class TestConfig:
@@ -47,7 +48,7 @@ class TestRunDisorder:
         a = run_disorder(uniform_chain(4), config=config)
         b = run_disorder(uniform_chain(4), config=config)
         assert np.array_equal(a.sample_fidelities, b.sample_fidelities)
-        assert a.to_json() == b.to_json()
+        assert a.as_dict() == b.as_dict()
 
     def test_seed_changes_samples(self):
         a = run_disorder(uniform_chain(4), config=DisorderConfig(0.02, 40, seed=1))
@@ -112,14 +113,20 @@ class TestRunDisorder:
         )
         assert rep.rejected > 0
 
-    def test_report_serialization(self):
+    def test_report_serialization(self, tmp_path):
         rep = run_disorder(uniform_chain(4), config=DisorderConfig(0.02, 10))
-        data = json.loads(rep.to_json())
+        data = rep.as_dict()
         assert data["samples"] == 10
         assert data["noise_model"] == "uniform"
-        lines = rep.samples_csv().strip().split("\n")
+        # the CLI's defaults are the same configuration
+        dump, out = tmp_path / "samples.csv", tmp_path / "report.json"
+        assert main(["disorder", "--n", "4", "--samples", "10",
+                     "--dump-samples", str(dump), "--output", str(out)]) == 0
+        assert json.loads(out.read_text()) == data
+        lines = dump.read_text().strip().split("\n")
         assert lines[0] == "sample,F_at_t_nominal,failed"
         assert len(lines) == 11
-        for line in lines[1:]:
-            _, f, failed = line.split(",")
+        for k, (line, want) in enumerate(zip(lines[1:], rep.sample_fidelities)):
+            sample, f, failed = line.split(",")
+            assert int(sample) == k and float(f) == want
             assert (float(f) < CLASSICAL_THRESHOLD) == bool(int(failed))

@@ -11,13 +11,12 @@ from dipolink import (
     CouplingSpec,
     CouplingModel,
     DIPOLE,
+    DomainError,
     Geometry,
     InvalidGeometryError,
     NEAREST_NEIGHBOUR,
     Topology,
-    build_chain_hamiltonian,
     build_hamiltonian,
-    build_ring_hamiltonian,
     ring,
     ring_bloch_energies,
     uniform_chain,
@@ -61,6 +60,15 @@ class TestGeometry:
         data = json.loads(g.to_json())
         assert data["topology"] == "chain"
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"topology": "chain"}',
+        '{"topology": "line", "positions": [0, 1, 2]}',
+    ])
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(InvalidGeometryError):
+            Geometry.from_json(text)
+
     def test_ring_length_undefined(self):
         with pytest.raises(InvalidGeometryError):
             ring(4).length
@@ -71,18 +79,18 @@ class TestCouplingSpec:
         assert DIPOLE.c_const == 2.0
 
     def test_invalid_constant_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             CouplingSpec(CouplingModel.DIPOLE, 0.0)
 
 
 class TestChainHamiltonian:
     def test_two_spin_matrix(self):
-        h = build_chain_hamiltonian(uniform_chain(2))
+        h = build_hamiltonian(uniform_chain(2))
         assert np.allclose(h.matrix, [[1.0, 1.0], [1.0, 1.0]])
         assert h.ground_energy == pytest.approx(-1.0)
 
     def test_three_spin_matrix(self):
-        h = build_chain_hamiltonian(uniform_chain(3))
+        h = build_hamiltonian(uniform_chain(3))
         assert h.matrix[0, 1] == pytest.approx(1.0)
         assert h.matrix[1, 2] == pytest.approx(1.0)
         assert h.matrix[0, 2] == pytest.approx(1.0 / 8.0)
@@ -188,7 +196,7 @@ class TestChainHamiltonian:
 
 class TestRingHamiltonian:
     def test_four_ring_elements(self):
-        h = build_ring_hamiltonian(4)
+        h = build_hamiltonian(ring(4))
         m = h.matrix
         for i, j in [(0, 1), (1, 2), (2, 3), (0, 3)]:
             assert m[i, j] == pytest.approx(1.0)
@@ -196,13 +204,13 @@ class TestRingHamiltonian:
         assert m[1, 3] == pytest.approx(1.0 / 8.0)
 
     def test_triangle_all_nearest_neighbours(self):
-        m = build_ring_hamiltonian(3).matrix
+        m = build_hamiltonian(ring(3)).matrix
         off = m[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 1.0)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 9, 12])
     def test_translation_invariance(self, n):
-        m = build_ring_hamiltonian(n).matrix
+        m = build_hamiltonian(ring(n)).matrix
         diag = np.diag(m)
         assert np.allclose(diag, diag[0], atol=1e-12)
         # circulant: every row is the previous row rotated by one
@@ -213,7 +221,7 @@ class TestRingHamiltonian:
     def test_bloch_energies_match_spectrum(self, n):
         from dipolink import decompose
 
-        h = build_ring_hamiltonian(n)
+        h = build_hamiltonian(ring(n))
         diag = h.matrix[0, 0]
         eigs = np.sort(decompose(h).eigenvalues - diag)
         bloch = np.sort(ring_bloch_energies(n))

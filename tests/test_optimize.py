@@ -9,7 +9,6 @@ from dipolink import (
     build_hamiltonian,
     n_free_gaps,
     encoded_end_states,
-    off_end_transfer_check,
     optimize_placement,
     site_state,
     summarize_transfer,
@@ -101,7 +100,7 @@ class TestEncodedEndStates:
 
     def test_encoded_raises_fidelity(self):
         h = build_hamiltonian(uniform_chain(10))
-        single = off_end_transfer_check(h, 1, 10)
+        single = summarize_transfer(h, site_state(10, 1), site_state(10, 10))
         s_in, s_out = encoded_end_states(h, 2)
         encoded = summarize_transfer(h, s_in, s_out)
         assert encoded.f_max > single.f_max
@@ -116,20 +115,24 @@ class TestEncodedEndStates:
 
 
 class TestOffEndTransfer:
+    @staticmethod
+    def between(h, r, s):
+        return summarize_transfer(h, site_state(h.n, r), site_state(h.n, s))
+
     def test_degraded_off_ends(self):
         h = build_hamiltonian(uniform_chain(10))
-        base = off_end_transfer_check(h, 1, 10)
-        assert off_end_transfer_check(h, 2, 10).f_max < base.f_max
-        assert off_end_transfer_check(h, 1, 9).f_max < base.f_max
+        base = self.between(h, 1, 10)
+        assert self.between(h, 2, 10).f_max < base.f_max
+        assert self.between(h, 1, 9).f_max < base.f_max
 
     def test_identity_transfer_is_trivial(self):
         h = build_hamiltonian(uniform_chain(5))
-        s = off_end_transfer_check(h, 1, 1)
+        s = self.between(h, 1, 1)
         assert s.f_max == pytest.approx(1.0, abs=1e-9)
 
     def test_site_bounds(self):
         h = build_hamiltonian(uniform_chain(5))
         with pytest.raises(DomainError):
-            off_end_transfer_check(h, 0, 5)
+            self.between(h, 0, 5)
         with pytest.raises(DomainError):
-            off_end_transfer_check(h, 1, 6)
+            self.between(h, 1, 6)

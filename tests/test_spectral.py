@@ -305,14 +305,20 @@ class TestFidelityCurve:
         expected = [fidelity(abs(np.sin(t))) for t in curve.times]
         assert np.allclose(curve.values, expected, atol=1e-10)
 
-    def test_csv_format(self):
-        spec = decompose(np.eye(2))
+    def test_csv_format(self, capsys):
+        from dipolink.cli import main
+
+        spec = decompose(build_hamiltonian(uniform_chain(3)))
         curve = fidelity_curve(
-            spec, site_state(2, 1), site_state(2, 1), t_max=1.0, n_steps=3
+            spec, site_state(3, 1), site_state(3, 3), t_max=1.0, n_steps=3
         )
-        lines = curve.to_csv().strip().split("\n")
+        assert main(["fidelity-curve", "--n", "3", "--t-max", "1",
+                     "--steps", "3"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "t,F"
-        assert len(lines) == 4
+        assert lines[1:] == [
+            f"{t:.17g},{v:.17g}" for t, v in zip(curve.times, curve.values)
+        ]
 
     def test_invalid_grid(self):
         spec = decompose(np.eye(2))

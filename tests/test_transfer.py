@@ -16,12 +16,10 @@ from dipolink import (
     decompose,
     end_to_end_summary,
     find_peak,
-    normalized_time_curve,
     propagator_abs_grid,
     ring_sweep,
     site_state,
     summarize_transfer,
-    sweep_csv,
     uniform_chain,
 )
 from dipolink import transfer
@@ -224,12 +222,23 @@ class TestChainSweep:
         with pytest.raises(DomainError):
             chain_sweep(1, 5)
 
-    def test_csv_format(self, dipole_rows):
-        text = sweep_csv(dipole_rows[:3])
-        lines = text.strip().split("\n")
-        assert lines[0] == "n,model,topology,f_max,t_peak,delta_lambda,tau"
+    def test_csv_format(self, dipole_rows, capsys):
+        from dipolink.cli import main
+
+        assert main(["chain-sweep", "--n-min", "2", "--n-max", "4"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == (
+            "n,model,topology,f_max,t_peak,delta_lambda,tau,period,length,"
+            "boundary_peak"
+        )
         assert len(lines) == 4
-        assert lines[1].startswith("2,dipole,chain,")
+        for line, row in zip(lines[1:], dipole_rows):
+            s = row.summary
+            assert line == (
+                f"{row.n},dipole,chain,{s.f_max:.17g},{s.t_peak:.17g},"
+                f"{s.delta_lambda:.17g},{s.tau:.17g},{s.period:.17g},"
+                f"{s.length:.17g},False"
+            )
 
 
 class TestRingSweep:
@@ -263,7 +272,7 @@ class TestRingSweep:
 
 class TestNormalizedTime:
     def test_minimum_at_four(self):
-        pairs = normalized_time_curve(2, 8)
+        pairs = [(r.n, r.summary.tau) for r in chain_sweep(2, 8)]
         best = min(pairs, key=lambda p: p[1])
         assert best[0] == 4
         by_n = dict(pairs)
