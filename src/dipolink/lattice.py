@@ -163,44 +163,58 @@ class ExcitationHamiltonian:
         return np.diag(self.matrix).copy()
 
 
-def _pair_distances(geometry: Geometry) -> np.ndarray:
-    pos = np.asarray(geometry.positions)
-    if geometry.topology is Topology.CHAIN:
-        return np.abs(pos[:, None] - pos[None, :])
-    n = geometry.n
-    sep = np.abs(pos[:, None] - pos[None, :])
+def _pair_distances(positions: np.ndarray, topology: Topology) -> np.ndarray:
+    """(..., N, N) site distances for (..., N) positions."""
+    sep = np.abs(positions[..., :, None] - positions[..., None, :])
+    if topology is Topology.CHAIN:
+        return sep
+    n = positions.shape[-1]
     return np.minimum(sep, n - sep)
 
 
-def _neighbour_mask(geometry: Geometry, coupling: CouplingSpec) -> np.ndarray:
+def _neighbour_mask(n: int, topology: Topology, coupling: CouplingSpec) -> np.ndarray:
     """True where a pair interacts under the given coupling model."""
-    n = geometry.n
     idx = np.arange(n)
     off = ~np.eye(n, dtype=bool)
     if coupling.model is CouplingModel.DIPOLE:
         return off
     sep = np.abs(idx[:, None] - idx[None, :])
-    if geometry.topology is Topology.RING:
+    if topology is Topology.RING:
         sep = np.minimum(sep, n - sep)
     return off & (sep == 1)
+
+
+def _hamiltonian_matrices(
+    positions: np.ndarray, topology: Topology, coupling: CouplingSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices and ground energies for a (..., N) stack of site positions.
+
+    Every geometry in the stack shares the topology and coupling; sums run
+    over the last axes, so each matrix is the same to the bit whether it is
+    built alone or in a stack.
+    """
+    n = positions.shape[-1]
+    dist = _pair_distances(positions, topology)
+    mask = _neighbour_mask(n, topology, coupling)
+    inv3 = np.divide(1.0, dist**3, out=np.zeros_like(dist), where=mask)
+
+    c = coupling.c_const
+    # Heisenberg nn bonds carry half the dipole on-site coefficient.
+    diag_coef = c if coupling.model is CouplingModel.DIPOLE else 0.5 * c
+    ground = -0.25 * diag_coef * inv3.sum(axis=(-2, -1))  # k<l pair sum, counted twice
+    h = 0.5 * c * inv3
+    idx = np.arange(n)
+    h[..., idx, idx] = ground[..., None] + diag_coef * inv3.sum(axis=-1)
+    return h, ground
 
 
 def build_hamiltonian(
     geometry: Geometry, coupling: CouplingSpec = DIPOLE
 ) -> ExcitationHamiltonian:
     """Single-excitation Hamiltonian for any geometry and coupling model."""
-    dist = _pair_distances(geometry)
-    mask = _neighbour_mask(geometry, coupling)
-    inv3 = np.zeros_like(dist)
-    inv3[mask] = 1.0 / dist[mask] ** 3
-
-    c = coupling.c_const
-    # Heisenberg nn bonds carry half the dipole on-site coefficient.
-    diag_coef = c if coupling.model is CouplingModel.DIPOLE else 0.5 * c
-    off = 0.5 * c * inv3
-    ground = -0.25 * diag_coef * inv3.sum()  # k<l pair sum, counted twice
-    h = off.copy()
-    np.fill_diagonal(h, ground + diag_coef * inv3.sum(axis=1))
+    h, ground = _hamiltonian_matrices(
+        np.asarray(geometry.positions), geometry.topology, coupling
+    )
     return ExcitationHamiltonian(h, ground, geometry, coupling)
 
 

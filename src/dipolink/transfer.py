@@ -196,8 +196,8 @@ def find_peak(
     t_max = config.t_max
     if t_max is None:
         t_max = default_window(spec, topology, coupling, mean_spacing)
-    if t_max <= 0:
-        raise DomainError(f"search window must be positive, got {t_max}")
+    if not 0 < t_max < np.inf:
+        raise DomainError(f"search window must be positive and finite, got {t_max}")
 
     w, e = transfer_terms(spec, input_state, output_state)
     bandwidth = e[-1]

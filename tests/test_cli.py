@@ -269,6 +269,23 @@ class TestInputErrors:
         assert code == 1 and out == ""
         assert "malformed geometry JSON" in err
 
+    @pytest.mark.parametrize("t_max", ["nan", "inf"])
+    def test_non_finite_t_max(self, capsys, t_max):
+        code, out, err = run_cli(
+            capsys, "fidelity-curve", "--n", "3", "--t-max", t_max, "--steps", "3"
+        )
+        assert code == 1 and out == ""
+        assert "t_max must be positive and finite" in err
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_error_fraction(self, capsys, eps):
+        code, out, err = run_cli(
+            capsys, "disorder", "--n", "4", "--error-fraction", eps,
+            "--samples", "10",
+        )
+        assert code == 1 and out == ""
+        assert "error fraction must be finite" in err
+
     def test_empty_size_range(self, capsys):
         code, out, _ = run_cli(
             capsys, "spectrum-sweep", "--n-min", "5", "--n-max", "4"

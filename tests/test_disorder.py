@@ -8,15 +8,49 @@ import pytest
 
 from dipolink import (
     CLASSICAL_THRESHOLD,
+    DIPOLE,
+    NEAREST_NEIGHBOUR,
     DisorderConfig,
     DomainError,
+    Geometry,
     InvalidGeometryError,
     NoiseModel,
+    Topology,
+    build_hamiltonian,
+    decompose,
+    end_to_end_summary,
+    fidelity,
+    propagator,
     ring,
     run_disorder,
+    site_state,
     uniform_chain,
 )
+from dipolink import disorder
 from dipolink.cli import main
+
+
+def reference_fidelities(geometry, coupling, config):
+    """Per-sample fidelities, one geometry at a time through public calls.
+
+    The draws follow the ensemble's rule: sample k uses the generator seeded
+    with (seed, k) and redraws until the site ordering holds.
+    """
+    n = geometry.n
+    t_nominal = end_to_end_summary(build_hamiltonian(geometry, coupling)).t_peak
+    positions = np.asarray(geometry.positions)
+    values = []
+    for k in range(config.samples):
+        rng = np.random.default_rng((config.seed, k))
+        drawn = None
+        while drawn is None:
+            drawn = disorder._draw_positions(
+                positions, geometry.mean_spacing, config, rng
+            )
+        h = build_hamiltonian(Geometry(Topology.CHAIN, tuple(drawn)), coupling)
+        f = propagator(decompose(h), site_state(n, 1), site_state(n, n), t_nominal)
+        values.append(fidelity(min(abs(f), 1.0)))
+    return t_nominal, np.array(values)
 
 
 class TestConfig:
@@ -25,6 +59,11 @@ class TestConfig:
             DisorderConfig(-0.1, 10)
         with pytest.raises(DomainError):
             DisorderConfig(0.02, 0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_error_fraction(self, eps):
+        with pytest.raises(DomainError, match="finite"):
+            DisorderConfig(eps, 10)
 
     def test_error_fraction_vs_min_gap(self):
         with pytest.raises(DomainError):
@@ -130,3 +169,51 @@ class TestRunDisorder:
             sample, f, failed = line.split(",")
             assert int(sample) == k and float(f) == want
             assert (float(f) < CLASSICAL_THRESHOLD) == bool(int(failed))
+
+
+class TestBatchedEnsemble:
+    @pytest.mark.parametrize("model", list(NoiseModel))
+    @pytest.mark.parametrize("coupling", [DIPOLE, NEAREST_NEIGHBOUR])
+    @pytest.mark.parametrize("positions", [
+        (0.0, 1.0, 2.0, 3.0),
+        (0.0, 0.9, 2.1, 3.0, 4.2),
+    ])
+    def test_matches_per_sample_reference(
+        self, monkeypatch, model, coupling, positions
+    ):
+        # 7 samples per block at N = 4 and 4 at N = 5: 150 samples end in a
+        # partial block either way
+        monkeypatch.setattr(disorder, "_BLOCK_ELEMENTS", 112)
+        geometry = Geometry(Topology.CHAIN, positions)
+        config = DisorderConfig(0.3, 150, seed=9, noise_model=model)
+        rep = run_disorder(geometry, coupling, config)
+        t_nominal, want = reference_fidelities(geometry, coupling, config)
+        assert rep.t_nominal == t_nominal
+        assert np.array_equal(rep.sample_fidelities, want)
+        assert rep.failures == int(np.count_nonzero(want < CLASSICAL_THRESHOLD))
+        assert rep.mean_f_at_nominal_time == want.mean()
+
+    def test_redraw_cap(self, monkeypatch):
+        calls = []
+
+        def never_ordered(*args):
+            calls.append(args)
+            return None
+
+        monkeypatch.setattr(disorder, "_draw_positions", never_ordered)
+        with pytest.raises(DomainError, match="exceeded 100 redraws"):
+            run_disorder(uniform_chain(4), config=DisorderConfig(0.02, 10))
+        assert len(calls) == disorder._MAX_REDRAWS + 1
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_block_budget_does_not_change_report(self, monkeypatch, n):
+        config = DisorderConfig(
+            0.05, 100, seed=4, noise_model=NoiseModel.GAUSSIAN_PER_GAP
+        )
+        reports = []
+        for budget in (1, 37 * n * n, disorder._BLOCK_ELEMENTS):
+            monkeypatch.setattr(disorder, "_BLOCK_ELEMENTS", budget)
+            reports.append(run_disorder(uniform_chain(n), config=config))
+        for rep in reports[1:]:
+            assert rep.as_dict() == reports[0].as_dict()
+            assert np.array_equal(rep.sample_fidelities, reports[0].sample_fidelities)

@@ -283,6 +283,15 @@ class TestFidelity:
         with pytest.raises(DomainError):
             fidelity(-0.1)
 
+    def test_array_matches_scalar(self):
+        xs = np.array([0.0, 0.25, 0.5, 0.999, 1.0, 1.0 + 1e-12])
+        assert isinstance(fidelity(0.5), float)
+        assert np.array_equal(fidelity(xs), [fidelity(x) for x in xs])
+        with pytest.raises(DomainError):
+            fidelity(np.array([0.5, 1.1]))
+        with pytest.raises(DomainError):
+            fidelity(np.array([-0.1, 0.5]))
+
 
 class TestFidelityCurve:
     def test_grid_and_bounds(self):
@@ -319,6 +328,13 @@ class TestFidelityCurve:
         assert lines[1:] == [
             f"{t:.17g},{v:.17g}" for t, v in zip(curve.times, curve.values)
         ]
+
+    @pytest.mark.parametrize("t_max", [float("nan"), float("inf")])
+    def test_non_finite_window(self, t_max):
+        spec = decompose(np.eye(2))
+        s = site_state(2, 1)
+        with pytest.raises(DomainError):
+            fidelity_curve(spec, s, s, t_max=t_max, n_steps=5)
 
     def test_invalid_grid(self):
         spec = decompose(np.eye(2))

@@ -97,6 +97,13 @@ class TestSummarizeTransfer:
         with pytest.raises(DomainError):
             end_to_end_summary(h, PeakSearchConfig(t_max=-1.0))
 
+    @pytest.mark.parametrize("t_max", [float("nan"), float("inf")])
+    def test_non_finite_window(self, t_max):
+        spec = decompose(build_hamiltonian(uniform_chain(3)))
+        with pytest.raises(DomainError):
+            find_peak(spec, site_state(3, 1), site_state(3, 3),
+                      config=PeakSearchConfig(t_max=t_max))
+
 
 class TestWindowMaximum:
     """find_peak returns the maximum of |f| over its window.
