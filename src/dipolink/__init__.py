@@ -65,7 +65,6 @@ from .spectral import (
     site_state,
 )
 from .transfer import (
-    PeakSearchConfig,
     SweepRow,
     TransferSummary,
     antipodal_site,
@@ -99,7 +98,6 @@ __all__ = [
     "NEAREST_NEIGHBOUR",
     "NoiseModel",
     "NumericInputError",
-    "PeakSearchConfig",
     "PlacementResult",
     "SearchConfig",
     "ShapeError",

@@ -117,7 +117,9 @@ def _cmd_fidelity_curve(args):
         args.t_max, args.steps,
     )
     head = {"metadata": {"n": n, "model": args.model, "input": in_site,
-                         "output": out_site}}
+                         "output": out_site,
+                         "samples_per_period": curve.samples_per_period,
+                         "undersampled": curve.undersampled}}
     records = [{"t": t, "F": f} for t, f in zip(curve.times, curve.values)]
     _emit(args, records, head)
 

@@ -23,8 +23,8 @@ from .lattice import (
     _hamiltonian_matrices,
     build_hamiltonian,
 )
-from .spectral import _eigh, fidelity, site_state
-from .transfer import DEFAULT_PEAK_SEARCH, PeakSearchConfig, summarize_transfer
+from .spectral import _eigh, fidelity
+from .transfer import end_to_end_summary
 
 CLASSICAL_THRESHOLD = 2.0 / 3.0
 _MAX_REDRAWS = 100
@@ -137,7 +137,6 @@ def run_disorder(
     geometry: Geometry,
     coupling: CouplingSpec = DIPOLE,
     config: DisorderConfig = DisorderConfig(0.02, 1000),
-    peak_config: PeakSearchConfig = DEFAULT_PEAK_SEARCH,
 ) -> DisorderReport:
     """Failure-rate estimate for end-to-end transfer under placement noise.
 
@@ -160,10 +159,7 @@ def run_disorder(
         )
 
     n = geometry.n
-    h_clean = build_hamiltonian(geometry, coupling)
-    clean = summarize_transfer(
-        h_clean, site_state(n, 1), site_state(n, n), peak_config
-    )
+    clean = end_to_end_summary(build_hamiltonian(geometry, coupling))
     t_nominal = clean.t_peak
 
     drawn = np.empty((config.samples, n))

@@ -35,7 +35,7 @@ from .lattice import (
     build_hamiltonian,
 )
 from .spectral import SiteState, decompose, fidelity, site_state
-from .transfer import PeakSearchConfig, find_peak
+from .transfer import find_peak
 
 # Smallest allowed gap of a unit chain; restart spread, in units of the
 # uniform gap; verification window, in beat periods; Nelder-Mead stopping.
@@ -51,15 +51,24 @@ class SearchConfig:
 
     Each of the ``restarts`` extra starts perturbs every free gap of the
     uniform chain by up to a quarter of the uniform gap, drawn from
-    ``seed``. Gaps below 0.05 are rejected. Nelder-Mead stops at xatol 1e-7
-    and fatol 1e-12 or after 400 iterations. The fidelity constraint
-    ``min_fidelity`` is checked at each converged candidate by a peak search
-    over 20 beat periods 2 pi / dl.
+    ``seed``; ``restarts`` must be non-negative. Gaps below 0.05 are
+    rejected. Nelder-Mead stops at xatol 1e-7 and fatol 1e-12 or after 400
+    iterations. The fidelity constraint ``min_fidelity``, finite and at most
+    1, is checked at each converged candidate by a peak search over 20 beat
+    periods 2 pi / dl.
     """
 
     min_fidelity: float = 0.99
     restarts: int = 10
     seed: int = 0
+
+    def __post_init__(self):
+        if self.restarts < 0:
+            raise DomainError(f"restarts must be non-negative, got {self.restarts}")
+        if not (np.isfinite(self.min_fidelity) and self.min_fidelity <= 1.0):
+            raise DomainError(
+                f"min fidelity must be finite and at most 1, got {self.min_fidelity}"
+            )
 
 
 DEFAULT_SEARCH = SearchConfig()
@@ -183,12 +192,8 @@ def optimize_placement(
         geometry = _geometry_from_gaps(gaps)
         h = build_hamiltonian(geometry, coupling)
         spec = decompose(h)
-        window = PeakSearchConfig(
-            t_max=_VERIFY_BEATS * 2.0 * np.pi / spec.splitting
-        )
-        f_abs, t_best, _ = find_peak(
-            spec, site_state(n, 1), site_state(n, n), Topology.CHAIN, window
-        )
+        window = _VERIFY_BEATS * 2.0 * np.pi / spec.splitting
+        f_abs, t_best, _ = find_peak(spec, site_state(n, 1), site_state(n, n), window)
         f_max = fidelity(f_abs)
         if best_seen is None or f_max > best_seen.f_max:
             best_seen = PlacementResult(

@@ -225,10 +225,16 @@ def fidelity(f_abs):
 
 @dataclass(frozen=True)
 class FidelityCurve:
-    """F(t) sampled on an ascending time grid."""
+    """F(t) sampled on an ascending time grid.
+
+    ``samples_per_period`` counts grid steps per period of the fastest
+    frequency in f, 2 pi / (E_max - E_min), None for a flat spectrum; below
+    2, the Nyquist rate, the grid aliases that ripple (``undersampled``).
+    """
 
     times: np.ndarray
     values: np.ndarray
+    samples_per_period: float | None
 
     def __post_init__(self):
         for name in ("times", "values"):
@@ -237,6 +243,10 @@ class FidelityCurve:
             object.__setattr__(self, name, arr)
         if self.times.shape != self.values.shape:
             raise ShapeError("times and values must have equal length")
+
+    @property
+    def undersampled(self) -> bool:
+        return self.samples_per_period is not None and self.samples_per_period < 2.0
 
 
 def fidelity_curve(
@@ -253,4 +263,6 @@ def fidelity_curve(
         raise DomainError(f"need at least 2 steps, got {n_steps}")
     times = np.linspace(0.0, t_max, n_steps)
     f_abs = propagator_abs_grid(spec, input_state, output_state, times)
-    return FidelityCurve(times, fidelity(f_abs))
+    cycles = t_max * (spec.eigenvalues[-1] - spec.eigenvalues[0]) / (2.0 * np.pi)
+    per_period = float((n_steps - 1) / cycles) if cycles > 0 else None
+    return FidelityCurve(times, fidelity(f_abs), per_period)

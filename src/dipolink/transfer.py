@@ -47,36 +47,13 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _SUBDIVIDE = 8
 _BATCH = 1 << 14
 # Coarse-grid samples per period of the fastest frequency, and their cap;
-# the search tolerance; splittings at or below the floor are degenerate.
+# the search tolerance; splittings at or below the floor are degenerate; the
+# nn-chain window in inverse nn couplings, after Bose's search horizon.
 _OVERSAMPLE = 8.0
 _MAX_POINTS = 20_000_000
 _TOLERANCE = 1e-9
 _DEGENERATE_FLOOR = 1e-9
-
-
-@dataclass(frozen=True)
-class PeakSearchConfig:
-    """Controls the coarse-grid + refinement peak search.
-
-    ``t_max = None`` selects the default window: one full beat period
-    2 pi / dl for chains, so the reported peak is the first beat maximum
-    rather than a later, incidentally better-aligned recurrence; for rings
-    max(2 pi / dl, 10 N), falling back to 10 N when the two lowest levels
-    are degenerate. ``coarse_points = None`` sizes the grid to 8 samples per
-    period of the fastest spectral frequency, capped at 2e7 points; a floor
-    of 5000 points applies either way. The grid only seeds the search: a
-    bounded screen (see ``find_peak``) subdivides wherever the maximum could
-    hide, so a coarse or capped grid costs time, not correctness. The search
-    tolerance, 1e-9, is both the golden-section time tolerance and the
-    height tolerance, in |f|, within which the reported peak reaches the
-    window's maximum.
-    """
-
-    t_max: float | None = None
-    coarse_points: int | None = None
-
-
-DEFAULT_PEAK_SEARCH = PeakSearchConfig()
+_NN_CHAIN_WINDOW = 4000.0
 
 
 @dataclass(frozen=True)
@@ -86,7 +63,7 @@ class TransferSummary:
     f_max: float
     t_peak: float
     delta_lambda: float
-    period: float
+    period: float | None
     tau: float | None
     length: float | None
     n: int
@@ -132,41 +109,32 @@ def _golden_max(func, lo: float, hi: float, tol: float):
     return x, max(fc, fd)
 
 
-_NN_CHAIN_WINDOW = 4000.0  # in units of the inverse nn coupling, after Bose's search horizon
-
-
-def default_window(
-    spec: SpectralDecomposition,
-    topology: Topology,
-    coupling: CouplingSpec | None = None,
-    mean_spacing: float = 1.0,
-) -> float:
-    """Search window for the peak finder.
+def default_window(h: ExcitationHamiltonian, spec: SpectralDecomposition) -> float:
+    """Search window for the peak of transfer through ``h`` (``spec`` its spectrum).
 
     Dipole chains beat between two end-localized states, so one period
-    2 pi / dl contains the first peak. The nn chain has no such pair of
-    bound states and its best transfer can occur many traversals in; it
-    gets a fixed horizon in units of the inverse nn coupling. Rings get
-    at least 10 N, covering several traversals of the arc. Splittings up to
-    1e-9 count as degenerate: no beat.
+    2 pi / dl contains the first peak; a longer window would report a
+    later, incidentally better-aligned recurrence instead. The nn chain has
+    no such pair of bound states and its best transfer can occur many
+    traversals in; it gets max(2 pi / dl, 4000 / J), with J = C / (2 a^3)
+    the nn coupling at the chain's mean spacing a. Rings get
+    max(2 pi / dl, 10 N), covering several traversals of the arc.
+    Splittings up to 1e-9 count as degenerate: no beat, so a ring falls
+    back to 10 N and a dipole chain raises DomainError.
     """
     dl = spec.splitting
     beat = 2.0 * np.pi / dl if dl > _DEGENERATE_FLOOR else 0.0
-    if topology is Topology.RING:
+    if h.geometry.topology is Topology.RING:
         return max(beat, 10.0 * spec.n)
-    if coupling is not None and coupling.model is CouplingModel.NEAREST_NEIGHBOUR:
-        nn_energy = coupling.c_const / (2.0 * mean_spacing**3)
+    if h.coupling.model is CouplingModel.NEAREST_NEIGHBOUR:
+        nn_energy = h.coupling.c_const / (2.0 * h.geometry.mean_spacing**3)
         return max(beat, _NN_CHAIN_WINDOW / nn_energy)
     if beat == 0.0:
         raise DomainError("degenerate lowest levels; supply an explicit t_max")
     return beat
 
 
-def _grid_size(t_max: float, bandwidth: float, config: PeakSearchConfig) -> int:
-    if config.coarse_points is not None:
-        return max(int(config.coarse_points), 2)
-    if bandwidth <= 0:
-        return 5000
+def _grid_size(t_max: float, bandwidth: float) -> int:
     nyquist = int(np.ceil(t_max * bandwidth * _OVERSAMPLE / (2.0 * np.pi)))
     return min(max(5000, nyquist), _MAX_POINTS)
 
@@ -175,33 +143,33 @@ def find_peak(
     spec: SpectralDecomposition,
     input_state: SiteState,
     output_state: SiteState,
-    topology: Topology = Topology.CHAIN,
-    config: PeakSearchConfig = DEFAULT_PEAK_SEARCH,
-    coupling: CouplingSpec | None = None,
-    mean_spacing: float = 1.0,
+    t_max: float,
 ):
-    """Locate the first global peak of |f(t)| over the search window.
+    """Locate the first global peak of |f(t)| over the window [0, t_max].
 
-    Returns ``(f_abs_max, t_peak, boundary_flag)``. With the overlap weights
-    w_m and M = sum_m |w_m| (E_m - c)^2 (``curvature_bound``), every interval
-    [a, b] of width h obeys |f| <= max(|f(a)|, |f(b)|) + M h^2 / 8. The
-    coarse-grid intervals whose bound reaches the best sample are subdivided
-    until M h^2 / 8 is below the tolerance, and each surviving run of them
-    is golden-refined. Up to roundoff in evaluating f, the returned height is
-    therefore within the 1e-9 search tolerance of max |f| over [0, t_max]. The
-    reported time is the earliest refined peak that comes within that
-    tolerance of the bound on the maximum; the boundary flag is set when the
-    best value sits on the window's trailing edge (window too small).
+    Returns ``(f_abs_max, t_peak, boundary_flag)``. A coarse grid of 8
+    samples per period of the fastest spectral frequency (at least 5000
+    points, at most 2e7) seeds the search. With the overlap weights w_m and
+    M = sum_m |w_m| (E_m - c)^2 (``curvature_bound``), every interval [a, b]
+    of width h obeys |f| <= max(|f(a)|, |f(b)|) + M h^2 / 8. The coarse-grid
+    intervals whose bound reaches the best sample are subdivided until
+    M h^2 / 8 is below the 1e-9 tolerance, and each surviving run of them is
+    golden-refined to 1e-9 in time. Up to roundoff in evaluating f, the
+    returned height is therefore within 1e-9 of max |f| over [0, t_max]. The
+    reported time is the earliest refined peak within that tolerance of the
+    bound on the maximum; the boundary flag is set when the best value sits
+    on the window's trailing edge (window too small). The cap keeps the
+    answer right at a cost that grows without bound: past N = 70 or so
+    (dipole chain, one-beat window) the grid falls below 8 samples per
+    fastest period, and at N = 128 the screen keeps 27 % of the coarse
+    intervals.
     """
-    t_max = config.t_max
-    if t_max is None:
-        t_max = default_window(spec, topology, coupling, mean_spacing)
     if not 0 < t_max < np.inf:
         raise DomainError(f"search window must be positive and finite, got {t_max}")
 
     w, e = transfer_terms(spec, input_state, output_state)
     bandwidth = e[-1]
-    npts = _grid_size(t_max, bandwidth, config)
+    npts = _grid_size(t_max, bandwidth)
     fa = propagator_abs_grid(
         spec, input_state, output_state, np.linspace(0.0, t_max, npts)
     )
@@ -282,29 +250,22 @@ def summarize_transfer(
     h: ExcitationHamiltonian,
     input_state: SiteState,
     output_state: SiteState,
-    config: PeakSearchConfig = DEFAULT_PEAK_SEARCH,
-    spec: SpectralDecomposition | None = None,
+    t_max: float | None = None,
 ) -> TransferSummary:
     """Full transfer summary for one configuration.
 
-    tau = t_peak / L^3 is reported for chains only (rings have no end-to-end
-    length to normalize by).
+    The peak is searched over [0, t_max], by default over
+    ``default_window(h, spec)``. tau = t_peak / L^3 is reported for chains
+    only (rings have no end-to-end length to normalize by); the beat period
+    2 pi / dl is None when the splitting is degenerate (at most 1e-9).
     """
-    if spec is None:
-        spec = decompose(h)
-    topology = h.geometry.topology
-    f_abs, t_peak, boundary = find_peak(
-        spec,
-        input_state,
-        output_state,
-        topology,
-        config,
-        coupling=h.coupling,
-        mean_spacing=h.geometry.mean_spacing,
-    )
+    spec = decompose(h)
+    if t_max is None:
+        t_max = default_window(h, spec)
+    f_abs, t_peak, boundary = find_peak(spec, input_state, output_state, t_max)
     dl = spec.splitting
-    period = 2.0 * np.pi / dl if dl > 0 else np.inf
-    if topology is Topology.CHAIN:
+    period = 2.0 * np.pi / dl if dl > _DEGENERATE_FLOOR else None
+    if h.geometry.topology is Topology.CHAIN:
         length = h.geometry.length
         tau = t_peak / length**3
     else:
@@ -322,16 +283,15 @@ def summarize_transfer(
 
 
 def end_to_end_summary(
-    h: ExcitationHamiltonian, config: PeakSearchConfig = DEFAULT_PEAK_SEARCH
+    h: ExcitationHamiltonian, t_max: float | None = None
 ) -> TransferSummary:
-    return summarize_transfer(h, site_state(h.n, 1), site_state(h.n, h.n), config)
+    return summarize_transfer(h, site_state(h.n, 1), site_state(h.n, h.n), t_max)
 
 
 def chain_sweep(
     n_min: int,
     n_max: int,
     coupling: CouplingSpec = DIPOLE,
-    config: PeakSearchConfig = DEFAULT_PEAK_SEARCH,
 ) -> list[SweepRow]:
     """End-to-end transfer summaries for uniform chains of n_min..n_max spins."""
     if not 2 <= n_min <= n_max:
@@ -339,9 +299,7 @@ def chain_sweep(
     rows = []
     for n in range(n_min, n_max + 1):
         h = build_hamiltonian(uniform_chain(n), coupling)
-        rows.append(
-            SweepRow(n, coupling.model.value, "chain", end_to_end_summary(h, config))
-        )
+        rows.append(SweepRow(n, coupling.model.value, "chain", end_to_end_summary(h)))
     return rows
 
 
@@ -359,7 +317,6 @@ def ring_sweep(
     n_min: int,
     n_max: int,
     coupling: CouplingSpec = DIPOLE,
-    config: PeakSearchConfig = DEFAULT_PEAK_SEARCH,
 ) -> list[SweepRow]:
     """Site-1 to ``antipodal_site(n)`` summaries for rings of n_min..n_max spins.
 
@@ -372,7 +329,7 @@ def ring_sweep(
     for n in range(n_min, n_max + 1):
         h = build_hamiltonian(ring(n), coupling)
         summary = summarize_transfer(
-            h, site_state(n, 1), site_state(n, antipodal_site(n)), config
+            h, site_state(n, 1), site_state(n, antipodal_site(n))
         )
         rows.append(SweepRow(n, coupling.model.value, "ring", summary))
     return rows

@@ -15,7 +15,6 @@ from dipolink import (
     DisorderConfig,
     NEAREST_NEIGHBOUR,
     NoiseModel,
-    PeakSearchConfig,
     build_hamiltonian,
     chain_sweep,
     decompose,
@@ -70,9 +69,10 @@ PERFECT_TRANSFER_HORIZON = 1e6
 
 def test_criterion_01_perfect_short_chains(capfd):
     """N = 2, 3, 4 chains reach F_max >= 1 - 1e-6 within the horizon; N = 5 does not."""
-    config = PeakSearchConfig(t_max=PERFECT_TRANSFER_HORIZON)
     rows = {
-        n: end_to_end_summary(build_hamiltonian(uniform_chain(n)), config)
+        n: end_to_end_summary(
+            build_hamiltonian(uniform_chain(n)), PERFECT_TRANSFER_HORIZON
+        )
         for n in (2, 3, 4, 5)
     }
     oracle_gap = max(

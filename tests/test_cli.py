@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from dipolink import Geometry, Topology
+from dipolink import Geometry, Topology, build_hamiltonian, decompose, uniform_chain
+from dipolink import optimize
 from dipolink.cli import main
 
 
@@ -82,6 +84,21 @@ class TestCurvesAndSpectra:
         assert lines[0] == "t,F"
         assert len(lines) == 12
         assert lines[1].startswith("0,0.5")
+
+    @pytest.mark.parametrize("steps, undersampled", [(5000, True), (25000, False)])
+    def test_fidelity_curve_flags_undersampling(self, capsys, steps, undersampled):
+        # N = 10 over t = 4000 spans 3123 periods of its fastest frequency:
+        # 1.60 samples per period at 5000 steps, 8.0 at 25000
+        code, out, _ = run_cli(
+            capsys, "fidelity-curve", "--n", "10", "--t-max", "4000",
+            "--steps", str(steps), "--format", "json",
+        )
+        assert code == 0
+        meta = json.loads(out)["metadata"]
+        energies = decompose(build_hamiltonian(uniform_chain(10))).eigenvalues
+        cycles = 4000.0 * (energies[-1] - energies[0]) / (2.0 * np.pi)
+        assert meta["samples_per_period"] == pytest.approx((steps - 1) / cycles)
+        assert meta["undersampled"] is undersampled
 
     def test_fidelity_curve_geometry_file(self, capsys, tmp_path):
         geo = tmp_path / "geo.json"
@@ -206,8 +223,13 @@ class TestFormatContract:
         )
         assert code == 0
         data = json.loads(out)
-        assert data["metadata"] == {"n": 3, "model": "dipole", "input": 1,
-                                    "output": 3}
+        # 2 steps over t = 2: 2 pi / (E_max - E_min) = 1.93 steps per period
+        spec = decompose(build_hamiltonian(uniform_chain(3)))
+        per_period = 2.0 * np.pi / (spec.eigenvalues[-1] - spec.eigenvalues[0])
+        meta = data["metadata"]
+        assert meta.pop("samples_per_period") == pytest.approx(per_period)
+        assert meta == {"n": 3, "model": "dipole", "input": 1, "output": 3,
+                        "undersampled": True}
         assert [r["t"] for r in data["rows"]] == [0.0, 1.0, 2.0]
         code, out, _ = run_cli(capsys, "onsite-energies", "--n", "3",
                                "--format", "json")
@@ -285,6 +307,19 @@ class TestInputErrors:
         )
         assert code == 1 and out == ""
         assert "error fraction must be finite" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--restarts", "-3"], "restarts must be non-negative"),
+        (["--min-fidelity", "nan"], "min fidelity must be finite"),
+        (["--min-fidelity", "inf"], "min fidelity must be finite"),
+        (["--min-fidelity", "1.5"], "at most 1"),
+    ])
+    def test_bad_search_config(self, capsys, monkeypatch, flags, message):
+        # rejected before the search spends a single eigensolve
+        monkeypatch.setattr(optimize, "decompose", None)
+        code, out, err = run_cli(capsys, "optimize-placement", "--n", "4", *flags)
+        assert code == 1 and out == ""
+        assert message in err
 
     def test_empty_size_range(self, capsys):
         code, out, _ = run_cli(

@@ -313,6 +313,15 @@ class TestFidelityCurve:
         )
         expected = [fidelity(abs(np.sin(t))) for t in curve.times]
         assert np.allclose(curve.values, expected, atol=1e-10)
+        # levels 0 and 2: the fastest period is pi
+        assert curve.samples_per_period == pytest.approx(499 * np.pi / 6.0)
+        assert not curve.undersampled
+
+    def test_flat_spectrum_has_no_sampling_rate(self):
+        s = site_state(2, 1)
+        curve = fidelity_curve(decompose(np.eye(2)), s, s, t_max=1.0, n_steps=3)
+        assert curve.samples_per_period is None
+        assert not curve.undersampled
 
     def test_csv_format(self, capsys):
         from dipolink.cli import main

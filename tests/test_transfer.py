@@ -8,12 +8,12 @@ from dipolink import (
     DomainError,
     Geometry,
     NEAREST_NEIGHBOUR,
-    PeakSearchConfig,
     Topology,
     antipodal_site,
     build_hamiltonian,
     chain_sweep,
     decompose,
+    default_window,
     end_to_end_summary,
     find_peak,
     propagator_abs_grid,
@@ -52,13 +52,18 @@ class TestSummarizeTransfer:
         s = end_to_end_summary(build_hamiltonian(uniform_chain(10)))
         assert s.t_peak == pytest.approx(np.pi / s.delta_lambda, rel=0.1)
 
-    def test_scale_covariance(self):
-        base = end_to_end_summary(build_hamiltonian(uniform_chain(5)))
+    @pytest.mark.parametrize(
+        "coupling", [DIPOLE, NEAREST_NEIGHBOUR], ids=["dipole", "nn"]
+    )
+    def test_scale_covariance(self, coupling):
+        # the nn chain's default window is in units of its own nn coupling,
+        # so it must scale with the spacing read from the Hamiltonian
+        base = end_to_end_summary(build_hamiltonian(uniform_chain(5), coupling))
         scale = 1.7
         g = Geometry(
             Topology.CHAIN, tuple(scale * p for p in uniform_chain(5).positions)
         )
-        scaled = end_to_end_summary(build_hamiltonian(g))
+        scaled = end_to_end_summary(build_hamiltonian(g, coupling))
         assert scaled.t_peak == pytest.approx(base.t_peak * scale**3, rel=1e-8)
         assert scaled.f_max == pytest.approx(base.f_max, abs=1e-8)
         assert scaled.tau == pytest.approx(base.tau, rel=1e-8)
@@ -73,19 +78,15 @@ class TestSummarizeTransfer:
         # a window ending well before the first maximum leaves |f| rising at
         # the trailing edge
         h = build_hamiltonian(uniform_chain(2))
-        s = end_to_end_summary(h, PeakSearchConfig(t_max=0.5))
+        s = end_to_end_summary(h, t_max=0.5)
         assert s.boundary_peak
 
-    def test_refined_peak_beats_coarse_grid(self):
+    def test_refined_peak_beats_coarse_grid(self, monkeypatch):
         h = build_hamiltonian(uniform_chain(7))
         spec = decompose(h)
-        config = PeakSearchConfig(coarse_points=2000)
-        f_abs, t_peak, _ = find_peak(
-            spec, site_state(7, 1), site_state(7, 7), Topology.CHAIN, config
-        )
-        from dipolink import default_window
-
-        t_max = default_window(spec, Topology.CHAIN)
+        t_max = default_window(h, spec)
+        monkeypatch.setattr(transfer, "_grid_size", lambda t_max, bandwidth: 2000)
+        f_abs, t_peak, _ = find_peak(spec, site_state(7, 1), site_state(7, 7), t_max)
         grid = np.linspace(0.0, t_max, 2000)
         coarse = propagator_abs_grid(
             spec, site_state(7, 1), site_state(7, 7), grid
@@ -95,14 +96,13 @@ class TestSummarizeTransfer:
     def test_invalid_window(self):
         h = build_hamiltonian(uniform_chain(3))
         with pytest.raises(DomainError):
-            end_to_end_summary(h, PeakSearchConfig(t_max=-1.0))
+            end_to_end_summary(h, t_max=-1.0)
 
     @pytest.mark.parametrize("t_max", [float("nan"), float("inf")])
     def test_non_finite_window(self, t_max):
         spec = decompose(build_hamiltonian(uniform_chain(3)))
         with pytest.raises(DomainError):
-            find_peak(spec, site_state(3, 1), site_state(3, 3),
-                      config=PeakSearchConfig(t_max=t_max))
+            find_peak(spec, site_state(3, 1), site_state(3, 3), t_max)
 
 
 class TestWindowMaximum:
@@ -124,13 +124,10 @@ class TestWindowMaximum:
     )
     def test_reaches_oracle_at_known_peak(self, n, coupling, t_max, t_known):
         h = build_hamiltonian(uniform_chain(n), coupling)
-        f_abs, t_peak, _ = find_peak(
-            decompose(h),
-            site_state(n, 1),
-            site_state(n, n),
-            config=PeakSearchConfig(t_max=t_max),
-            coupling=coupling,
-        )
+        spec = decompose(h)
+        if t_max is None:
+            t_max = default_window(h, spec)
+        f_abs, t_peak, _ = find_peak(spec, site_state(n, 1), site_state(n, n), t_max)
         oracle = expm_transfer_abs(
             uniform_chain(n).positions, t_known, model=coupling.model.value
         )
@@ -144,14 +141,13 @@ class TestWindowMaximum:
         # first one is reported
         h = build_hamiltonian(uniform_chain(2))
         f_abs, t_peak, _ = find_peak(
-            decompose(h), site_state(2, 1), site_state(2, 2),
-            config=PeakSearchConfig(t_max=1000.0),
+            decompose(h), site_state(2, 1), site_state(2, 2), 1000.0
         )
         assert f_abs == pytest.approx(1.0, abs=1e-12)
         assert t_peak == pytest.approx(np.pi / 2.0, abs=1e-6)
 
     @pytest.mark.parametrize(
-        "n, output, t_max, coarse_points",
+        "n, output, t_max, grid_points",
         [
             (7, 7, None, 50),
             # every one of the 40 000 intervals is kept, so the screen runs
@@ -162,16 +158,19 @@ class TestWindowMaximum:
         ],
     )
     def test_sub_nyquist_grid_still_finds_maximum(
-        self, n, output, t_max, coarse_points
+        self, monkeypatch, n, output, t_max, grid_points
     ):
         # a coarse grid far below Nyquist only widens the screen's bound
         h = build_hamiltonian(uniform_chain(n))
-        args = (decompose(h), site_state(n, 1), site_state(n, output))
-        fine = find_peak(*args, config=PeakSearchConfig(t_max=t_max))
-        coarse = find_peak(
-            *args,
-            config=PeakSearchConfig(t_max=t_max, coarse_points=coarse_points),
+        spec = decompose(h)
+        if t_max is None:
+            t_max = default_window(h, spec)
+        args = (spec, site_state(n, 1), site_state(n, output), t_max)
+        fine = find_peak(*args)
+        monkeypatch.setattr(
+            transfer, "_grid_size", lambda t_max, bandwidth: grid_points
         )
+        coarse = find_peak(*args)
         assert coarse[0] == pytest.approx(fine[0], abs=1e-9)
         assert coarse[1] == pytest.approx(fine[1], rel=1e-7, abs=1e-6)
         oracle = expm_transfer_abs(uniform_chain(n).positions, coarse[1], target=output)
@@ -179,11 +178,10 @@ class TestWindowMaximum:
 
     def test_batch_size_does_not_change_the_peak(self, monkeypatch):
         h = build_hamiltonian(uniform_chain(4))
-        args = (decompose(h), site_state(4, 1), site_state(4, 4))
-        config = PeakSearchConfig(t_max=5e4)
-        whole = find_peak(*args, config=config)
+        args = (decompose(h), site_state(4, 1), site_state(4, 4), 5e4)
+        whole = find_peak(*args)
         monkeypatch.setattr(transfer, "_BATCH", 16)
-        assert find_peak(*args, config=config) == whole
+        assert find_peak(*args) == whole
 
 
 class TestChainSweep:
@@ -264,6 +262,18 @@ class TestRingSweep:
         for row in rows:
             assert row.summary.tau is None
             assert row.summary.length is None
+
+    @pytest.mark.parametrize(
+        "coupling", [DIPOLE, NEAREST_NEIGHBOUR], ids=["dipole", "nn"]
+    )
+    def test_degenerate_rings_have_no_period(self, coupling):
+        # odd rings split their two lowest levels only by roundoff
+        rows = ring_sweep(3, 9, coupling)
+        for row in rows:
+            s = row.summary
+            assert (s.period is None) == (row.n % 2 == 1), f"N={row.n}"
+            if s.period is not None:
+                assert s.period == 2.0 * np.pi / s.delta_lambda
 
     def test_transfer_times_rise_with_n(self):
         # optimum transfer times trend upward with ring size for both models
