@@ -191,12 +191,20 @@ def _hamiltonian_matrices(
 
     Every geometry in the stack shares the topology and coupling; sums run
     over the last axes, so each matrix is the same to the bit whether it is
-    built alone or in a stack.
+    built alone or in a stack. A geometry whose 1/r^3 for some interacting
+    pair is 0 or not finite (positions [0, 1e120] or [0, 1e-120]) raises
+    InvalidGeometryError.
     """
     n = positions.shape[-1]
     dist = _pair_distances(positions, topology)
     mask = _neighbour_mask(n, topology, coupling)
-    inv3 = np.divide(1.0, dist**3, out=np.zeros_like(dist), where=mask)
+    with np.errstate(over="ignore", divide="ignore"):
+        inv3 = np.divide(1.0, dist**3, out=np.zeros_like(dist), where=mask)
+    coupled = inv3[..., mask]
+    if not np.all(np.isfinite(coupled) & (coupled > 0)):
+        raise InvalidGeometryError(
+            "a pair distance overflows or underflows its 1/r^3 coupling"
+        )
 
     c = coupling.c_const
     # Heisenberg nn bonds carry half the dipole on-site coefficient.

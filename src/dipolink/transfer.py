@@ -46,11 +46,15 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # 0.24 GiB in batches.
 _SUBDIVIDE = 8
 _BATCH = 1 << 14
-# Coarse-grid samples per period of the fastest frequency, and their cap;
-# the search tolerance; splittings at or below the floor are degenerate; the
-# nn-chain window in inverse nn couplings, after Bose's search horizon.
+# Coarse-grid points per kernel call. The kernel factorizes a call of K
+# points into sqrt(K)-wide rows, so shorter chunks are slower: 2^18 costs
+# the chain sweep 15-20 % wall, while 2^20 holds every chain-sweep grid
+# (at most 774k points) in one call.
+_CHUNK = 1 << 20
+# Coarse-grid samples per period of the fastest frequency; the search
+# tolerance; splittings at or below the floor are degenerate; the nn-chain
+# window in inverse nn couplings, after Bose's search horizon.
 _OVERSAMPLE = 8.0
-_MAX_POINTS = 20_000_000
 _TOLERANCE = 1e-9
 _DEGENERATE_FLOOR = 1e-9
 _NN_CHAIN_WINDOW = 4000.0
@@ -91,12 +95,18 @@ class SweepRow:
 
 
 def _golden_max(func, lo: float, hi: float, tol: float):
-    """Golden-section maximization on [lo, hi] to the given x tolerance."""
+    """Golden-section maximization on [lo, hi] to the given x tolerance.
+
+    Where two float spacings of the bracket's end exceed ``tol`` (past
+    t = 2^22 for tol = 1e-9) the bracket stops at them instead, and it stops
+    as soon as a step fails to shrink it, so the loop ends at any t.
+    """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = func(c), func(d)
-    while b - a > tol:
+    while b - a > max(tol, 2.0 * np.spacing(b)):
+        span = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -105,6 +115,8 @@ def _golden_max(func, lo: float, hi: float, tol: float):
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = func(d)
+        if b - a >= span:
+            break
     x = c if fc >= fd else d
     return x, max(fc, fd)
 
@@ -135,8 +147,7 @@ def default_window(h: ExcitationHamiltonian, spec: SpectralDecomposition) -> flo
 
 
 def _grid_size(t_max: float, bandwidth: float) -> int:
-    nyquist = int(np.ceil(t_max * bandwidth * _OVERSAMPLE / (2.0 * np.pi)))
-    return min(max(5000, nyquist), _MAX_POINTS)
+    return max(5000, int(np.ceil(t_max * bandwidth * _OVERSAMPLE / (2.0 * np.pi))))
 
 
 def find_peak(
@@ -149,20 +160,23 @@ def find_peak(
 
     Returns ``(f_abs_max, t_peak, boundary_flag)``. A coarse grid of 8
     samples per period of the fastest spectral frequency (at least 5000
-    points, at most 2e7) seeds the search. With the overlap weights w_m and
+    points) seeds the search. With the overlap weights w_m and
     M = sum_m |w_m| (E_m - c)^2 (``curvature_bound``), every interval [a, b]
     of width h obeys |f| <= max(|f(a)|, |f(b)|) + M h^2 / 8. The coarse-grid
     intervals whose bound reaches the best sample are subdivided until
     M h^2 / 8 is below the 1e-9 tolerance, and each surviving run of them is
-    golden-refined to 1e-9 in time. Up to roundoff in evaluating f, the
+    golden-refined to 1e-9 in time, or to two float spacings of t where
+    those are wider (past t = 2^22). Up to roundoff in evaluating f, the
     returned height is therefore within 1e-9 of max |f| over [0, t_max]. The
     reported time is the earliest refined peak within that tolerance of the
     bound on the maximum; the boundary flag is set when the best value sits
-    on the window's trailing edge (window too small). The cap keeps the
-    answer right at a cost that grows without bound: past N = 70 or so
-    (dipole chain, one-beat window) the grid falls below 8 samples per
-    fastest period, and at N = 128 the screen keeps 27 % of the coarse
-    intervals.
+    on the window's trailing edge (window too small).
+
+    The grid is scanned in chunks of 2^20 points, so memory is one chunk
+    plus the kept intervals (subdivided whenever they outnumber a chunk)
+    and the run heads that can still reach the best sample, whatever the
+    window. Once a sample comes within tolerance of the cap sum_m |w_m|, no
+    later point can beat it by more than that, and the scan stops.
     """
     if not 0 < t_max < np.inf:
         raise DomainError(f"search window must be positive and finite, got {t_max}")
@@ -170,22 +184,19 @@ def find_peak(
     w, e = transfer_terms(spec, input_state, output_state)
     bandwidth = e[-1]
     npts = _grid_size(t_max, bandwidth)
-    fa = propagator_abs_grid(
-        spec, input_state, output_state, np.linspace(0.0, t_max, npts)
-    )
     step = t_max / (npts - 1)
-    boundary = bool(fa[-1] >= fa[-2])
 
     # Bounded screen: on an interval of width h, |f| <= the larger end
     # sample + M h^2 / 8. Keep every interval whose bound reaches within
-    # tolerance (plus phase roundoff) of the best sample, and subdivide the
-    # kept ones, a batch at a time, until that excess is itself below
-    # tolerance. A batch may lose all its intervals to a better sample
-    # found in an earlier one.
+    # tolerance (plus phase roundoff) of the best sample so far, and
+    # subdivide the kept ones, a batch at a time, until that excess is
+    # itself below tolerance. A batch may lose all its intervals to a
+    # better sample found in an earlier one.
     tol = _TOLERANCE
     curvature = curvature_bound(w, e)
     slack = 8.0 * np.finfo(float).eps * (1.0 + t_max * bandwidth)
-    best = fa.max()
+    cap = np.abs(w).sum()
+    best = -np.inf
 
     def survivors(left, right, width):
         floor = best - tol - slack - curvature * width**2 / 8.0
@@ -196,39 +207,69 @@ def find_peak(
         needed = np.sqrt(curvature * width**2 / (8.0 * tol))
         subs.append(int(min(_SUBDIVIDE, np.ceil(needed))))
         width /= subs[-1]
+    excess = curvature * width**2 / 8.0
 
-    keep = survivors(fa[:-1], fa[1:], step)
-    kept = np.flatnonzero(keep)
-    kept_left, kept_right = fa[:-1][keep], fa[1:][keep]
-    del fa, keep
-    at, top = [], []
-    for lo in range(0, len(kept), _BATCH):
-        starts = kept[lo : lo + _BATCH] * step
-        left, right = kept_left[lo : lo + _BATCH], kept_right[lo : lo + _BATCH]
-        h = step
-        for sub in subs:
-            h /= sub
-            vals = abs_runs(w, e, starts, h, sub + 1)
-            best = vals.max(initial=best)
-            rows, cols = np.nonzero(survivors(vals[:, :-1], vals[:, 1:], h))
-            starts = starts[rows] + h * cols
-            left, right = vals[rows, cols], vals[rows, cols + 1]
-        # Contiguous survivors form one run around one peak; each run is
-        # represented by its best sample, earliest on ties.
-        peak = np.maximum(left, right)
-        run = np.cumsum(np.diff(starts, prepend=-np.inf) > 1.5 * width)
-        order = np.lexsort((-peak, run))
-        heads = order[np.diff(run[order], prepend=0) != 0]
-        at.append(starts[heads] + width * (right > left)[heads])
-        top.append(peak[heads])
-    at, top = np.concatenate(at), np.concatenate(top)
+    # Contiguous survivors form one run around one peak; each run is
+    # represented by its best sample (time, height), earliest on ties. Only
+    # the heads within tolerance of the highest one can be refined below, so
+    # the rest are dropped as they fall behind.
+    heads = np.empty((2, 0))
+
+    def subdivide(kept):
+        nonlocal best, heads
+        kept = np.concatenate(kept, axis=1)
+        kept = kept[:, survivors(kept[1], kept[2], step)]
+        found = [heads]
+        for lo in range(0, kept.shape[1], _BATCH):
+            starts, left, right = kept[:, lo : lo + _BATCH]
+            h = step
+            for sub in subs:
+                h /= sub
+                vals = abs_runs(w, e, starts, h, sub + 1)
+                best = vals.max(initial=best)
+                rows, cols = np.nonzero(survivors(vals[:, :-1], vals[:, 1:], h))
+                starts = starts[rows] + h * cols
+                left, right = vals[rows, cols], vals[rows, cols + 1]
+            peak = np.maximum(left, right)
+            run = np.cumsum(np.diff(starts, prepend=-np.inf) > 1.5 * width)
+            order = np.lexsort((-peak, run))
+            first = order[np.diff(run[order], prepend=0) != 0]
+            found.append((starts[first] + width * (right > left)[first], peak[first]))
+        heads = np.concatenate(found, axis=1)
+        top = heads[1]
+        heads = heads[:, top + excess >= top.max(initial=-np.inf) + excess - tol]
+
+    # One pass over the grid in chunks that share their end points. The
+    # (start, left, right) of kept intervals are buffered and subdivided
+    # when they outnumber a chunk, at a certified stop and at the window's
+    # end.
+    kept = []
+    for i0 in range(0, npts - 1, _CHUNK - 1):
+        i1 = min(i0 + _CHUNK - 1, npts - 1)
+        last = i1 == npts - 1
+        times = np.arange(i0, i1 + 1, dtype=float)
+        times *= step
+        if last:
+            times[-1] = t_max
+        fa = propagator_abs_grid(spec, input_state, output_state, times)
+        del times
+        best = max(best, fa.max())
+        keep = np.flatnonzero(survivors(fa[:-1], fa[1:], step))
+        kept.append(np.stack(((i0 + keep) * step, fa[keep], fa[keep + 1])))
+        if last or best >= cap - tol or sum(k.shape[1] for k in kept) > _CHUNK:
+            subdivide(kept)
+            kept = []
+        if best >= cap - tol:
+            break
+    boundary = last and bool(fa[-1] >= fa[-2])
+    at, top = heads
 
     # Every maximum lies within the final excess above its run's best
-    # sample, so the window's maximum is at most the ceiling below. Runs are
-    # refined in time order; the reported peak is the earliest that comes
-    # within tolerance of the ceiling, hence of the true maximum.
-    excess = curvature * width**2 / 8.0
-    ceiling = top.max() + excess
+    # sample, and past a stop the unscanned rest lies below the cap, so the
+    # window's maximum is at most the ceiling below. Runs are refined in
+    # time order; the reported peak is the earliest that comes within
+    # tolerance of the ceiling, hence of the true maximum.
+    ceiling = max(top.max() + excess, -np.inf if last else cap)
 
     def f_of(t: float) -> float:
         return propagator_abs_grid(spec, input_state, output_state, np.array([t]))[0]

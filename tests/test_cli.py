@@ -110,6 +110,18 @@ class TestCurvesAndSpectra:
         assert code == 0
         assert len(out.strip().split("\n")) == 7
 
+    def test_fidelity_curve_extreme_geometry_file(self, capsys, tmp_path):
+        # the pair's 1/r^3 overflows; a flat F = 0.5 curve must not pass as
+        # a result
+        geo = tmp_path / "geo.json"
+        geo.write_text(Geometry(Topology.CHAIN, (0.0, 1e120)).to_json())
+        code, out, err = run_cli(
+            capsys, "fidelity-curve", "--geometry-file", str(geo),
+            "--t-max", "5", "--steps", "6",
+        )
+        assert code == 1 and out == ""
+        assert "1/r^3" in err
+
     def test_onsite_energies(self, capsys):
         code, out, _ = run_cli(capsys, "onsite-energies", "--n", "5")
         assert code == 0

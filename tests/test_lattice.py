@@ -126,6 +126,23 @@ class TestChainHamiltonian:
         mid = e[5:10]
         assert mid.max() - mid.min() < 0.01 * (e.max() - e.min())
 
+    @pytest.mark.parametrize(
+        "positions", [(0.0, 1e120), (0.0, 1e-120), (0.0, 1.0, 1e120)]
+    )
+    def test_extreme_geometry_rejected(self, positions):
+        # 1/r^3 overflows to inf or underflows to 0 for some pair; neither
+        # may pass silently as a coupling
+        with pytest.raises(InvalidGeometryError, match="1/r\\^3"):
+            build_hamiltonian(Geometry(Topology.CHAIN, positions))
+
+    def test_only_interacting_pairs_are_checked(self):
+        # the end pair's 1/r^3 underflows, but it couples only in the
+        # dipole model
+        g = Geometry(Topology.CHAIN, (0.0, 5e102, 1e103))
+        assert build_hamiltonian(g, NEAREST_NEIGHBOUR).matrix[0, 1] > 0
+        with pytest.raises(InvalidGeometryError):
+            build_hamiltonian(g, DIPOLE)
+
     def test_matrix_read_only(self):
         h = build_hamiltonian(uniform_chain(4))
         with pytest.raises(ValueError):

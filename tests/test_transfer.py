@@ -1,7 +1,15 @@
 """Peak extraction, sweeps and timing-metric tests."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import dipolink
 
 from dipolink import (
     DIPOLE,
@@ -182,6 +190,141 @@ class TestWindowMaximum:
         whole = find_peak(*args)
         monkeypatch.setattr(transfer, "_BATCH", 16)
         assert find_peak(*args) == whole
+
+    @pytest.mark.parametrize("chunk", [4096, 4097])
+    @pytest.mark.parametrize(
+        "t_max, grid_points",
+        [
+            (5e4, None),
+            # every interval is kept, so the buffer outgrows a chunk and is
+            # subdivided mid-scan
+            (1e5, 40_000),
+        ],
+    )
+    def test_chunk_size_does_not_change_the_peak(
+        self, monkeypatch, chunk, t_max, grid_points
+    ):
+        if grid_points is not None:
+            monkeypatch.setattr(
+                transfer, "_grid_size", lambda t_max, bandwidth: grid_points
+            )
+        h = build_hamiltonian(uniform_chain(4))
+        args = (decompose(h), site_state(4, 1), site_state(4, 4), t_max)
+        whole = find_peak(*args)
+        monkeypatch.setattr(transfer, "_CHUNK", chunk)
+        assert find_peak(*args) == whole
+
+    def test_certified_peak_stops_the_scan(self, monkeypatch):
+        # |f| = |sin t| on the 2-spin chain reaches the cap sum_m |w_m| = 1
+        # in the first of the window's three chunks, and no later point can
+        # beat it
+        scans = []
+
+        def counted(spec, input_state, output_state, times):
+            if len(times) > 1:
+                scans.append(len(times))
+            return propagator_abs_grid(spec, input_state, output_state, times)
+
+        monkeypatch.setattr(transfer, "propagator_abs_grid", counted)
+        h = build_hamiltonian(uniform_chain(2))
+        f_abs, t_peak, flag = find_peak(
+            decompose(h), site_state(2, 1), site_state(2, 2), 1e6
+        )
+        assert f_abs == pytest.approx(1.0, abs=1e-12)
+        assert t_peak == pytest.approx(np.pi / 2.0, abs=1e-8)
+        assert not flag
+        assert len(scans) <= 2
+
+
+def test_golden_refinement_ends_past_float_resolution():
+    # past t = 2^23 adjacent doubles are 1.9e-9 apart, wider than the 1e-9
+    # tolerance, so the bracket stops at two float spacings instead
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        if len(calls) > 200:
+            raise AssertionError("golden refinement did not stop")
+        return -((t - 9e6 - 0.25) ** 2)
+
+    t, _ = transfer._golden_max(f, 9e6 - 1.0, 9e6 + 1.0, 1e-9)
+    assert t == pytest.approx(9e6 + 0.25, abs=1e-8)
+
+
+# Runs end_to_end_summary on the uniform dipole chain of argv[1] spins and
+# prints its f_max, t_peak and the process's peak RSS (KiB).
+_LARGE_N_HARNESS = """
+import json, resource, sys
+from dipolink import build_hamiltonian, end_to_end_summary, uniform_chain
+s = end_to_end_summary(build_hamiltonian(uniform_chain(int(sys.argv[1]))))
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"f_max": s.f_max, "t_peak": s.t_peak, "maxrss_kib": rss}))
+"""
+
+
+@pytest.fixture(scope="module")
+def large_chains():
+    """Harness output for N = 64 and 128, each in a fresh process.
+
+    The timeout turns a search that stalls into a failure instead of a hang.
+    """
+    src = str(Path(dipolink.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    runs = {}
+    for n in (64, 128):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LARGE_N_HARNESS, str(n)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[n] = json.loads(proc.stdout)
+    return runs
+
+
+def _dipole_chain_terms(n):
+    """Weights <N|m><m|1> and energies E_m - E_0 from numpy eigh of the
+    uniform dipole chain's one-flip matrix, built here from its formula
+    (C = 2, so off-diagonals are 1/r^3; the common ground energy is left
+    out, as |f| does not depend on it)."""
+    sep = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    off = np.divide(1.0, sep**3, out=np.zeros_like(sep), where=sep > 0)
+    vals, vecs = np.linalg.eigh(off + np.diag(2.0 * off.sum(axis=1)))
+    return vecs[-1] * vecs[0], vals - vals[0]
+
+
+def _direct_abs(w, e, times):
+    return np.abs(np.exp(-1j * np.outer(times, e)) @ w)
+
+
+class TestLargeN:
+    """The N = 128 chain's one-beat window needs 1.3e8 grid points and peaks
+    past t = 2^23, where adjacent doubles are wider than the tolerance."""
+
+    @staticmethod
+    def _f_abs(run):
+        # inverse of F = |f|/3 + |f|^2/6 + 1/2
+        return np.sqrt(6.0 * run["f_max"] - 2.0) - 1.0
+
+    def test_peak_matches_direct_sum(self, large_chains):
+        run = large_chains[128]
+        w, e = _dipole_chain_terms(128)
+        direct = _direct_abs(w, e, [run["t_peak"]])[0]
+        assert direct == pytest.approx(self._f_abs(run), abs=1e-9)
+
+    def test_no_higher_point_near_the_peak(self, large_chains):
+        # 64 samples per fastest period over 20 fastest periods each side
+        run = large_chains[128]
+        w, e = _dipole_chain_terms(128)
+        period = 2.0 * np.pi / e[-1]
+        times = run["t_peak"] + period / 64.0 * np.arange(-20 * 64, 20 * 64 + 1)
+        assert _direct_abs(w, e, times).max() <= self._f_abs(run) + 1e-9
+
+    def test_memory_does_not_grow_with_n(self, large_chains):
+        grown = large_chains[128]["maxrss_kib"] - large_chains[64]["maxrss_kib"]
+        assert grown <= 16 * 1024
 
 
 class TestChainSweep:
