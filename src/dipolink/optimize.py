@@ -32,17 +32,21 @@ from .lattice import (
     ExcitationHamiltonian,
     Geometry,
     Topology,
+    _hamiltonian_matrices,
     build_hamiltonian,
 )
-from .spectral import SiteState, decompose, fidelity, site_state
+from .spectral import SiteState, _eigh, decompose, fidelity, site_state
 from .transfer import find_peak
 
 # Smallest allowed gap of a unit chain; restart spread, in units of the
-# uniform gap; verification window, in beat periods; Nelder-Mead stopping.
+# uniform gap; verification window, in beat periods; Nelder-Mead stopping
+# (simplex spread, value spread, iteration cap).
 _GAP_MIN = 0.05
 _PERTURBATION = 0.25
 _VERIFY_BEATS = 20.0
-_NELDER_MEAD = {"xatol": 1e-7, "fatol": 1e-12, "maxiter": 400}
+_XATOL = 1e-7
+_FATOL = 1e-12
+_MAXITER = 400
 
 
 @dataclass(frozen=True)
@@ -119,6 +123,77 @@ def _geometry_from_gaps(gaps: np.ndarray) -> Geometry:
     return Geometry(Topology.CHAIN, tuple(pos))
 
 
+def _tau(gaps: np.ndarray, coupling: CouplingSpec) -> float:
+    """pi / dl of the chain with these gaps, or inf when dl <= 0.
+
+    Builds the matrix and its eigenvalues without the Geometry,
+    ExcitationHamiltonian and signed eigenvectors of the public path; the
+    eigenvalues, and so dl, are the ones ``decompose`` returns, bit for bit.
+    """
+    positions = np.concatenate([[0.0], np.cumsum(gaps)])
+    h, _ = _hamiltonian_matrices(positions, Topology.CHAIN, coupling)
+    vals, _ = _eigh(h)
+    dl = vals[1] - vals[0]
+    if dl <= 0:
+        return np.inf
+    return np.pi / dl
+
+
+def _sort_simplex(sim: np.ndarray, fsim: np.ndarray):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(func, x0: np.ndarray) -> tuple[float, np.ndarray]:
+    """Minimize func from x0; returns (lowest value, its vertex).
+
+    Repeats scipy 1.17's unbounded, non-adaptive Nelder-Mead (``minimize``
+    with xatol 1e-7, fatol 1e-12, maxiter 400) operation for operation, so
+    it calls func at the same points and returns the same bits. Reflection,
+    expansion, contraction and shrink coefficients are rho = 1, chi = 2,
+    psi = 0.5 and sigma = 0.5, written out below as their products.
+    """
+    n = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
+    fsim = np.array([func(x) for x in sim], dtype=float)
+    # sorted twice, as scipy does: argsort need not keep ties in place
+    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
+    iterations = 1
+    while iterations < _MAXITER:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        sim, fsim = _sort_simplex(sim, fsim)
+    return np.min(fsim), sim[0]
+
+
 def optimize_placement(
     n: int,
     coupling: CouplingSpec = DIPOLE,
@@ -133,8 +208,6 @@ def optimize_placement(
     point closest to uniform. Raises InfeasibleConstraintError, with the
     best-fidelity point attached, if no candidate passes.
     """
-    from scipy.optimize import minimize  # slow import, paid only here
-
     if n < 3:
         raise DomainError(f"need at least 3 spins to optimize, got {n}")
     nfree = n_free_gaps(n)
@@ -147,11 +220,7 @@ def optimize_placement(
         gaps = _gaps_from_free(np.asarray(x, dtype=float), n)
         if np.any(gaps < _GAP_MIN):
             return np.inf
-        h = build_hamiltonian(_geometry_from_gaps(gaps), coupling)
-        dl = decompose(h).splitting
-        if dl <= 0:
-            return np.inf
-        return np.pi / dl  # tau at unit length
+        return _tau(gaps, coupling)  # tau at unit length
 
     rng = np.random.default_rng(config.seed)
     starts = [uniform_free]
@@ -167,14 +236,9 @@ def optimize_placement(
                 candidates.append((value, x0))
             continue
         with np.errstate(invalid="ignore"):
-            result = minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options=_NELDER_MEAD,
-            )
-        if np.isfinite(result.fun):
-            candidates.append((float(result.fun), np.asarray(result.x)))
+            value, x = _nelder_mead(objective, x0)
+        if np.isfinite(value):
+            candidates.append((float(value), x))
 
     if not candidates:
         raise InfeasibleConstraintError(
@@ -209,10 +273,7 @@ def optimize_placement(
             report = {
                 "n": n,
                 "start_gaps": list(_gaps_from_free(uniform_free, n)),
-                "start_tau": float(np.pi / decompose(
-                    build_hamiltonian(_geometry_from_gaps(
-                        _gaps_from_free(uniform_free, n)), coupling)
-                ).splitting),
+                "start_tau": float(_tau(_gaps_from_free(uniform_free, n), coupling)),
                 "evaluations": evaluations,
                 "restarts": config.restarts,
                 "seed": config.seed,

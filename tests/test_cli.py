@@ -329,6 +329,7 @@ class TestInputErrors:
     def test_bad_search_config(self, capsys, monkeypatch, flags, message):
         # rejected before the search spends a single eigensolve
         monkeypatch.setattr(optimize, "decompose", None)
+        monkeypatch.setattr(optimize, "_eigh", None)
         code, out, err = run_cli(capsys, "optimize-placement", "--n", "4", *flags)
         assert code == 1 and out == ""
         assert message in err

@@ -1,10 +1,18 @@
 """Placement optimizer and encoded-state tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dipolink
+from dipolink import optimize
 from dipolink import (
     DomainError,
+    InfeasibleConstraintError,
     SearchConfig,
     build_hamiltonian,
     n_free_gaps,
@@ -75,6 +83,101 @@ class TestOptimizePlacement:
     def test_too_few_spins(self):
         with pytest.raises(DomainError):
             optimize_placement(2)
+
+
+def _assert_same_run(func, x0):
+    """Run scipy's Nelder-Mead and ``_nelder_mead`` on func from x0 and
+    require the same calls and the same bits; returns (fun, x)."""
+    from scipy.optimize import minimize
+
+    calls = [0]
+
+    def counted(x):
+        calls[0] += 1
+        return func(x)
+
+    with np.errstate(invalid="ignore"):
+        ref = minimize(counted, x0, method="Nelder-Mead",
+                       options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 400})
+        assert calls[0] == ref.nfev
+        calls[0] = 0
+        fun, x = optimize._nelder_mead(counted, np.asarray(x0, dtype=float))
+    assert calls[0] == ref.nfev
+    assert np.array_equal(fun, ref.fun)
+    assert np.array_equal(x, ref.x)
+    return fun, x
+
+
+class TestNelderMeadMatchesScipy:
+    """``_nelder_mead`` takes scipy's steps: same calls, same bits."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_placement_objective(self, monkeypatch, n):
+        # record the objective and the four starts the search hands over
+        runs = []
+        own = optimize._nelder_mead
+
+        def recording(func, x0):
+            runs.append((func, np.array(x0)))
+            return own(func, x0)
+
+        monkeypatch.setattr(optimize, "_nelder_mead", recording)
+        try:
+            optimize_placement(n, config=SearchConfig(restarts=3))
+        except InfeasibleConstraintError:
+            pass
+        monkeypatch.undo()
+        assert len(runs) == 4
+        assert np.array_equal(runs[0][1], np.full(n_free_gaps(n), 1.0 / (n - 1)))
+        for func, x0 in runs:
+            _assert_same_run(func, x0)
+
+    @pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.0, 0.7, 1.3]])
+    def test_rosenbrock(self, x0):
+        from scipy.optimize import rosen
+
+        _assert_same_run(rosen, x0)
+
+    @pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.0, 0.7, 1.3]])
+    def test_ties_on_plateaus(self, x0):
+        # a staircase makes equal values common, so each `<` or `<=`
+        # comparison meets ties
+        _assert_same_run(lambda x: float(np.floor(8 * np.sum((x - 0.3) ** 2))), x0)
+
+    def test_infinite_past_a_wall(self):
+        # the minimum at (1, 2) lies past the wall x_0 > 0.8, as the gap
+        # floor's inf does for placements
+        def walled(x):
+            if x[0] > 0.8:
+                return np.inf
+            return float(np.sum((x - np.array([1.0, 2.0])) ** 2))
+
+        fun, x = _assert_same_run(walled, [0.5, 0.5])
+        assert x[0] == pytest.approx(0.8, abs=1e-6) and np.isfinite(fun)
+        _assert_same_run(walled, [0.9, 0.5])  # starts past the wall
+
+
+# Runs one placement search and prints whether any scipy module got loaded.
+_NO_SCIPY_HARNESS = """
+import sys
+from dipolink.cli import main
+code = main(["optimize-placement", "--n", "5"])
+print([name for name in sys.modules if name.startswith("scipy")], code)
+"""
+
+
+def test_placement_runs_without_scipy():
+    src = str(Path(dipolink.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_HARNESS],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[] 0"
 
 
 class TestEncodedEndStates:
