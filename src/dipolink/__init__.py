@@ -65,7 +65,6 @@ from .spectral import (
     site_state,
 )
 from .transfer import (
-    SweepRow,
     TransferSummary,
     antipodal_site,
     chain_sweep,
@@ -104,7 +103,6 @@ __all__ = [
     "SiteState",
     "SpectralDecomposition",
     "SplittingPrediction",
-    "SweepRow",
     "Topology",
     "TransferSummary",
     "antipodal_site",

@@ -5,8 +5,9 @@ transfer time is set by their splitting dl = 2 <B|H|E>. Truncating |B> to its
 first q sites and Taylor-expanding the cross matrix elements to first order
 in the site offsets gives
 
-    dl_pred = C * (Q / L^3 + a R / L^4),
+    dl_pred = C * (Q / L^3 + R / L^4)
 
+in units of the lattice spacing a (positions are 0, 1, ..., N-1),
 with Q = (sum a_n)^2 and R = 3 sum a_n a_m (m + n - 2) computed from the
 lowest eigenvector of the leading q x q corner of the chain Hamiltonian.
 """
@@ -90,18 +91,17 @@ def fit_bound_state(
 def predict_splitting(
     model: BoundStateModel,
     length: float,
-    a: float = 1.0,
     coupling: CouplingSpec = DIPOLE,
 ) -> SplittingPrediction:
-    """First-order splitting prediction for a chain of the given length.
+    """First-order splitting prediction for a unit-spacing chain of this length.
 
-    Returns dl_pred = C (Q / L^3 + a R / L^4) together with the peak time
+    Returns dl_pred = C (Q / L^3 + R / L^4) together with the peak time
     pi / dl_pred and tau = t_peak / L^3 it implies.
     """
     if length <= 0:
         raise DomainError(f"chain length must be positive, got {length}")
     c = coupling.c_const
-    dl = c * (model.q_sum / length**3 + a * model.r_sum / length**4)
+    dl = c * (model.q_sum / length**3 + model.r_sum / length**4)
     if dl <= 0:
         raise ExpansionInvalidError(
             f"first-order splitting {dl:.3g} <= 0 at L = {length}; "
@@ -116,24 +116,20 @@ def taylor_vs_exact_element(
     n: int,
     m: int,
     big_n: int,
-    a: float = 1.0,
-    coupling: CouplingSpec = DIPOLE,
 ) -> tuple[float, float]:
-    """Exact vs first-order cross matrix element <n|H|N+1-m>.
+    """Exact vs first-order dipole cross matrix element <n|H|N+1-m>.
 
-    The exact element is C / (2 a^3 (N+1-m-n)^3); the first-order expansion
-    in delta = m + n - 2 about the full end-to-end separation L = a (N - 1)
-    is C / (2 L^3) + 3 C a delta / (2 L^4).
+    At unit spacing the exact element is C / (2 (N+1-m-n)^3); the
+    first-order expansion in delta = m + n - 2 about the full end-to-end
+    separation L = N - 1 is C / (2 L^3) + 3 C delta / (2 L^4).
     """
     if not (1 <= n <= model.q and 1 <= m <= model.q):
         raise DomainError(f"(n, m) = ({n}, {m}) outside 1..{model.q}")
     sep = big_n + 1 - m - n
     if sep <= 0:
         raise DomainError(f"separation N+1-m-n = {sep} must be positive")
-    c = coupling.c_const
-    length = a * (big_n - 1)
-    exact = c / (2.0 * (a * sep) ** 3)
-    first_order = c / (2.0 * length**3) + 3.0 * c * a * (m + n - 2) / (
-        2.0 * length**4
-    )
+    c = DIPOLE.c_const
+    length = float(big_n - 1)
+    exact = c / (2.0 * float(sep) ** 3)
+    first_order = c / (2.0 * length**3) + 3.0 * c * (m + n - 2) / (2.0 * length**4)
     return exact, first_order

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -92,19 +93,21 @@ def _emit(args, records, head: dict | None = None):
     _write(args.output, _render(records, args.format, head))
 
 
-def _sweep_records(rows):
+def _sweep_records(summaries, model: str, topology: str):
     return [
-        {"n": r.n, "model": r.model, "topology": r.topology, **r.summary.as_dict()}
-        for r in rows
+        {"n": s.n, "model": model, "topology": topology, **asdict(s)}
+        for s in summaries
     ]
 
 
 def _cmd_chain_sweep(args):
-    _emit(args, _sweep_records(chain_sweep(args.n_min, args.n_max, _coupling(args))))
+    rows = chain_sweep(args.n_min, args.n_max, _coupling(args))
+    _emit(args, _sweep_records(rows, args.model, "chain"))
 
 
 def _cmd_ring_sweep(args):
-    _emit(args, _sweep_records(ring_sweep(args.n_min, args.n_max, _coupling(args))))
+    rows = ring_sweep(args.n_min, args.n_max, _coupling(args))
+    _emit(args, _sweep_records(rows, args.model, "ring"))
 
 
 def _cmd_fidelity_curve(args):
@@ -142,7 +145,7 @@ def _cmd_spectrum_sweep(args):
 
 def _cmd_normalized_time(args):
     rows = chain_sweep(args.n_min, args.n_max, _coupling(args))
-    _emit(args, [{"n": r.n, "tau": r.summary.tau} for r in rows])
+    _emit(args, [{"n": r.n, "tau": r.tau} for r in rows])
 
 
 def _cmd_bound_state(args):
@@ -153,7 +156,7 @@ def _cmd_bound_state(args):
         h = build_hamiltonian(uniform_chain(n), coupling)
         spec = decompose(h)
         length = h.geometry.length
-        pred = predict_splitting(model, length, 1.0, coupling)
+        pred = predict_splitting(model, length, coupling)
         records.append(
             {
                 "n": n,
@@ -178,8 +181,8 @@ def _cmd_encoded_transfer(args):
     n = h.n
     single = summarize_transfer(h, site_state(n, 1), site_state(n, n))
     encoded = summarize_transfer(h, *encoded_end_states(h, args.width))
-    _emit(args, {"n": n, "width": args.width, "single": single.as_dict(),
-                 "encoded": encoded.as_dict()})
+    _emit(args, {"n": n, "width": args.width, "single": asdict(single),
+                 "encoded": asdict(encoded)})
 
 
 def _cmd_disorder(args):

@@ -30,11 +30,4 @@ class ExpansionInvalidError(DipolinkError):
 
 
 class InfeasibleConstraintError(DipolinkError):
-    """Raised when no placement satisfying the fidelity constraint was found.
-
-    The best point found (and its summary) is attached for inspection.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Raised when no placement satisfying the fidelity constraint was found."""

@@ -52,8 +52,10 @@ class CouplingSpec:
     c_const: float = 2.0
 
     def __post_init__(self):
-        if not self.c_const > 0:
-            raise DomainError(f"coupling constant must be positive, got {self.c_const}")
+        if not 0 < self.c_const < np.inf:
+            raise DomainError(
+                f"coupling constant must be positive and finite, got {self.c_const}"
+            )
 
 
 DIPOLE = CouplingSpec(CouplingModel.DIPOLE)
@@ -84,6 +86,8 @@ class Geometry:
                 )
         elif len(pos) < 3:
             raise InvalidGeometryError("a ring needs at least 3 sites")
+        elif pos != tuple(range(len(pos))):
+            raise InvalidGeometryError("ring positions must be 0, 1, ..., N-1")
 
     @property
     def n(self) -> int:
@@ -119,14 +123,11 @@ class Geometry:
             ) from exc
 
 
-def uniform_chain(n: int, length: float | None = None) -> Geometry:
-    """Uniform chain of n spins; unit spacing unless a total length is given."""
+def uniform_chain(n: int) -> Geometry:
+    """Uniform chain of n spins at unit spacing."""
     if n < 2:
         raise InvalidGeometryError(f"need at least 2 sites, got {n}")
-    pos = np.arange(n, dtype=float)
-    if length is not None:
-        pos *= length / (n - 1)
-    return Geometry(Topology.CHAIN, tuple(pos))
+    return Geometry(Topology.CHAIN, tuple(np.arange(n, dtype=float)))
 
 
 def ring(n: int) -> Geometry:

@@ -21,7 +21,7 @@ to the end-localized bound states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,20 +80,36 @@ DEFAULT_SEARCH = SearchConfig()
 
 @dataclass(frozen=True)
 class PlacementResult:
-    """Best geometry found, its transfer figures, and a run report.
+    """Best placement found, its transfer figures, and how the search ran.
 
-    ``tau`` is the minimized objective (pi / dl per unit cubed length);
+    ``tau`` is the minimized objective (pi / dl per unit cubed length) at
+    ``best_gaps``; ``start_tau`` is its value at the uniform ``start_gaps``.
     ``f_max`` and ``t_best`` come from the verification peak search over the
-    multi-beat window.
+    multi-beat window. Fields are in the order of ``report``.
     """
 
-    geometry: Geometry
-    gaps: tuple
+    n: int
+    start_gaps: tuple
+    start_tau: float
+    evaluations: int
+    restarts: int
+    seed: int
+    best_gaps: tuple
     tau: float
     delta_lambda: float
     f_max: float
     t_best: float
-    report: dict
+
+    @property
+    def geometry(self) -> Geometry:
+        return _geometry_from_gaps(np.asarray(self.best_gaps))
+
+    @property
+    def report(self) -> dict:
+        """The run as one JSON-ready document: every field, then ``converged``."""
+        # Always True, though a returned candidate may have stopped at the
+        # 400-iteration cap (ROADMAP item 2).
+        return {**asdict(self), "converged": True}
 
 
 def n_free_gaps(n: int) -> int:
@@ -205,8 +221,8 @@ def optimize_placement(
     seeded perturbations of it; gaps below 0.05 are rejected
     outright. Converged candidates are screened in ascending-objective order
     against the fidelity constraint; ties within 1e-9 are broken toward the
-    point closest to uniform. Raises InfeasibleConstraintError, with the
-    best-fidelity point attached, if no candidate passes.
+    point closest to uniform. Raises InfeasibleConstraintError, naming the
+    best fidelity reached, if no candidate passes.
     """
     if n < 3:
         raise DomainError(f"need at least 3 spins to optimize, got {n}")
@@ -243,54 +259,30 @@ def optimize_placement(
     if not candidates:
         raise InfeasibleConstraintError(
             f"no mirror-symmetric {n}-spin placement found with gaps above "
-            f"{_GAP_MIN}",
-            best=None,
+            f"{_GAP_MIN}"
         )
     candidates.sort(
         key=lambda c: (c[0], float(np.linalg.norm(c[1] - uniform_free)))
     )
 
-    best_seen = None
+    start_gaps = _gaps_from_free(uniform_free, n)
+    start_tau = float(_tau(start_gaps, coupling))
+    best_f = -np.inf
     for value, x_best in candidates:
         gaps = _gaps_from_free(np.asarray(x_best, dtype=float), n)
-        geometry = _geometry_from_gaps(gaps)
-        h = build_hamiltonian(geometry, coupling)
-        spec = decompose(h)
+        spec = decompose(build_hamiltonian(_geometry_from_gaps(gaps), coupling))
         window = _VERIFY_BEATS * 2.0 * np.pi / spec.splitting
         f_abs, t_best, _ = find_peak(spec, site_state(n, 1), site_state(n, n), window)
-        f_max = fidelity(f_abs)
-        if best_seen is None or f_max > best_seen.f_max:
-            best_seen = PlacementResult(
-                geometry,
-                tuple(gaps),
-                value,
-                spec.splitting,
-                f_max,
-                t_best,
-                {},
-            )
-        if f_max >= config.min_fidelity:
-            report = {
-                "n": n,
-                "start_gaps": list(_gaps_from_free(uniform_free, n)),
-                "start_tau": float(_tau(_gaps_from_free(uniform_free, n), coupling)),
-                "evaluations": evaluations,
-                "restarts": config.restarts,
-                "seed": config.seed,
-                "best_gaps": list(gaps),
-                "tau": value,
-                "delta_lambda": spec.splitting,
-                "f_max": f_max,
-                "t_best": t_best,
-                "converged": True,
-            }
-            return PlacementResult(
-                geometry, tuple(gaps), value, spec.splitting, f_max, t_best, report
-            )
+        result = PlacementResult(
+            n, tuple(start_gaps), start_tau, evaluations, config.restarts,
+            config.seed, tuple(gaps), value, spec.splitting, fidelity(f_abs), t_best,
+        )
+        if result.f_max >= config.min_fidelity:
+            return result
+        best_f = max(best_f, result.f_max)
     raise InfeasibleConstraintError(
         f"no candidate reached f_max >= {config.min_fidelity} within "
-        f"{_VERIFY_BEATS} beats (best {best_seen.f_max:.6f})",
-        best=best_seen,
+        f"{_VERIFY_BEATS} beats (best {best_f:.6f})"
     )
 
 

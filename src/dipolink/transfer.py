@@ -62,36 +62,19 @@ _NN_CHAIN_WINDOW = 4000.0
 
 @dataclass(frozen=True)
 class TransferSummary:
-    """Peak metrics for one (geometry, coupling, input, output) configuration."""
+    """Peak metrics for one (geometry, coupling, input, output) configuration.
 
+    Fields are in output order, so ``dataclasses.asdict`` is the record.
+    """
+
+    n: int
     f_max: float
     t_peak: float
     delta_lambda: float
-    period: float | None
     tau: float | None
+    period: float | None
     length: float | None
-    n: int
     boundary_peak: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "f_max": self.f_max,
-            "t_peak": self.t_peak,
-            "delta_lambda": self.delta_lambda,
-            "tau": self.tau,
-            "period": self.period,
-            "length": self.length,
-            "boundary_peak": self.boundary_peak,
-        }
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    n: int
-    model: str
-    topology: str
-    summary: TransferSummary
 
 
 def _golden_max(func, lo: float, hi: float, tol: float):
@@ -312,13 +295,13 @@ def summarize_transfer(
     else:
         length, tau = None, None
     return TransferSummary(
+        n=h.n,
         f_max=fidelity(f_abs),
         t_peak=t_peak,
         delta_lambda=dl,
-        period=period,
         tau=tau,
+        period=period,
         length=length,
-        n=h.n,
         boundary_peak=boundary,
     )
 
@@ -333,15 +316,14 @@ def chain_sweep(
     n_min: int,
     n_max: int,
     coupling: CouplingSpec = DIPOLE,
-) -> list[SweepRow]:
+) -> list[TransferSummary]:
     """End-to-end transfer summaries for uniform chains of n_min..n_max spins."""
     if not 2 <= n_min <= n_max:
         raise DomainError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
-    rows = []
-    for n in range(n_min, n_max + 1):
-        h = build_hamiltonian(uniform_chain(n), coupling)
-        rows.append(SweepRow(n, coupling.model.value, "chain", end_to_end_summary(h)))
-    return rows
+    return [
+        end_to_end_summary(build_hamiltonian(uniform_chain(n), coupling))
+        for n in range(n_min, n_max + 1)
+    ]
 
 
 def antipodal_site(n: int) -> int:
@@ -358,7 +340,7 @@ def ring_sweep(
     n_min: int,
     n_max: int,
     coupling: CouplingSpec = DIPOLE,
-) -> list[SweepRow]:
+) -> list[TransferSummary]:
     """Site-1 to ``antipodal_site(n)`` summaries for rings of n_min..n_max spins.
 
     On odd rings the output is site (n + 1) / 2, one of the two sites
@@ -366,11 +348,11 @@ def ring_sweep(
     """
     if not 3 <= n_min <= n_max:
         raise DomainError(f"need 3 <= n_min <= n_max, got ({n_min}, {n_max})")
-    rows = []
-    for n in range(n_min, n_max + 1):
-        h = build_hamiltonian(ring(n), coupling)
-        summary = summarize_transfer(
-            h, site_state(n, 1), site_state(n, antipodal_site(n))
+    return [
+        summarize_transfer(
+            build_hamiltonian(ring(n), coupling),
+            site_state(n, 1),
+            site_state(n, antipodal_site(n)),
         )
-        rows.append(SweepRow(n, coupling.model.value, "ring", summary))
-    return rows
+        for n in range(n_min, n_max + 1)
+    ]

@@ -100,11 +100,11 @@ def test_criterion_01_perfect_short_chains(capfd):
 
 def test_criterion_02_high_fidelity_band(capfd, dipole_rows):
     """All dipole chains N = 2..23 keep F_max >= 0.9."""
-    worst = min(dipole_rows, key=lambda r: r.summary.f_max)
-    ok = worst.summary.f_max >= 0.9
+    worst = min(dipole_rows, key=lambda r: r.f_max)
+    ok = worst.f_max >= 0.9
     verdict(
         capfd, "02", ok,
-        f"high-fidelity band: min F_max = {worst.summary.f_max:.4f} "
+        f"high-fidelity band: min F_max = {worst.f_max:.4f} "
         f"at N = {worst.n}",
     )
 
@@ -113,8 +113,8 @@ def test_criterion_03_cubic_timing_law(capfd, dipole_rows):
     """log t_peak vs log L slope over N = 15..23 equals 3 +- 0.2."""
     rows = [r for r in dipole_rows if 15 <= r.n <= 23]
     slope = np.polyfit(
-        np.log([r.summary.length for r in rows]),
-        np.log([r.summary.t_peak for r in rows]),
+        np.log([r.length for r in rows]),
+        np.log([r.t_peak for r in rows]),
         1,
     )[0]
     ok = abs(slope - 3.0) <= 0.2
@@ -123,7 +123,7 @@ def test_criterion_03_cubic_timing_law(capfd, dipole_rows):
 
 def test_criterion_04_tau_minimum(capfd, dipole_rows):
     """argmin tau over N in [2, 23] is N = 4 with tau(4) = 0.568 +- 0.01."""
-    taus = {r.n: r.summary.tau for r in dipole_rows}
+    taus = {r.n: r.tau for r in dipole_rows}
     n_min = min(taus, key=taus.get)
     ok = n_min == 4 and abs(taus[4] - 0.568) <= 0.01
     verdict(
@@ -137,7 +137,7 @@ def test_criterion_05_optimized_four_spin(capfd):
     from dipolink import optimize_placement
 
     res = optimize_placement(4)
-    g = res.gaps
+    g = res.best_gaps
     ok = (
         abs(g[0] - 0.314) <= 0.005
         and abs(g[1] - 0.373) <= 0.005
@@ -174,8 +174,8 @@ def test_criterion_06_bound_state_fit(capfd):
 
 def test_criterion_07_ring_comparison(capfd):
     """nn-ring F_max >= dipole-ring F_max over N = 4..30 except exactly {6, 12}."""
-    dip = {r.n: r.summary.f_max for r in ring_sweep(4, 30, DIPOLE)}
-    nn = {r.n: r.summary.f_max for r in ring_sweep(4, 30, NEAREST_NEIGHBOUR)}
+    dip = {r.n: r.f_max for r in ring_sweep(4, 30, DIPOLE)}
+    nn = {r.n: r.f_max for r in ring_sweep(4, 30, NEAREST_NEIGHBOUR)}
     exceptions = sorted(n for n in dip if nn[n] < dip[n])
     ok = exceptions == [6, 12]
     verdict(
@@ -186,7 +186,7 @@ def test_criterion_07_ring_comparison(capfd):
 
 def test_criterion_08_nn_multiples_of_three(capfd, nn_rows):
     """nn-chain F_max dips strictly at N = 6, 9, 12."""
-    f = {r.n: r.summary.f_max for r in nn_rows}
+    f = {r.n: r.f_max for r in nn_rows}
     ok = all(f[n] < f[n - 1] and f[n] < f[n + 1] for n in (6, 9, 12))
     verdict(
         capfd, "08", ok,

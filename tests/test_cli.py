@@ -170,6 +170,11 @@ class TestModelCommands:
         report = json.loads(out)
         assert report["tau"] == pytest.approx(0.512, abs=0.01)
 
+    def test_optimize_placement_prints_the_report(self, capsys):
+        code, out, _ = run_cli(capsys, "optimize-placement", "--n", "4")
+        assert code == 0
+        assert out == json.dumps(optimize.optimize_placement(4).report, indent=2) + "\n"
+
     def test_encoded_transfer(self, capsys):
         code, out, _ = run_cli(
             capsys, "encoded-transfer", "--n", "8", "--width", "2"
@@ -288,6 +293,26 @@ class TestInputErrors:
         )
         assert code == 1 and out == ""
         assert "coupling constant" in err
+
+    @pytest.mark.parametrize("c_const", ["inf", "nan"])
+    @pytest.mark.parametrize("command", [
+        ["chain-sweep", "--n-min", "2", "--n-max", "3"],
+        ["disorder", "--n", "4", "--samples", "10"],
+    ], ids=["chain-sweep", "disorder"])
+    def test_non_finite_coupling_constant(self, capsys, command, c_const):
+        code, out, err = run_cli(capsys, *command, "--c-const", c_const)
+        assert code == 1 and out == ""
+        assert "coupling constant must be positive and finite" in err
+
+    @pytest.mark.parametrize("positions", ["[0, 1.5, 2]", "[0, 1, 2, 3, 10]"])
+    def test_ring_positions_not_site_indices(self, capsys, tmp_path, positions):
+        geo = tmp_path / "geo.json"
+        geo.write_text(f'{{"topology": "ring", "positions": {positions}}}')
+        code, out, err = run_cli(
+            capsys, "onsite-energies", "--geometry-file", str(geo)
+        )
+        assert code == 1 and out == ""
+        assert "ring positions must be 0, 1, ..., N-1" in err
 
     @pytest.mark.parametrize("text", [
         "{not json",

@@ -36,11 +36,6 @@ class TestGeometry:
         assert g.length == 4.0
         assert g.mean_spacing == 1.0
 
-    def test_unit_length_chain(self):
-        g = uniform_chain(5, length=1.0)
-        assert g.length == pytest.approx(1.0)
-        assert np.allclose(np.diff(g.positions), 0.25)
-
     def test_non_increasing_positions_rejected(self):
         with pytest.raises(InvalidGeometryError):
             Geometry(Topology.CHAIN, (0.0, 1.0, 1.0))
@@ -64,6 +59,8 @@ class TestGeometry:
         "{not json",
         '{"topology": "chain"}',
         '{"topology": "line", "positions": [0, 1, 2]}',
+        '{"topology": "ring", "positions": [0, 1.5, 2]}',
+        '{"topology": "ring", "positions": [0, 1, 2, 3, 10]}',
     ])
     def test_malformed_json_rejected(self, text):
         with pytest.raises(InvalidGeometryError):
@@ -79,8 +76,9 @@ class TestCouplingSpec:
         assert DIPOLE.c_const == 2.0
 
     def test_invalid_constant_rejected(self):
-        with pytest.raises(DomainError):
-            CouplingSpec(CouplingModel.DIPOLE, 0.0)
+        for c_const in (0.0, np.inf, np.nan):
+            with pytest.raises(DomainError):
+                CouplingSpec(CouplingModel.DIPOLE, c_const)
 
 
 class TestChainHamiltonian:

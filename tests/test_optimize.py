@@ -1,5 +1,6 @@
 """Placement optimizer and encoded-state tests."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -12,8 +13,11 @@ import dipolink
 from dipolink import optimize
 from dipolink import (
     DomainError,
+    Geometry,
     InfeasibleConstraintError,
+    PlacementResult,
     SearchConfig,
+    Topology,
     build_hamiltonian,
     n_free_gaps,
     encoded_end_states,
@@ -41,13 +45,13 @@ class TestFreeParameters:
 class TestOptimizePlacement:
     def test_three_spin_returns_uniform(self):
         res = optimize_placement(3)
-        assert res.gaps == pytest.approx((0.5, 0.5))
+        assert res.best_gaps == pytest.approx((0.5, 0.5))
 
     def test_four_spin_paper_optimum(self, four_spin_result):
         res = four_spin_result
-        assert res.gaps[0] == pytest.approx(0.314, abs=0.005)
-        assert res.gaps[1] == pytest.approx(0.373, abs=0.005)
-        assert res.gaps[2] == pytest.approx(res.gaps[0], abs=1e-9)
+        assert res.best_gaps[0] == pytest.approx(0.314, abs=0.005)
+        assert res.best_gaps[1] == pytest.approx(0.373, abs=0.005)
+        assert res.best_gaps[2] == pytest.approx(res.best_gaps[0], abs=1e-9)
         assert res.tau == pytest.approx(0.512, abs=0.01)
 
     def test_mirror_soundness(self, four_spin_result):
@@ -60,7 +64,8 @@ class TestOptimizePlacement:
         # uniform unit 4-chain: tau = pi / dl with dl from its spectrum
         from dipolink import decompose
 
-        h = build_hamiltonian(uniform_chain(4, length=1.0))
+        unit_chain = Geometry(Topology.CHAIN, tuple(np.arange(4) * (1.0 / 3)))
+        h = build_hamiltonian(unit_chain)
         uniform_tau = np.pi / decompose(h).splitting
         assert four_spin_result.tau <= uniform_tau + 1e-12
         assert uniform_tau == pytest.approx(0.568, abs=0.01)
@@ -74,10 +79,16 @@ class TestOptimizePlacement:
             assert key in report
         assert report["converged"]
 
+    def test_report_is_the_fields_in_order(self, four_spin_result):
+        names = [f.name for f in dataclasses.fields(PlacementResult)]
+        report = four_spin_result.report
+        assert list(report) == [*names, "converged"]
+        assert all(report[k] == getattr(four_spin_result, k) for k in names)
+
     def test_deterministic(self):
         a = optimize_placement(4, config=SearchConfig(restarts=2, seed=7))
         b = optimize_placement(4, config=SearchConfig(restarts=2, seed=7))
-        assert a.gaps == b.gaps
+        assert a.best_gaps == b.best_gaps
         assert a.tau == b.tau
 
     def test_too_few_spins(self):

@@ -50,8 +50,7 @@ class TestSummarizeTransfer:
         assert s.tau == pytest.approx(np.pi / 2.0, abs=1e-6)
 
     def test_period_matches_splitting(self, dipole_rows):
-        for row in dipole_rows:
-            s = row.summary
+        for s in dipole_rows:
             assert s.period == pytest.approx(2.0 * np.pi / s.delta_lambda)
 
     def test_ten_spin_peak_near_half_period(self):
@@ -328,13 +327,18 @@ class TestLargeN:
 
 
 class TestChainSweep:
-    def test_row_ordering_and_shape(self, dipole_rows):
+    def test_row_ordering_and_shape(self, dipole_rows, capsys):
+        from dipolink.cli import main
+
         assert [r.n for r in dipole_rows] == list(range(2, 24))
-        assert all(r.model == "dipole" and r.topology == "chain" for r in dipole_rows)
+        argv = ["chain-sweep", "--n-min", "2", "--n-max", "4", "--format", "json"]
+        assert main(argv) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert all(r["model"] == "dipole" and r["topology"] == "chain" for r in records)
 
     def test_high_fidelity_band(self, dipole_rows):
         for row in dipole_rows:
-            assert row.summary.f_max >= 0.9, f"N={row.n}"
+            assert row.f_max >= 0.9, f"N={row.n}"
 
     def test_pinned_fidelities(self, dipole_rows):
         pinned = {
@@ -346,20 +350,20 @@ class TestChainSweep:
             15: 0.964156,
             23: 0.960159,
         }
-        by_n = {r.n: r.summary.f_max for r in dipole_rows}
+        by_n = {r.n: r.f_max for r in dipole_rows}
         for n, f in pinned.items():
             assert by_n[n] == pytest.approx(f, abs=1e-4)
 
     def test_cubic_scaling_of_peak_time(self, dipole_rows):
         rows = [r for r in dipole_rows if 15 <= r.n <= 23]
-        x = np.log([r.summary.length for r in rows])
-        y = np.log([r.summary.t_peak for r in rows])
+        x = np.log([r.length for r in rows])
+        y = np.log([r.t_peak for r in rows])
         slope = np.polyfit(x, y, 1)[0]
         assert slope == pytest.approx(3.0, abs=0.2)
 
     def test_nn_dips_at_multiples_of_three(self):
         rows = chain_sweep(5, 13, NEAREST_NEIGHBOUR)
-        by_n = {r.n: r.summary.f_max for r in rows}
+        by_n = {r.n: r.f_max for r in rows}
         for n in (6, 9, 12):
             assert by_n[n] < by_n[n - 1]
             assert by_n[n] < by_n[n + 1]
@@ -380,10 +384,9 @@ class TestChainSweep:
             "boundary_peak"
         )
         assert len(lines) == 4
-        for line, row in zip(lines[1:], dipole_rows):
-            s = row.summary
+        for line, s in zip(lines[1:], dipole_rows):
             assert line == (
-                f"{row.n},dipole,chain,{s.f_max:.17g},{s.t_peak:.17g},"
+                f"{s.n},dipole,chain,{s.f_max:.17g},{s.t_peak:.17g},"
                 f"{s.delta_lambda:.17g},{s.tau:.17g},{s.period:.17g},"
                 f"{s.length:.17g},False"
             )
@@ -396,15 +399,15 @@ class TestRingSweep:
         assert antipodal_site(4) == 3
 
     def test_triangle_models_agree(self):
-        d = ring_sweep(3, 3, DIPOLE)[0].summary
-        n = ring_sweep(3, 3, NEAREST_NEIGHBOUR)[0].summary
+        d = ring_sweep(3, 3, DIPOLE)[0]
+        n = ring_sweep(3, 3, NEAREST_NEIGHBOUR)[0]
         assert d.f_max == pytest.approx(n.f_max, abs=1e-9)
 
     def test_rows_have_no_tau(self):
         rows = ring_sweep(4, 6)
         for row in rows:
-            assert row.summary.tau is None
-            assert row.summary.length is None
+            assert row.tau is None
+            assert row.length is None
 
     @pytest.mark.parametrize(
         "coupling", [DIPOLE, NEAREST_NEIGHBOUR], ids=["dipole", "nn"]
@@ -412,9 +415,8 @@ class TestRingSweep:
     def test_degenerate_rings_have_no_period(self, coupling):
         # odd rings split their two lowest levels only by roundoff
         rows = ring_sweep(3, 9, coupling)
-        for row in rows:
-            s = row.summary
-            assert (s.period is None) == (row.n % 2 == 1), f"N={row.n}"
+        for s in rows:
+            assert (s.period is None) == (s.n % 2 == 1), f"N={s.n}"
             if s.period is not None:
                 assert s.period == 2.0 * np.pi / s.delta_lambda
 
@@ -422,7 +424,7 @@ class TestRingSweep:
         # optimum transfer times trend upward with ring size for both models
         for coupling in (DIPOLE, NEAREST_NEIGHBOUR):
             rows = ring_sweep(4, 16, coupling)
-            t = np.array([r.summary.t_peak for r in rows])
+            t = np.array([r.t_peak for r in rows])
             assert np.polyfit(np.arange(len(t)), t, 1)[0] > 0
 
     def test_invalid_range(self):
@@ -432,7 +434,7 @@ class TestRingSweep:
 
 class TestNormalizedTime:
     def test_minimum_at_four(self):
-        pairs = [(r.n, r.summary.tau) for r in chain_sweep(2, 8)]
+        pairs = [(r.n, r.tau) for r in chain_sweep(2, 8)]
         best = min(pairs, key=lambda p: p[1])
         assert best[0] == 4
         by_n = dict(pairs)
