@@ -11,7 +11,6 @@ disorder by Monte Carlo.
 
 from .boundstate import (
     BoundStateModel,
-    SplittingPrediction,
     fit_bound_state,
     predict_splitting,
     taylor_vs_exact_element,
@@ -102,7 +101,6 @@ __all__ = [
     "ShapeError",
     "SiteState",
     "SpectralDecomposition",
-    "SplittingPrediction",
     "Topology",
     "TransferSummary",
     "antipodal_site",

@@ -52,15 +52,6 @@ class BoundStateModel:
         }
 
 
-@dataclass(frozen=True)
-class SplittingPrediction:
-    """First-order splitting and the timing figures it implies."""
-
-    delta_lambda: float
-    t_peak: float
-    tau: float
-
-
 def fit_bound_state(
     q: int, source_n: int = 14, coupling: CouplingSpec = DIPOLE
 ) -> BoundStateModel:
@@ -68,8 +59,14 @@ def fit_bound_state(
 
     a_n are the components of the lowest-eigenvalue eigenvector of the leading
     q x q principal submatrix of H(source_n), diagonal included as inherited
-    (not re-derived for a q-spin chain).
+    (not re-derived for a q-spin chain). The expansion describes the dipole
+    end-to-end coupling, so any other coupling model raises DomainError.
     """
+    if coupling.model is not DIPOLE.model:
+        raise DomainError(
+            "the bound-state model applies to dipole chains only, "
+            f"got model {coupling.model.value}"
+        )
     if q < 1:
         raise DomainError(f"truncation order must be >= 1, got {q}")
     if q > source_n // 2:
@@ -92,11 +89,10 @@ def predict_splitting(
     model: BoundStateModel,
     length: float,
     coupling: CouplingSpec = DIPOLE,
-) -> SplittingPrediction:
+) -> float:
     """First-order splitting prediction for a unit-spacing chain of this length.
 
-    Returns dl_pred = C (Q / L^3 + R / L^4) together with the peak time
-    pi / dl_pred and tau = t_peak / L^3 it implies.
+    Returns dl_pred = C (Q / L^3 + R / L^4).
     """
     if length <= 0:
         raise DomainError(f"chain length must be positive, got {length}")
@@ -107,8 +103,7 @@ def predict_splitting(
             f"first-order splitting {dl:.3g} <= 0 at L = {length}; "
             "chain too short for the expansion"
         )
-    t_peak = np.pi / dl
-    return SplittingPrediction(dl, t_peak, t_peak / length**3)
+    return dl
 
 
 def taylor_vs_exact_element(

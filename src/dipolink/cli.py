@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _coupling(args) -> CouplingSpec:
-    return CouplingSpec(CouplingModel(args.model), args.c_const)
+    return CouplingSpec(args.model, args.c_const)
 
 
 def _geometry(args, default_n=None) -> Geometry:
@@ -156,14 +156,14 @@ def _cmd_bound_state(args):
         h = build_hamiltonian(uniform_chain(n), coupling)
         spec = decompose(h)
         length = h.geometry.length
-        pred = predict_splitting(model, length, coupling)
+        dl_pred = predict_splitting(model, length, coupling)
         records.append(
             {
                 "n": n,
                 "delta_lambda_exact": spec.splitting,
-                "delta_lambda_pred": pred.delta_lambda,
+                "delta_lambda_pred": dl_pred,
                 "tau_exact": (np.pi / spec.splitting) / length**3,
-                "tau_pred": pred.tau,
+                "tau_pred": (np.pi / dl_pred) / length**3,
             }
         )
     _emit(args, records, {"model": model.as_dict()})
@@ -190,7 +190,7 @@ def _cmd_disorder(args):
         error_fraction=args.error_fraction,
         samples=args.samples,
         seed=args.seed,
-        noise_model=NoiseModel(args.noise_model),
+        noise_model=args.noise_model,
     )
     report = run_disorder(_geometry(args, default_n=4), _coupling(args), config)
     if args.dump_samples:

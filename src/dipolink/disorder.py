@@ -10,7 +10,7 @@ classical threshold 2/3. Per-sample randomness derives solely from
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .lattice import (
     Geometry,
     Topology,
     _hamiltonian_matrices,
+    _to_member,
     build_hamiltonian,
 )
 from .spectral import _eigh, fidelity
@@ -65,6 +66,7 @@ class DisorderConfig:
     noise_model: NoiseModel = NoiseModel.UNIFORM_PER_SITE
 
     def __post_init__(self):
+        _to_member(self, "noise_model", NoiseModel, DomainError)
         if not 0 <= self.error_fraction < np.inf:
             raise DomainError(
                 "error fraction must be finite and non-negative, "
@@ -76,7 +78,11 @@ class DisorderConfig:
 
 @dataclass(frozen=True)
 class DisorderReport:
-    """Aggregate failure statistics plus the per-sample fidelities."""
+    """Aggregate failure statistics plus the per-sample fidelities.
+
+    Every field but the last, ``sample_fidelities``, is a key of the JSON
+    document, in order; ``noise_model`` is the model's value string.
+    """
 
     failures: int
     failure_rate: float
@@ -86,7 +92,8 @@ class DisorderReport:
     rejected: int
     t_nominal: float
     clean_f_max: float
-    config: DisorderConfig
+    error_fraction: float
+    noise_model: str
     sample_fidelities: np.ndarray
 
     def __post_init__(self):
@@ -95,18 +102,7 @@ class DisorderReport:
         object.__setattr__(self, "sample_fidelities", arr)
 
     def as_dict(self) -> dict:
-        return {
-            "failures": self.failures,
-            "failure_rate": self.failure_rate,
-            "mean_f_at_nominal_time": self.mean_f_at_nominal_time,
-            "samples": self.samples,
-            "seed": self.seed,
-            "rejected": self.rejected,
-            "t_nominal": self.t_nominal,
-            "clean_f_max": self.clean_f_max,
-            "error_fraction": self.config.error_fraction,
-            "noise_model": self.config.noise_model.value,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
 
 
 def _draw_positions(
@@ -202,6 +198,7 @@ def run_disorder(
         rejected=rejected,
         t_nominal=t_nominal,
         clean_f_max=clean.f_max,
-        config=config,
+        error_fraction=config.error_fraction,
+        noise_model=config.noise_model.value,
         sample_fidelities=values,
     )

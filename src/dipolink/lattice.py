@@ -44,6 +44,16 @@ class CouplingModel(enum.Enum):
     NEAREST_NEIGHBOUR = "nn"
 
 
+def _to_member(obj, name: str, enum_type, error):
+    """Set field ``name``, a member of ``enum_type`` or its value, to the member."""
+    value = getattr(obj, name)
+    try:
+        object.__setattr__(obj, name, enum_type(value))
+    except ValueError:
+        choices = ", ".join(m.value for m in enum_type)
+        raise error(f"unknown {name} {value!r}; expected one of {choices}") from None
+
+
 @dataclass(frozen=True)
 class CouplingSpec:
     """Interaction model and overall coupling constant C (energy * length^3)."""
@@ -52,6 +62,7 @@ class CouplingSpec:
     c_const: float = 2.0
 
     def __post_init__(self):
+        _to_member(self, "model", CouplingModel, DomainError)
         if not 0 < self.c_const < np.inf:
             raise DomainError(
                 f"coupling constant must be positive and finite, got {self.c_const}"
@@ -75,8 +86,11 @@ class Geometry:
     positions: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
+        _to_member(self, "topology", Topology, InvalidGeometryError)
         pos = tuple(float(p) for p in self.positions)
         object.__setattr__(self, "positions", pos)
+        if not np.all(np.isfinite(pos)):
+            raise InvalidGeometryError("positions must be finite")
         if len(pos) < 2:
             raise InvalidGeometryError("need at least 2 sites")
         if self.topology is Topology.CHAIN:
@@ -175,14 +189,9 @@ def _pair_distances(positions: np.ndarray, topology: Topology) -> np.ndarray:
 
 def _neighbour_mask(n: int, topology: Topology, coupling: CouplingSpec) -> np.ndarray:
     """True where a pair interacts under the given coupling model."""
-    idx = np.arange(n)
-    off = ~np.eye(n, dtype=bool)
     if coupling.model is CouplingModel.DIPOLE:
-        return off
-    sep = np.abs(idx[:, None] - idx[None, :])
-    if topology is Topology.RING:
-        sep = np.minimum(sep, n - sep)
-    return off & (sep == 1)
+        return ~np.eye(n, dtype=bool)
+    return _pair_distances(np.arange(n), topology) == 1
 
 
 def _hamiltonian_matrices(

@@ -75,9 +75,6 @@ class SearchConfig:
             )
 
 
-DEFAULT_SEARCH = SearchConfig()
-
-
 @dataclass(frozen=True)
 class PlacementResult:
     """Best placement found, its transfer figures, and how the search ran.
@@ -142,9 +139,9 @@ def _geometry_from_gaps(gaps: np.ndarray) -> Geometry:
 def _tau(gaps: np.ndarray, coupling: CouplingSpec) -> float:
     """pi / dl of the chain with these gaps, or inf when dl <= 0.
 
-    Builds the matrix and its eigenvalues without the Geometry,
-    ExcitationHamiltonian and signed eigenvectors of the public path; the
-    eigenvalues, and so dl, are the ones ``decompose`` returns, bit for bit.
+    Builds the matrix and its eigenvalues without the Geometry and
+    ExcitationHamiltonian of the public path; the eigenvalues, and so dl, are
+    the ones ``decompose`` returns, bit for bit.
     """
     positions = np.concatenate([[0.0], np.cumsum(gaps)])
     h, _ = _hamiltonian_matrices(positions, Topology.CHAIN, coupling)
@@ -213,7 +210,7 @@ def _nelder_mead(func, x0: np.ndarray) -> tuple[float, np.ndarray]:
 def optimize_placement(
     n: int,
     coupling: CouplingSpec = DIPOLE,
-    config: SearchConfig = DEFAULT_SEARCH,
+    config: SearchConfig = SearchConfig(),
 ) -> PlacementResult:
     """Minimize tau over mirror-symmetric unit chains of n spins.
 

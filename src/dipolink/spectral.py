@@ -1,7 +1,7 @@
 """Symmetric eigensolver, propagator and transfer fidelity.
 
-The eigensolver is LAPACK's symmetric ``eigh`` (through numpy) with a fixed
-eigenvector sign convention. Evolution is evaluated in the eigenbasis,
+The eigensolver is LAPACK's symmetric ``eigh`` (through numpy). Evolution is
+evaluated in the eigenbasis,
 
     f(t) = <out| e^{-iHt} |in> = sum_m <out|m><m|in> e^{-i E_m t},
 
@@ -17,11 +17,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, NumericInputError, ShapeError
 from .lattice import ExcitationHamiltonian
 
-# A vector's leading component is the first one within this relative margin
-# of its largest magnitude, so that roundoff cannot decide ties: on mirror-
-# symmetric chains |v_1| = |v_N| only up to eps ||H|| / gap, already 7e-10
-# at N = 23.
-_TIE_RTOL = 1e-6
 # Complex elements per row block of the grid kernel (1 MiB).
 _BLOCK_ELEMENTS = 1 << 16
 # Largest deviation, relative to max |t|, of a grid from exact uniformity.
@@ -96,42 +91,14 @@ def _eigh(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def decompose(h: ExcitationHamiltonian | np.ndarray) -> SpectralDecomposition:
     """Diagonalize a symmetric matrix into ascending eigenpairs (LAPACK ``eigh``).
 
-    The returned eigenvectors follow a fixed sign convention: the component
-    of largest magnitude in each vector is positive, with ties (up to a
-    relative 1e-6, so roundoff cannot decide them) broken by lowest index.
+    Eigenvector signs are LAPACK's. Every figure the package reports uses
+    products of two components of one eigenvector, so none depends on them.
     Repeated calls are bit-identical.
     """
     matrix = h.matrix if isinstance(h, ExcitationHamiltonian) else np.asarray(h, float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {matrix.shape}")
-    vals, vecs = _eigh(matrix)
-    mags = np.abs(vecs)
-    lead = np.argmax(mags >= mags.max(axis=0) * (1.0 - _TIE_RTOL), axis=0)
-    vecs *= np.where(vecs[lead, np.arange(len(vals))] < 0, -1.0, 1.0)
-    return SpectralDecomposition(vals, vecs)
-
-
-def _overlap_weights(
-    spec: SpectralDecomposition, input_state: SiteState, output_state: SiteState
-) -> np.ndarray:
-    if input_state.n != spec.n or output_state.n != spec.n:
-        raise ShapeError(
-            f"state dimensions ({input_state.n}, {output_state.n}) "
-            f"do not match operator dimension {spec.n}"
-        )
-    v = spec.eigenvectors
-    return np.conj(v.T @ output_state.amplitudes) * (v.T @ input_state.amplitudes)
-
-
-def propagator(
-    spec: SpectralDecomposition,
-    input_state: SiteState,
-    output_state: SiteState,
-    t: float,
-) -> complex:
-    """Transition amplitude <out| e^{-iHt} |in>."""
-    w = _overlap_weights(spec, input_state, output_state)
-    return complex(np.sum(w * np.exp(-1j * spec.eigenvalues * t)))
+    return SpectralDecomposition(*_eigh(matrix))
 
 
 def transfer_terms(
@@ -142,10 +109,25 @@ def transfer_terms(
     |f(t)| = |sum_m w_m e^{-i e_m t}|; measuring energies from E_0 keeps the
     phases small.
     """
-    return (
-        _overlap_weights(spec, input_state, output_state),
-        spec.eigenvalues - spec.eigenvalues[0],
-    )
+    if input_state.n != spec.n or output_state.n != spec.n:
+        raise ShapeError(
+            f"state dimensions ({input_state.n}, {output_state.n}) "
+            f"do not match operator dimension {spec.n}"
+        )
+    v = spec.eigenvectors
+    w = np.conj(v.T @ output_state.amplitudes) * (v.T @ input_state.amplitudes)
+    return w, spec.eigenvalues - spec.eigenvalues[0]
+
+
+def propagator(
+    spec: SpectralDecomposition,
+    input_state: SiteState,
+    output_state: SiteState,
+    t: float,
+) -> complex:
+    """Transition amplitude <out| e^{-iHt} |in>."""
+    w, _ = transfer_terms(spec, input_state, output_state)
+    return complex(np.sum(w * np.exp(-1j * spec.eigenvalues * t)))
 
 
 def abs_runs(w, e, starts, step: float, count: int) -> np.ndarray:

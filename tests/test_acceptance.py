@@ -157,7 +157,7 @@ def test_criterion_06_bound_state_fit(capfd):
     residuals = {}
     for n in (14, 23):
         exact = decompose(build_hamiltonian(uniform_chain(n))).splitting
-        pred = predict_splitting(model, float(n - 1)).delta_lambda
+        pred = predict_splitting(model, float(n - 1))
         residuals[n] = abs(pred - exact) / exact
     ok = (
         abs(model.q_sum - 0.325) <= 0.005

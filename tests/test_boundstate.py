@@ -7,6 +7,7 @@ import pytest
 
 from dipolink import (
     DomainError,
+    NEAREST_NEIGHBOUR,
     ExpansionInvalidError,
     build_hamiltonian,
     decompose,
@@ -54,6 +55,10 @@ class TestFit:
         with pytest.raises(DomainError):
             fit_bound_state(0, 14)
 
+    def test_non_dipole_coupling_rejected(self):
+        with pytest.raises(DomainError, match="dipole chains only"):
+            fit_bound_state(4, 14, NEAREST_NEIGHBOUR)
+
     def test_json_shape(self, model):
         data = json.loads(json.dumps(model.as_dict()))
         assert set(data) == {"q", "source_n", "a", "Q", "R"}
@@ -82,14 +87,14 @@ class TestPredictSplitting:
     def test_isolated_pair_limit(self):
         m = fit_bound_state(1, 14)  # Q = 1, R = 0
         pred = predict_splitting(m, 5.0)
-        assert pred.delta_lambda == pytest.approx(2.0 / 125.0)
+        assert pred == pytest.approx(2.0 / 125.0)
 
     def test_prediction_tracks_exact(self, model):
         errors = {}
         for n in (14, 18, 23):
             h = build_hamiltonian(uniform_chain(n))
             exact = decompose(h).splitting
-            pred = predict_splitting(model, float(n - 1)).delta_lambda
+            pred = predict_splitting(model, float(n - 1))
             errors[n] = abs(pred - exact) / exact
         assert errors[23] < 0.05
         assert errors[23] < errors[18] < errors[14]
@@ -97,7 +102,7 @@ class TestPredictSplitting:
     def test_large_length_constant_tau(self, model):
         # tau_pred -> pi / (C Q) as L grows
         limit = np.pi / (2.0 * model.q_sum)
-        tau_long = predict_splitting(model, 1e6).tau
+        tau_long = (np.pi / predict_splitting(model, 1e6)) / 1e6**3
         assert tau_long == pytest.approx(limit, rel=1e-5)
 
     def test_short_chain_rejected(self, model):

@@ -314,6 +314,21 @@ class TestInputErrors:
         assert code == 1 and out == ""
         assert "ring positions must be 0, 1, ..., N-1" in err
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_positions(self, capsys, tmp_path, bad):
+        geo = tmp_path / "geo.json"
+        geo.write_text(f'{{"topology": "chain", "positions": [0, 1, {bad}]}}')
+        code, out, err = run_cli(
+            capsys, "onsite-energies", "--geometry-file", str(geo)
+        )
+        assert code == 1 and out == ""
+        assert err == "dipolink: positions must be finite\n"
+
+    def test_bound_state_nn_model(self, capsys):
+        code, out, err = run_cli(capsys, "bound-state", "--model", "nn")
+        assert code == 1 and out == ""
+        assert "the bound-state model applies to dipole chains only" in err
+
     @pytest.mark.parametrize("text", [
         "{not json",
         '{"topology": "chain"}',

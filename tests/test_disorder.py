@@ -1,6 +1,7 @@
 """Disorder Monte Carlo tests (small sample counts; the acceptance gate runs
 the full 10^4-sample paper configuration)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -64,6 +65,21 @@ class TestConfig:
     def test_non_finite_error_fraction(self, eps):
         with pytest.raises(DomainError, match="finite"):
             DisorderConfig(eps, 10)
+
+    @pytest.mark.parametrize("model", list(NoiseModel))
+    def test_noise_model_value_is_the_member(self, model):
+        config = DisorderConfig(0.02, 5, noise_model=model.value)
+        assert config.noise_model is model
+        by_value = run_disorder(uniform_chain(4), config=config)
+        by_member = run_disorder(
+            uniform_chain(4), config=DisorderConfig(0.02, 5, noise_model=model)
+        )
+        assert by_value.as_dict() == by_member.as_dict()
+        assert np.array_equal(by_value.sample_fidelities, by_member.sample_fidelities)
+
+    def test_unknown_noise_model_rejected(self):
+        with pytest.raises(DomainError, match="unknown noise_model 'uniform-bond'"):
+            DisorderConfig(0.02, 5, noise_model="uniform-bond")
 
     def test_error_fraction_vs_min_gap(self):
         with pytest.raises(DomainError):
@@ -169,6 +185,20 @@ class TestRunDisorder:
             sample, f, failed = line.split(",")
             assert int(sample) == k and float(f) == want
             assert (float(f) < CLASSICAL_THRESHOLD) == bool(int(failed))
+
+
+    def test_report_keys_are_the_fields_in_order(self):
+        rep = run_disorder(
+            uniform_chain(4),
+            config=DisorderConfig(0.02, 10, noise_model=NoiseModel.GAUSSIAN_PER_GAP),
+        )
+        names = [f.name for f in dataclasses.fields(rep)]
+        assert list(rep.as_dict()) == names[:-1] == [
+            "failures", "failure_rate", "mean_f_at_nominal_time", "samples",
+            "seed", "rejected", "t_nominal", "clean_f_max", "error_fraction",
+            "noise_model",
+        ]
+        assert rep.error_fraction == 0.02 and rep.noise_model == "gaussian-gap"
 
 
 class TestBatchedEnsemble:

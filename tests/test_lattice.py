@@ -61,10 +61,22 @@ class TestGeometry:
         '{"topology": "line", "positions": [0, 1, 2]}',
         '{"topology": "ring", "positions": [0, 1.5, 2]}',
         '{"topology": "ring", "positions": [0, 1, 2, 3, 10]}',
+        '{"topology": "chain", "positions": [0, 1, NaN]}',
+        '{"topology": "chain", "positions": [0, 1, Infinity]}',
     ])
     def test_malformed_json_rejected(self, text):
         with pytest.raises(InvalidGeometryError):
             Geometry.from_json(text)
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_topology_value_is_the_member(self, topology):
+        g = Geometry(topology.value, (0, 1, 2, 3))
+        assert g.topology is topology
+        assert g == Geometry(topology, (0, 1, 2, 3))
+
+    def test_unknown_topology_rejected(self):
+        with pytest.raises(InvalidGeometryError, match="unknown topology 'line'"):
+            Geometry("line", (0, 1, 2))
 
     def test_ring_length_undefined(self):
         with pytest.raises(InvalidGeometryError):
@@ -74,6 +86,19 @@ class TestGeometry:
 class TestCouplingSpec:
     def test_default_constant(self):
         assert DIPOLE.c_const == 2.0
+
+    @pytest.mark.parametrize("model", list(CouplingModel))
+    def test_model_value_is_the_member(self, model):
+        spec = CouplingSpec(model.value)
+        assert spec.model is model
+        assert np.array_equal(
+            build_hamiltonian(uniform_chain(5), spec).matrix,
+            build_hamiltonian(uniform_chain(5), CouplingSpec(model)).matrix,
+        )
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(DomainError, match="unknown model 'xy'"):
+            CouplingSpec("xy")
 
     def test_invalid_constant_rejected(self):
         for c_const in (0.0, np.inf, np.nan):
