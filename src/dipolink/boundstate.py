@@ -52,6 +52,14 @@ class BoundStateModel:
         }
 
 
+def _require_dipole(coupling: CouplingSpec) -> None:
+    if coupling.model is not DIPOLE.model:
+        raise DomainError(
+            "the bound-state model applies to dipole chains only, "
+            f"got model {coupling.model.value}"
+        )
+
+
 def fit_bound_state(
     q: int, source_n: int = 14, coupling: CouplingSpec = DIPOLE
 ) -> BoundStateModel:
@@ -62,11 +70,7 @@ def fit_bound_state(
     (not re-derived for a q-spin chain). The expansion describes the dipole
     end-to-end coupling, so any other coupling model raises DomainError.
     """
-    if coupling.model is not DIPOLE.model:
-        raise DomainError(
-            "the bound-state model applies to dipole chains only, "
-            f"got model {coupling.model.value}"
-        )
+    _require_dipole(coupling)
     if q < 1:
         raise DomainError(f"truncation order must be >= 1, got {q}")
     if q > source_n // 2:
@@ -92,8 +96,10 @@ def predict_splitting(
 ) -> float:
     """First-order splitting prediction for a unit-spacing chain of this length.
 
-    Returns dl_pred = C (Q / L^3 + R / L^4).
+    Returns dl_pred = C (Q / L^3 + R / L^4). Like ``fit_bound_state``, it
+    raises DomainError for a coupling model other than the dipole.
     """
+    _require_dipole(coupling)
     if length <= 0:
         raise DomainError(f"chain length must be positive, got {length}")
     c = coupling.c_const

@@ -56,8 +56,9 @@ class DisorderConfig:
 
     ``error_fraction`` is the displacement half-width (uniform) or standard
     deviation (gaussian) in units of the mean spacing a; it must be finite
-    and non-negative. A sample whose draw breaks the site ordering is
-    redrawn at most 100 times before the run fails with DomainError.
+    and non-negative, and ``seed`` must be non-negative. A sample whose draw
+    breaks the site ordering is redrawn at most 100 times before the run
+    fails with DomainError.
     """
 
     error_fraction: float
@@ -74,6 +75,8 @@ class DisorderConfig:
             )
         if self.samples < 1:
             raise DomainError(f"need at least 1 sample, got {self.samples}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,9 @@ _VERIFY_BEATS = 20.0
 _XATOL = 1e-7
 _FATOL = 1e-12
 _MAXITER = 400
+# Matrix elements per round of a block of starts (37 starts at N = 6), so
+# that the eigensolve's temporaries keep one size however many restarts run.
+_BLOCK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -55,11 +58,14 @@ class SearchConfig:
 
     Each of the ``restarts`` extra starts perturbs every free gap of the
     uniform chain by up to a quarter of the uniform gap, drawn from
-    ``seed``; ``restarts`` must be non-negative. Gaps below 0.05 are
-    rejected. Nelder-Mead stops at xatol 1e-7 and fatol 1e-12 or after 400
-    iterations. The fidelity constraint ``min_fidelity``, finite and at most
-    1, is checked at each converged candidate by a peak search over 20 beat
-    periods 2 pi / dl.
+    ``seed``; ``restarts`` and ``seed`` must be non-negative. Gaps below
+    0.05 are rejected. Nelder-Mead stops at xatol 1e-7 and fatol 1e-12 or
+    after 400 iterations. The starts run in lockstep, each round one stacked
+    build and one batched eigensolve, in blocks whose stacked matrices hold
+    at most 4096 elements, so memory does not grow with ``restarts``. The
+    fidelity constraint ``min_fidelity``, finite and at most 1, is checked
+    at each converged candidate by a peak search over 20 beat periods
+    2 pi / dl.
     """
 
     min_fidelity: float = 0.99
@@ -69,6 +75,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 0:
             raise DomainError(f"restarts must be non-negative, got {self.restarts}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
         if not (np.isfinite(self.min_fidelity) and self.min_fidelity <= 1.0):
             raise DomainError(
                 f"min fidelity must be finite and at most 1, got {self.min_fidelity}"
@@ -119,16 +127,17 @@ def n_free_gaps(n: int) -> int:
 
 
 def _gaps_from_free(x: np.ndarray, n: int) -> np.ndarray:
-    """All n-1 gaps of the mirror-symmetric unit chain from the free vector."""
+    """All n-1 gaps of the mirror-symmetric unit chain from a (..., nfree) stack
+    of free vectors."""
     k = (n - 1 + 1) // 2  # independent gaps
-    g = np.empty(k)
-    g[: k - 1] = x
+    g = np.empty(x.shape[:-1] + (k,))
+    g[..., : k - 1] = x
     if (n - 1) % 2 == 1:
         # odd gap count: the middle gap is unpaired and absorbs the length
-        g[k - 1] = 1.0 - 2.0 * x.sum()
+        g[..., k - 1] = 1.0 - 2.0 * x.sum(axis=-1)
     else:
-        g[k - 1] = 0.5 - x.sum()
-    return np.concatenate([g, g[: n - 1 - k][::-1]])
+        g[..., k - 1] = 0.5 - x.sum(axis=-1)
+    return np.concatenate([g, g[..., : n - 1 - k][..., ::-1]], axis=-1)
 
 
 def _geometry_from_gaps(gaps: np.ndarray) -> Geometry:
@@ -136,20 +145,24 @@ def _geometry_from_gaps(gaps: np.ndarray) -> Geometry:
     return Geometry(Topology.CHAIN, tuple(pos))
 
 
-def _tau(gaps: np.ndarray, coupling: CouplingSpec) -> float:
-    """pi / dl of the chain with these gaps, or inf when dl <= 0.
+def _tau(gaps: np.ndarray, coupling: CouplingSpec) -> np.ndarray:
+    """pi / dl of each chain in a (k, n-1) stack of gaps; inf for a chain
+    with a gap below the floor or with dl <= 0.
 
-    Builds the matrix and its eigenvalues without the Geometry and
-    ExcitationHamiltonian of the public path; the eigenvalues, and so dl, are
-    the ones ``decompose`` returns, bit for bit.
+    The feasible chains are built in one stack and solved in one batched
+    eigensolve, without the Geometry and ExcitationHamiltonian of the public
+    path; each dl is the one ``decompose`` returns for that chain alone, bit
+    for bit.
     """
-    positions = np.concatenate([[0.0], np.cumsum(gaps)])
+    tau = np.full(len(gaps), np.inf)
+    feasible = ~np.any(gaps < _GAP_MIN, axis=-1)
+    steps = np.cumsum(gaps[feasible], axis=-1)
+    positions = np.concatenate([np.zeros((len(steps), 1)), steps], axis=-1)
     h, _ = _hamiltonian_matrices(positions, Topology.CHAIN, coupling)
     vals, _ = _eigh(h)
-    dl = vals[1] - vals[0]
-    if dl <= 0:
-        return np.inf
-    return np.pi / dl
+    dl = vals[:, 1] - vals[:, 0]
+    tau[feasible] = np.divide(np.pi, dl, out=np.full_like(dl, np.inf), where=dl > 0)
+    return tau
 
 
 def _sort_simplex(sim: np.ndarray, fsim: np.ndarray):
@@ -157,54 +170,83 @@ def _sort_simplex(sim: np.ndarray, fsim: np.ndarray):
     return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
 
-def _nelder_mead(func, x0: np.ndarray) -> tuple[float, np.ndarray]:
-    """Minimize func from x0; returns (lowest value, its vertex).
+def _nelder_mead(x0: np.ndarray):
+    """Minimize from x0 as a generator: yields each (k, n) stack of points it
+    needs, is sent their k values, and returns (lowest value, its vertex).
 
     Repeats scipy 1.17's unbounded, non-adaptive Nelder-Mead (``minimize``
     with xatol 1e-7, fatol 1e-12, maxiter 400) operation for operation, so
-    it calls func at the same points and returns the same bits. Reflection,
-    expansion, contraction and shrink coefficients are rho = 1, chi = 2,
-    psi = 0.5 and sigma = 0.5, written out below as their products.
+    it asks for the same points in the same order and returns the same bits.
+    The initial simplex and a shrink ask for all their points at once, every
+    other step for one. Reflection, expansion, contraction and shrink
+    coefficients are rho = 1, chi = 2, psi = 0.5 and sigma = 0.5, written out
+    below as their products. A start with no free parameter is its own
+    minimum.
     """
     n = len(x0)
     sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
-    fsim = np.array([func(x) for x in sim], dtype=float)
+    fsim = np.array((yield sim), dtype=float)
     # sorted twice, as scipy does: argsort need not keep ties in place
     sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
     iterations = 1
-    while iterations < _MAXITER:
+    while n and iterations < _MAXITER:
         if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
                 and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - sim[-1]
-        fxr = func(xr)
+        (fxr,) = yield xr[None]
         if fxr < fsim[0]:
             xe = 3 * xbar - 2 * sim[-1]
-            fxe = func(xe)
+            (fxe,) = yield xe[None]
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
                 xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = func(xc)
+                (fxc,) = yield xc[None]
                 shrink = not fxc <= fxr
             else:  # inside contraction
                 xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = func(xc)
+                (fxc,) = yield xc[None]
                 shrink = not fxc < fsim[-1]
             if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j])
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = yield sim[1:]
             else:
                 sim[-1], fsim[-1] = xc, fxc
         iterations += 1
         sim, fsim = _sort_simplex(sim, fsim)
     return np.min(fsim), sim[0]
+
+
+def _lockstep(func, starts) -> list:
+    """Run ``_nelder_mead`` from every start together; (value, vertex,
+    evaluations) per start.
+
+    Each round concatenates the points every unfinished start asks for and
+    evaluates them in one call of func, which maps a (k, n) stack of points
+    to k values, so every start takes the steps it would take alone.
+    """
+    runs = [_nelder_mead(x0) for x0 in starts]
+    asks = {i: next(run) for i, run in enumerate(runs)}  # unfinished starts
+    calls = [0] * len(runs)
+    ends = [None] * len(runs)
+    while asks:
+        values = func(np.concatenate(list(asks.values())))
+        lo = 0
+        for i, points in list(asks.items()):
+            calls[i] += len(points)
+            try:
+                asks[i] = runs[i].send(values[lo : lo + len(points)])
+            except StopIteration as stop:
+                del asks[i]
+                ends[i] = (*stop.value, calls[i])
+            lo += len(points)
+    return ends
 
 
 def optimize_placement(
@@ -215,25 +257,23 @@ def optimize_placement(
     """Minimize tau over mirror-symmetric unit chains of n spins.
 
     Runs Nelder-Mead from the uniform gap vector and ``config.restarts``
-    seeded perturbations of it; gaps below 0.05 are rejected
-    outright. Converged candidates are screened in ascending-objective order
-    against the fidelity constraint; ties within 1e-9 are broken toward the
-    point closest to uniform. Raises InfeasibleConstraintError, naming the
-    best fidelity reached, if no candidate passes.
+    seeded perturbations of it; gaps below 0.05 are rejected outright. The
+    starts run in lockstep, each taking the steps it would take alone: a
+    round is one stacked build and one batched eigensolve of every point
+    they ask for. Starts run in blocks whose stacked matrices hold at most
+    4096 elements, so memory stays flat for any number of restarts.
+    Converged candidates are screened in ascending-objective order against
+    the fidelity constraint; ties within 1e-9 are broken toward the point
+    closest to uniform. Raises InfeasibleConstraintError, naming the best
+    fidelity reached, if no candidate passes.
     """
     if n < 3:
         raise DomainError(f"need at least 3 spins to optimize, got {n}")
     nfree = n_free_gaps(n)
     uniform_free = np.full(nfree, 1.0 / (n - 1))
-    evaluations = 0
 
-    def objective(x: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        gaps = _gaps_from_free(np.asarray(x, dtype=float), n)
-        if np.any(gaps < _GAP_MIN):
-            return np.inf
-        return _tau(gaps, coupling)  # tau at unit length
+    def objective(x: np.ndarray) -> np.ndarray:
+        return _tau(_gaps_from_free(x, n), coupling)  # tau at unit length
 
     rng = np.random.default_rng(config.seed)
     starts = [uniform_free]
@@ -241,17 +281,13 @@ def optimize_placement(
     for _ in range(config.restarts):
         starts.append(uniform_free + rng.uniform(-scale, scale, size=nfree))
 
-    candidates = []
-    for x0 in starts:
-        if nfree == 0:
-            value = objective(x0)
-            if np.isfinite(value):
-                candidates.append((value, x0))
-            continue
-        with np.errstate(invalid="ignore"):
-            value, x = _nelder_mead(objective, x0)
-        if np.isfinite(value):
-            candidates.append((float(value), x))
+    block = max(_BLOCK_ELEMENTS // ((nfree + 1) * n * n), 1)
+    ends = []
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, len(starts), block):
+            ends += _lockstep(objective, starts[lo : lo + block])
+    evaluations = sum(calls for _, _, calls in ends)
+    candidates = [(float(value), x) for value, x, _ in ends if np.isfinite(value)]
 
     if not candidates:
         raise InfeasibleConstraintError(
@@ -263,7 +299,7 @@ def optimize_placement(
     )
 
     start_gaps = _gaps_from_free(uniform_free, n)
-    start_tau = float(_tau(start_gaps, coupling))
+    start_tau = float(_tau(start_gaps[None], coupling)[0])
     best_f = -np.inf
     for value, x_best in candidates:
         gaps = _gaps_from_free(np.asarray(x_best, dtype=float), n)

@@ -115,6 +115,11 @@ class TestPredictSplitting:
         with pytest.raises(DomainError):
             predict_splitting(model, 0.0)
 
+    def test_non_dipole_coupling_rejected(self, model):
+        # the fit describes the dipole chain; its Q and R say nothing of nn
+        with pytest.raises(DomainError, match="dipole chains only"):
+            predict_splitting(model, 13.0, NEAREST_NEIGHBOUR)
+
 
 class TestTaylorElement:
     def test_zeroth_order_exact(self, model):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dipolink import Geometry, Topology, build_hamiltonian, decompose, uniform_chain
-from dipolink import optimize
+from dipolink import disorder, optimize
 from dipolink.cli import main
 
 
@@ -365,6 +365,7 @@ class TestInputErrors:
         (["--min-fidelity", "nan"], "min fidelity must be finite"),
         (["--min-fidelity", "inf"], "min fidelity must be finite"),
         (["--min-fidelity", "1.5"], "at most 1"),
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
     ])
     def test_bad_search_config(self, capsys, monkeypatch, flags, message):
         # rejected before the search spends a single eigensolve
@@ -373,6 +374,14 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, "optimize-placement", "--n", "4", *flags)
         assert code == 1 and out == ""
         assert message in err
+
+    def test_negative_disorder_seed(self, capsys, monkeypatch):
+        # rejected before the clean peak search or any sample's eigensolve
+        monkeypatch.setattr(disorder, "end_to_end_summary", None)
+        monkeypatch.setattr(disorder, "_eigh", None)
+        code, out, err = run_cli(capsys, "disorder", "--n", "4", "--seed", "-1")
+        assert code == 1 and out == ""
+        assert err == "dipolink: seed must be non-negative, got -1\n"
 
     def test_empty_size_range(self, capsys):
         code, out, _ = run_cli(

@@ -61,6 +61,10 @@ class TestConfig:
         with pytest.raises(DomainError):
             DisorderConfig(0.02, 0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            DisorderConfig(0.02, 10, seed=-1)
+
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_non_finite_error_fraction(self, eps):
         with pytest.raises(DomainError, match="finite"):

@@ -46,6 +46,7 @@ class TestOptimizePlacement:
     def test_three_spin_returns_uniform(self):
         res = optimize_placement(3)
         assert res.best_gaps == pytest.approx((0.5, 0.5))
+        assert res.evaluations == 11  # one point per start, nothing to move
 
     def test_four_spin_paper_optimum(self, four_spin_result):
         res = four_spin_result
@@ -95,65 +96,85 @@ class TestOptimizePlacement:
         with pytest.raises(DomainError):
             optimize_placement(2)
 
+    @pytest.mark.parametrize("field, value", [("restarts", -1), ("seed", -1)])
+    def test_negative_config_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be non-negative"):
+            SearchConfig(**{field: value})
 
-def _assert_same_run(func, x0):
-    """Run scipy's Nelder-Mead and ``_nelder_mead`` on func from x0 and
-    require the same calls and the same bits; returns (fun, x)."""
+
+def _batched(func):
+    """A batched objective that calls the one-point func row by row."""
+    return lambda points: np.array([func(x) for x in points], dtype=float)
+
+
+def _assert_same_run(func, starts):
+    """Run scipy's Nelder-Mead from each start on func, a batched objective
+    called one point at a time, and ``_lockstep`` from all starts together;
+    require per start the same number of evaluations and the same bits.
+    Returns the (fun, x) of each start."""
     from scipy.optimize import minimize
 
     calls = [0]
 
-    def counted(x):
+    def one_point(x):
         calls[0] += 1
-        return func(x)
+        return func(np.asarray(x)[None])[0]
 
+    refs = []
     with np.errstate(invalid="ignore"):
-        ref = minimize(counted, x0, method="Nelder-Mead",
-                       options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 400})
-        assert calls[0] == ref.nfev
-        calls[0] = 0
-        fun, x = optimize._nelder_mead(counted, np.asarray(x0, dtype=float))
-    assert calls[0] == ref.nfev
-    assert np.array_equal(fun, ref.fun)
-    assert np.array_equal(x, ref.x)
-    return fun, x
+        for x0 in starts:
+            calls[0] = 0
+            ref = minimize(one_point, x0, method="Nelder-Mead",
+                           options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 400})
+            assert calls[0] == ref.nfev
+            refs.append(ref)
+        ends = optimize._lockstep(func, [np.asarray(x0, dtype=float) for x0 in starts])
+    assert len(ends) == len(starts)
+    for (fun, x, nfev), ref in zip(ends, refs):
+        assert nfev == ref.nfev
+        assert np.array_equal(fun, ref.fun)
+        assert np.array_equal(x, ref.x)
+    return [(fun, x) for fun, x, _ in ends]
 
 
 class TestNelderMeadMatchesScipy:
-    """``_nelder_mead`` takes scipy's steps: same calls, same bits."""
+    """``_lockstep`` takes scipy's steps from every start: same calls, same bits."""
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_placement_objective(self, monkeypatch, n):
-        # record the objective and the four starts the search hands over
+        # record the batched objective and the four starts the search hands over
         runs = []
-        own = optimize._nelder_mead
+        own = optimize._lockstep
 
-        def recording(func, x0):
-            runs.append((func, np.array(x0)))
-            return own(func, x0)
+        def recording(func, starts):
+            runs.append((func, [np.array(x0) for x0 in starts]))
+            return own(func, starts)
 
-        monkeypatch.setattr(optimize, "_nelder_mead", recording)
+        monkeypatch.setattr(optimize, "_lockstep", recording)
         try:
             optimize_placement(n, config=SearchConfig(restarts=3))
         except InfeasibleConstraintError:
             pass
         monkeypatch.undo()
-        assert len(runs) == 4
-        assert np.array_equal(runs[0][1], np.full(n_free_gaps(n), 1.0 / (n - 1)))
-        for func, x0 in runs:
-            _assert_same_run(func, x0)
+        starts = [x0 for _, block in runs for x0 in block]
+        assert len(starts) == 4
+        assert np.array_equal(starts[0], np.full(n_free_gaps(n), 1.0 / (n - 1)))
+        for func, block in runs:
+            _assert_same_run(func, block)
 
     @pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.0, 0.7, 1.3]])
     def test_rosenbrock(self, x0):
         from scipy.optimize import rosen
 
-        _assert_same_run(rosen, x0)
+        # the mirrored start runs a different number of rounds in lockstep
+        _assert_same_run(_batched(rosen), [x0, x0[::-1]])
 
     @pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.0, 0.7, 1.3]])
     def test_ties_on_plateaus(self, x0):
         # a staircase makes equal values common, so each `<` or `<=`
         # comparison meets ties
-        _assert_same_run(lambda x: float(np.floor(8 * np.sum((x - 0.3) ** 2))), x0)
+        staircase = _batched(lambda x: float(np.floor(8 * np.sum((x - 0.3) ** 2))))
+        _assert_same_run(staircase, [x0])
 
     def test_infinite_past_a_wall(self):
         # the minimum at (1, 2) lies past the wall x_0 > 0.8, as the gap
@@ -163,9 +184,63 @@ class TestNelderMeadMatchesScipy:
                 return np.inf
             return float(np.sum((x - np.array([1.0, 2.0])) ** 2))
 
-        fun, x = _assert_same_run(walled, [0.5, 0.5])
+        # the second start begins past the wall
+        ((fun, x), _) = _assert_same_run(_batched(walled), [[0.5, 0.5], [0.9, 0.5]])
         assert x[0] == pytest.approx(0.8, abs=1e-6) and np.isfinite(fun)
-        _assert_same_run(walled, [0.9, 0.5])  # starts past the wall
+
+
+class TestLockstepBlocks:
+    """Blocks of starts bound memory without changing any result."""
+
+    @pytest.mark.parametrize("n, seed", [
+        (4, 0), (5, 0), (6, 0), (7, 0), (8, 0), (6, 9), (6, 12),
+    ])
+    def test_one_start_per_block_gives_the_same_run(self, monkeypatch, n, seed):
+        blocks = []
+        own = optimize._lockstep
+
+        def recording(func, starts):
+            blocks.append(len(starts))
+            return own(func, starts)
+
+        def run():
+            try:
+                return optimize_placement(n, config=SearchConfig(seed=seed)).report
+            except InfeasibleConstraintError as exc:
+                return str(exc)
+
+        monkeypatch.setattr(optimize, "_lockstep", recording)
+        default = run()
+        assert blocks == [11]
+        blocks.clear()
+        # one start per block: the starts run one after another
+        monkeypatch.setattr(optimize, "_BLOCK_ELEMENTS", 1)
+        sequential = run()
+        assert blocks == [1] * 11
+        assert sequential == default
+        if seed == 12:
+            assert default.startswith("no candidate reached f_max >= 0.99")
+
+
+class TestStackedObjective:
+    def test_stacked_evaluation_matches_one_row_at_a_time(self):
+        n = 6
+        rng = np.random.default_rng(3)
+        # spread wide enough that some rows put a gap below the 0.05 floor
+        free = 0.2 + rng.uniform(-0.17, 0.17, size=(40, n_free_gaps(n)))
+        gaps = optimize._gaps_from_free(free, n)
+        below = np.any(gaps < 0.05, axis=-1)
+        assert 0 < below.sum() < len(free)
+        stacked = optimize._tau(gaps, dipolink.DIPOLE)
+        for x, g, tau in zip(free, gaps, stacked):
+            assert np.array_equal(optimize._gaps_from_free(x, n), g)
+            alone = optimize._tau(g[None], dipolink.DIPOLE)
+            assert np.array_equal(alone, [tau])
+        assert np.all(np.isinf(stacked[below]))
+        # each feasible tau is pi / dl of the public path's spectrum, bit for bit
+        for g, tau in zip(gaps[~below], stacked[~below]):
+            spec = dipolink.decompose(build_hamiltonian(optimize._geometry_from_gaps(g)))
+            assert tau == np.pi / spec.splitting
 
 
 # Runs one placement search and prints whether any scipy module got loaded.
