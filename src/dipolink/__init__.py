@@ -13,7 +13,6 @@ from .boundstate import (
     BoundStateModel,
     fit_bound_state,
     predict_splitting,
-    taylor_vs_exact_element,
 )
 from .disorder import (
     CLASSICAL_THRESHOLD,
@@ -42,7 +41,6 @@ from .lattice import (
     Topology,
     build_hamiltonian,
     ring,
-    ring_bloch_energies,
     uniform_chain,
 )
 from .optimize import (
@@ -59,7 +57,6 @@ from .spectral import (
     decompose,
     fidelity,
     fidelity_curve,
-    propagator,
     propagator_abs_grid,
     site_state,
 )
@@ -117,14 +114,11 @@ __all__ = [
     "n_free_gaps",
     "optimize_placement",
     "predict_splitting",
-    "propagator",
     "propagator_abs_grid",
     "ring",
-    "ring_bloch_energies",
     "ring_sweep",
     "run_disorder",
     "site_state",
     "summarize_transfer",
-    "taylor_vs_exact_element",
     "uniform_chain",
 ]

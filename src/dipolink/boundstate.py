@@ -110,27 +110,3 @@ def predict_splitting(
             "chain too short for the expansion"
         )
     return dl
-
-
-def taylor_vs_exact_element(
-    model: BoundStateModel,
-    n: int,
-    m: int,
-    big_n: int,
-) -> tuple[float, float]:
-    """Exact vs first-order dipole cross matrix element <n|H|N+1-m>.
-
-    At unit spacing the exact element is C / (2 (N+1-m-n)^3); the
-    first-order expansion in delta = m + n - 2 about the full end-to-end
-    separation L = N - 1 is C / (2 L^3) + 3 C delta / (2 L^4).
-    """
-    if not (1 <= n <= model.q and 1 <= m <= model.q):
-        raise DomainError(f"(n, m) = ({n}, {m}) outside 1..{model.q}")
-    sep = big_n + 1 - m - n
-    if sep <= 0:
-        raise DomainError(f"separation N+1-m-n = {sep} must be positive")
-    c = DIPOLE.c_const
-    length = float(big_n - 1)
-    exact = c / (2.0 * float(sep) ** 3)
-    first_order = c / (2.0 * length**3) + 3.0 * c * (m + n - 2) / (2.0 * length**4)
-    return exact, first_order

@@ -46,7 +46,7 @@ def _coupling(args) -> CouplingSpec:
 
 def _geometry(args, default_n=None) -> Geometry:
     if args.geometry_file:
-        with open(args.geometry_file) as fh:
+        with open(args.geometry_file, "rb") as fh:
             return Geometry.from_json(fh.read())
     n = default_n if args.n is None else args.n
     if n is None:
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--geometry-file", default=None)
 
     def seed(p):
-        p.add_argument("--seed", type=lambda s: int(s, 0), default=0)
+        p.add_argument("--seed", type=int, default=0)
 
     sizes(add("chain-sweep", _cmd_chain_sweep), 2, 23)
     sizes(add("ring-sweep", _cmd_ring_sweep), 3, 30)

@@ -24,15 +24,11 @@ from .lattice import (
     _to_member,
     build_hamiltonian,
 )
-from .spectral import _eigh, fidelity
+from .spectral import _eigh, _eigh_stack_size, fidelity
 from .transfer import end_to_end_summary
 
 CLASSICAL_THRESHOLD = 2.0 / 3.0
 _MAX_REDRAWS = 100
-# Matrix elements per block of stacked Hamiltonians (256 samples at N = 4),
-# so that the eigensolve's temporaries keep one size however many samples
-# are drawn.
-_BLOCK_ELEMENTS = 1 << 12
 
 
 class NoiseModel(enum.Enum):
@@ -179,10 +175,10 @@ def run_disorder(
         drawn[k] = perturbed
 
     # f = sum_m v[N-1, m] v[0, m] e^{-i E_m t}, which does not depend on the
-    # eigenvector signs; |f| by hypot, as abs() of `propagator`'s complex
-    # result computes it, so each sample matches its one-chain evaluation.
+    # eigenvector signs; |f| by hypot, which is how abs() of a complex
+    # scalar computes it, so each sample matches its one-chain evaluation.
     values = np.empty(config.samples)
-    block = max(_BLOCK_ELEMENTS // (n * n), 1)
+    block = _eigh_stack_size(n * n)
     for lo in range(0, config.samples, block):
         h, _ = _hamiltonian_matrices(drawn[lo : lo + block], Topology.CHAIN, coupling)
         energies, vectors = _eigh(h)

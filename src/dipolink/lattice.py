@@ -127,11 +127,16 @@ class Geometry:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "Geometry":
+    def from_json(cls, text: str | bytes) -> "Geometry":
+        """Geometry from JSON, as text or as UTF-8 (or UTF-16/32) bytes.
+
+        Anything that is not a valid geometry, undecodable bytes and a
+        position too large for a float included, raises InvalidGeometryError.
+        """
         try:
             data = json.loads(text)
             return cls(Topology(data["topology"]), tuple(data["positions"]))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise InvalidGeometryError(
                 f"malformed geometry JSON ({type(exc).__name__}: {exc})"
             ) from exc
@@ -234,23 +239,3 @@ def build_hamiltonian(
         np.asarray(geometry.positions), geometry.topology, coupling
     )
     return ExcitationHamiltonian(h, ground, geometry, coupling)
-
-
-def ring_bloch_energies(n: int, coupling: CouplingSpec = DIPOLE) -> np.ndarray:
-    """Analytic ring spectrum relative to the common diagonal constant.
-
-    E_m = C * sum_j w_j cos(2 pi m j / n) / j^3 over j = 1 .. n//2, where the
-    antipodal term j = n/2 (even n only) carries weight 1/2 because it is a
-    single site, not a pair.
-    """
-    if n < 3:
-        raise InvalidGeometryError(f"a ring needs at least 3 sites, got {n}")
-    js = np.arange(1, n // 2 + 1)
-    weights = np.ones_like(js, dtype=float)
-    if n % 2 == 0:
-        weights[-1] = 0.5
-    if coupling.model is CouplingModel.NEAREST_NEIGHBOUR:
-        weights[js > 1] = 0.0
-    m = np.arange(n)
-    phases = np.cos(2.0 * np.pi * np.outer(m, js) / n)
-    return coupling.c_const * phases @ (weights / js.astype(float) ** 3)

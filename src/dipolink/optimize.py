@@ -35,7 +35,14 @@ from .lattice import (
     _hamiltonian_matrices,
     build_hamiltonian,
 )
-from .spectral import SiteState, _eigh, decompose, fidelity, site_state
+from .spectral import (
+    SiteState,
+    _eigh,
+    _eigh_stack_size,
+    decompose,
+    fidelity,
+    site_state,
+)
 from .transfer import find_peak
 
 # Smallest allowed gap of a unit chain; restart spread, in units of the
@@ -47,9 +54,6 @@ _VERIFY_BEATS = 20.0
 _XATOL = 1e-7
 _FATOL = 1e-12
 _MAXITER = 400
-# Matrix elements per round of a block of starts (37 starts at N = 6), so
-# that the eigensolve's temporaries keep one size however many restarts run.
-_BLOCK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -281,7 +285,8 @@ def optimize_placement(
     for _ in range(config.restarts):
         starts.append(uniform_free + rng.uniform(-scale, scale, size=nfree))
 
-    block = max(_BLOCK_ELEMENTS // ((nfree + 1) * n * n), 1)
+    # a round evaluates at most nfree + 1 points per start
+    block = _eigh_stack_size((nfree + 1) * n * n)
     ends = []
     with np.errstate(invalid="ignore"):
         for lo in range(0, len(starts), block):

@@ -1,4 +1,4 @@
-"""Symmetric eigensolver, propagator and transfer fidelity.
+"""Symmetric eigensolver, time-grid transition amplitudes and transfer fidelity.
 
 The eigensolver is LAPACK's symmetric ``eigh`` (through numpy). Evolution is
 evaluated in the eigenbasis,
@@ -21,6 +21,10 @@ from .lattice import ExcitationHamiltonian
 _BLOCK_ELEMENTS = 1 << 16
 # Largest deviation, relative to max |t|, of a grid from exact uniformity.
 _UNIFORM_RTOL = 1e-12
+# Matrix elements per stacked `_eigh` call (256 matrices at N = 4), so that
+# the eigensolve's temporaries keep one size however many matrices a caller
+# solves.
+_EIGH_BLOCK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,11 @@ def _eigh(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
 
 
+def _eigh_stack_size(elements: int) -> int:
+    """Items per stacked `_eigh` call when each item holds ``elements`` entries."""
+    return max(_EIGH_BLOCK_ELEMENTS // elements, 1)
+
+
 def decompose(h: ExcitationHamiltonian | np.ndarray) -> SpectralDecomposition:
     """Diagonalize a symmetric matrix into ascending eigenpairs (LAPACK ``eigh``).
 
@@ -117,17 +126,6 @@ def transfer_terms(
     v = spec.eigenvectors
     w = np.conj(v.T @ output_state.amplitudes) * (v.T @ input_state.amplitudes)
     return w, spec.eigenvalues - spec.eigenvalues[0]
-
-
-def propagator(
-    spec: SpectralDecomposition,
-    input_state: SiteState,
-    output_state: SiteState,
-    t: float,
-) -> complex:
-    """Transition amplitude <out| e^{-iHt} |in>."""
-    w, _ = transfer_terms(spec, input_state, output_state)
-    return complex(np.sum(w * np.exp(-1j * spec.eigenvalues * t)))
 
 
 def abs_runs(w, e, starts, step: float, count: int) -> np.ndarray:

@@ -23,7 +23,6 @@ from dipolink import (
     fidelity,
     fit_bound_state,
     predict_splitting,
-    propagator,
     propagator_abs_grid,
     ring_sweep,
     run_disorder,
@@ -242,7 +241,9 @@ def test_criterion_11_property_suite(capfd):
     psi0 = np.zeros(12)
     psi0[0] = 1.0
     psi = rk4_evolve(h12.matrix, psi0, 50.0, dt=1e-3)
-    f_eig = abs(propagator(spec12, site_state(12, 1), site_state(12, 12), 50.0))
+    (f_eig,) = propagator_abs_grid(
+        spec12, site_state(12, 1), site_state(12, 12), np.array([50.0])
+    )
     checks.append(abs(f_eig - abs(psi[-1])) < 1e-8)
 
     # single-excitation matrix equals the one-flip block of the 2^N matrix

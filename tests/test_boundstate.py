@@ -13,7 +13,6 @@ from dipolink import (
     decompose,
     fit_bound_state,
     predict_splitting,
-    taylor_vs_exact_element,
     uniform_chain,
 )
 
@@ -119,29 +118,3 @@ class TestPredictSplitting:
         # the fit describes the dipole chain; its Q and R say nothing of nn
         with pytest.raises(DomainError, match="dipole chains only"):
             predict_splitting(model, 13.0, NEAREST_NEIGHBOUR)
-
-
-class TestTaylorElement:
-    def test_zeroth_order_exact(self, model):
-        exact, first = taylor_vs_exact_element(model, 1, 1, 20)
-        assert exact == pytest.approx(first)
-        assert exact == pytest.approx(2.0 / (2.0 * 19.0**3))
-
-    def test_hand_value(self, model):
-        exact, first = taylor_vs_exact_element(model, 1, 2, 20)
-        assert exact == pytest.approx(1.0 / 18.0**3)
-        assert first == pytest.approx(1.0 / 19.0**3 + 3.0 / 19.0**4)
-        assert abs(first - exact) / exact < 0.02
-
-    def test_error_shrinks_with_n(self, model):
-        errs = []
-        for big_n in (12, 20, 40, 80):
-            exact, first = taylor_vs_exact_element(model, 2, 3, big_n)
-            errs.append(abs(first - exact) / exact)
-        assert all(a > b for a, b in zip(errs, errs[1:]))
-
-    def test_domain_checks(self, model):
-        with pytest.raises(DomainError):
-            taylor_vs_exact_element(model, 5, 1, 20)
-        with pytest.raises(DomainError):
-            taylor_vs_exact_element(model, 4, 4, 7)

@@ -1,13 +1,15 @@
 """CLI subcommand tests (in-process via main)."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dipolink import Geometry, Topology, build_hamiltonian, decompose, uniform_chain
 from dipolink import disorder, optimize
-from dipolink.cli import main
+from dipolink.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +270,19 @@ class TestFormatContract:
         code, out, _ = run_cli(capsys, command, *args, "--seed", "1")
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_non_numeric_seed_rejected(self, capsys, command):
+        args = DOCUMENT_COMMANDS[command]
+        code, out, err = run_cli(capsys, command, *args, "--seed", "abc")
+        assert code == 1 and out == ""
+        assert "argument --seed: invalid int value: 'abc'" in err
+
+    def test_seed_is_decimal(self, capsys):
+        # a leading zero is not an octal prefix
+        args = DOCUMENT_COMMANDS["disorder"]
+        runs = [run_cli(capsys, "disorder", *args, "--seed", s) for s in ("010", "10")]
+        assert runs[0][0] == 0 and runs[0] == runs[1]
+
 
 class TestInputErrors:
     @pytest.mark.parametrize("command", ["onsite-energies", "encoded-transfer",
@@ -330,13 +345,15 @@ class TestInputErrors:
         assert "the bound-state model applies to dipole chains only" in err
 
     @pytest.mark.parametrize("text", [
-        "{not json",
-        '{"topology": "chain"}',
-        '{"topology": "line", "positions": [0, 1, 2]}',
-    ])
+        b"{not json",
+        b'{"topology": "chain"}',
+        b'{"topology": "line", "positions": [0, 1, 2]}',
+        b'{"topology": "chain", "positions": [0, 1' + b"0" * 400 + b"]}",
+        b'{"topology": "chain", "positions": [0, 1\xff]}',
+    ], ids=["syntax", "no-positions", "topology", "overflow", "not-utf8"])
     def test_malformed_geometry_file(self, capsys, tmp_path, text):
         geo = tmp_path / "geo.json"
-        geo.write_text(text)
+        geo.write_bytes(text)
         code, out, err = run_cli(
             capsys, "onsite-energies", "--geometry-file", str(geo)
         )
@@ -388,3 +405,31 @@ class TestInputErrors:
             capsys, "spectrum-sweep", "--n-min", "5", "--n-max", "4"
         )
         assert code == 1 and out == ""
+
+
+def _golden_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "golden.py"
+    spec = importlib.util.spec_from_file_location("golden", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGoldenInvocations:
+    """tools/golden.py records these argv lists; a flag renamed in the parser
+    would turn them into exit-1 records on both sides of a diff."""
+
+    def test_every_invocation_parses(self):
+        parser = build_parser()
+        unparsed = []
+        for argv in _golden_tool().INVOCATIONS:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                unparsed.append(argv)
+        assert unparsed == []
+
+    def test_record_names_are_unique(self):
+        golden = _golden_tool()
+        names = [golden._name(argv) for argv in golden.INVOCATIONS]
+        assert len(set(names)) == len(names)

@@ -21,18 +21,18 @@ from dipolink import (
     decompose,
     end_to_end_summary,
     fidelity,
-    propagator,
     ring,
     run_disorder,
     site_state,
     uniform_chain,
 )
-from dipolink import disorder
+from dipolink import disorder, spectral
 from dipolink.cli import main
 
 
 def reference_fidelities(geometry, coupling, config):
-    """Per-sample fidelities, one geometry at a time through public calls.
+    """Per-sample fidelities, one geometry at a time: build, decompose, and
+    f = sum_m w_m e^{-i E_m t} over the weights of ``transfer_terms``.
 
     The draws follow the ensemble's rule: sample k uses the generator seeded
     with (seed, k) and redraws until the site ordering holds.
@@ -49,7 +49,9 @@ def reference_fidelities(geometry, coupling, config):
                 positions, geometry.mean_spacing, config, rng
             )
         h = build_hamiltonian(Geometry(Topology.CHAIN, tuple(drawn)), coupling)
-        f = propagator(decompose(h), site_state(n, 1), site_state(n, n), t_nominal)
+        spec = decompose(h)
+        w, _ = spectral.transfer_terms(spec, site_state(n, 1), site_state(n, n))
+        f = np.sum(w * np.exp(-1j * spec.eigenvalues * t_nominal))
         values.append(fidelity(min(abs(f), 1.0)))
     return t_nominal, np.array(values)
 
@@ -132,7 +134,7 @@ class TestRunDisorder:
             decompose,
             end_to_end_summary,
             fidelity,
-            propagator,
+            propagator_abs_grid,
             site_state,
         )
 
@@ -140,10 +142,10 @@ class TestRunDisorder:
         s = end_to_end_summary(h)
         spec = decompose(h)
         for factor in (0.99, 1.01):
-            f = propagator(
-                spec, site_state(4, 1), site_state(4, 4), s.t_peak * factor
+            (f_abs,) = propagator_abs_grid(
+                spec, site_state(4, 1), site_state(4, 4), np.array([s.t_peak * factor])
             )
-            assert s.f_max - fidelity(min(abs(f), 1.0)) < 0.02
+            assert s.f_max - fidelity(min(f_abs, 1.0)) < 0.02
 
     @pytest.mark.parametrize(
         "model",
@@ -217,7 +219,7 @@ class TestBatchedEnsemble:
     ):
         # 7 samples per block at N = 4 and 4 at N = 5: 150 samples end in a
         # partial block either way
-        monkeypatch.setattr(disorder, "_BLOCK_ELEMENTS", 112)
+        monkeypatch.setattr(spectral, "_EIGH_BLOCK_ELEMENTS", 112)
         geometry = Geometry(Topology.CHAIN, positions)
         config = DisorderConfig(0.3, 150, seed=9, noise_model=model)
         rep = run_disorder(geometry, coupling, config)
@@ -245,8 +247,8 @@ class TestBatchedEnsemble:
             0.05, 100, seed=4, noise_model=NoiseModel.GAUSSIAN_PER_GAP
         )
         reports = []
-        for budget in (1, 37 * n * n, disorder._BLOCK_ELEMENTS):
-            monkeypatch.setattr(disorder, "_BLOCK_ELEMENTS", budget)
+        for budget in (1, 37 * n * n, spectral._EIGH_BLOCK_ELEMENTS):
+            monkeypatch.setattr(spectral, "_EIGH_BLOCK_ELEMENTS", budget)
             reports.append(run_disorder(uniform_chain(n), config=config))
         for rep in reports[1:]:
             assert rep.as_dict() == reports[0].as_dict()

@@ -18,14 +18,15 @@ from dipolink import (
     Topology,
     build_hamiltonian,
     ring,
-    ring_bloch_energies,
     uniform_chain,
 )
 
 from conftest import (
     full_dipole_hamiltonian,
     full_heisenberg_hamiltonian,
+    nn_chain_eigenpairs,
     one_flip_block,
+    ring_bloch_energies,
 )
 
 
@@ -60,6 +61,7 @@ class TestGeometry:
         '{"topology": "chain"}',
         '{"topology": "line", "positions": [0, 1, 2]}',
         '{"topology": "ring", "positions": [0, 1.5, 2]}',
+        '{"topology": "chain", "positions": [0, 1' + "0" * 400 + "]}",
         '{"topology": "ring", "positions": [0, 1, 2, 3, 10]}',
         '{"topology": "chain", "positions": [0, 1, NaN]}',
         '{"topology": "chain", "positions": [0, 1, Infinity]}',
@@ -210,6 +212,16 @@ class TestChainHamiltonian:
         w = vecs[0] * vecs[-1]
         oracle = np.abs(np.exp(-1j * np.outer(times, vals)) @ w)
         assert np.allclose(ours, oracle, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 7, 64, 1024])
+    def test_nn_closed_form_eigenpairs(self, n):
+        # E_m = E_0 + 2J (1 - cos(pi m / N)): the isotropic chain's band
+        # bottom E_0 is the all-up energy (the lowered ferromagnet)
+        h = build_hamiltonian(uniform_chain(n), NEAREST_NEIGHBOUR)
+        e, v = nn_chain_eigenpairs(n)
+        assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+        residual = h.matrix @ v - v * (h.ground_energy + e)
+        assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-12
 
     def test_nn_multiple_of_three_diagonal_ratio(self):
         # The end on-site offset equals the hopping for the nn model; this

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dipolink
-from dipolink import optimize
+from dipolink import optimize, spectral
 from dipolink import (
     DomainError,
     Geometry,
@@ -214,7 +214,7 @@ class TestLockstepBlocks:
         assert blocks == [11]
         blocks.clear()
         # one start per block: the starts run one after another
-        monkeypatch.setattr(optimize, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(spectral, "_EIGH_BLOCK_ELEMENTS", 1)
         sequential = run()
         assert blocks == [1] * 11
         assert sequential == default

@@ -1,4 +1,4 @@
-"""Eigensolver, propagator and fidelity tests, including independent oracles."""
+"""Eigensolver, time-grid kernel and fidelity tests, including independent oracles."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from dipolink import (
     NumericInputError,
     ShapeError,
     SiteState,
+    SpectralDecomposition,
     Topology,
     build_hamiltonian,
     decompose,
@@ -23,7 +24,6 @@ from dipolink import (
     fidelity,
     fidelity_curve,
     fit_bound_state,
-    propagator,
     propagator_abs_grid,
     run_disorder,
     site_state,
@@ -34,7 +34,7 @@ from dipolink import disorder, spectral
 from dipolink.cli import main
 from dipolink.optimize import optimize_placement
 
-from conftest import rk4_evolve
+from conftest import direct_abs, nn_chain_eigenpairs, rk4_evolve
 
 
 def _random_symmetric(rng, n):
@@ -59,20 +59,20 @@ def mirror_chains():
     }
 
 
-def _direct_abs(spec, times, chunk=20_000):
-    """|f| for 1 -> N with one exponential per (t, m), chunked over t.
+def _direct_abs(spec, times):
+    """|f| for 1 -> N with one exponential per (t, m).
 
     Energies are measured from E_0 as in the kernel: |f| does not depend on
     the shift, while unshifted float64 phases E_m t lose about 1e-8 at
     N = 64, where E_0 is near -73 and one beat lasts 2.5e6.
     """
     v = spec.eigenvectors
-    w = v[0] * v[-1]
-    e = spec.eigenvalues - spec.eigenvalues[0]
-    return np.concatenate([
-        np.abs(np.exp(-1j * np.outer(times[lo : lo + chunk], e)) @ w)
-        for lo in range(0, len(times), chunk)
-    ])
+    return direct_abs(v[0] * v[-1], spec.eigenvalues - spec.eigenvalues[0], times)
+
+
+def _abs_at(spec, input_state, output_state, t):
+    """|f(t)| at one time: the grid kernel on a one-point grid."""
+    return propagator_abs_grid(spec, input_state, output_state, np.array([t]))[0]
 
 
 class TestDecompose:
@@ -210,26 +210,26 @@ class TestPropagator:
     def test_t_zero_identity(self):
         spec = decompose(build_hamiltonian(uniform_chain(5)))
         s = site_state(5, 2)
-        assert propagator(spec, s, s, 0.0) == pytest.approx(1.0)
-        assert propagator(spec, s, site_state(5, 4), 0.0) == pytest.approx(0.0)
+        assert _abs_at(spec, s, s, 0.0) == pytest.approx(1.0)
+        assert _abs_at(spec, s, site_state(5, 4), 0.0) == pytest.approx(0.0)
 
     def test_two_level_sine(self):
         spec = decompose(np.array([[1.0, 1.0], [1.0, 1.0]]))
         for t in (0.3, np.pi / 2.0, 2.1):
-            f = propagator(spec, site_state(2, 1), site_state(2, 2), t)
-            assert abs(f) == pytest.approx(abs(np.sin(t)), abs=1e-12)
+            f_abs = _abs_at(spec, site_state(2, 1), site_state(2, 2), t)
+            assert f_abs == pytest.approx(abs(np.sin(t)), abs=1e-12)
 
     def test_dimension_mismatch(self):
         spec = decompose(np.eye(3))
         with pytest.raises(ShapeError):
-            propagator(spec, site_state(3, 1), site_state(4, 1), 1.0)
+            _abs_at(spec, site_state(3, 1), site_state(4, 1), 1.0)
 
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_unitarity(self, n):
         spec = decompose(build_hamiltonian(uniform_chain(n)))
         for t in (0.7, 13.0, 211.0):
             total = sum(
-                abs(propagator(spec, site_state(n, 1), site_state(n, s), t)) ** 2
+                _abs_at(spec, site_state(n, 1), site_state(n, s), t) ** 2
                 for s in range(1, n + 1)
             )
             assert total == pytest.approx(1.0, abs=1e-10)
@@ -254,7 +254,7 @@ class TestPropagator:
         for t in (1.0, 10.0, 100.0):
             psi = rk4_evolve(h.matrix, psi0, t, dt=1e-3)
             f_oracle = abs(psi[-1])
-            f_eig = abs(propagator(spec, site_state(n, 1), site_state(n, n), t))
+            f_eig = _abs_at(spec, site_state(n, 1), site_state(n, n), t)
             assert f_eig == pytest.approx(f_oracle, abs=1e-8)
 
     def test_mirror_transfer_symmetry(self):
@@ -283,13 +283,23 @@ class TestGridKernel:
         fa = propagator_abs_grid(spec, site_state(23, 1), site_state(23, 23), times)
         assert np.max(np.abs(fa - _direct_abs(spec, times))) <= 1e-9
 
+    def test_matches_closed_form_nn_chain(self):
+        # the N = 1024 nn chain from its closed-form eigenpairs: neither side
+        # of the comparison runs an eigensolver
+        n = 1024
+        e, v = nn_chain_eigenpairs(n)
+        times = np.linspace(0.0, 600.0, 4001)
+        fa = propagator_abs_grid(
+            SpectralDecomposition(e, v), site_state(n, 1), site_state(n, n), times
+        )
+        assert np.max(np.abs(fa - direct_abs(v[-1] * v[0], e, times))) <= 1e-12
+
     def test_short_grids(self):
         spec = decompose(build_hamiltonian(uniform_chain(5)))
         a, b = site_state(5, 1), site_state(5, 5)
         for times in ([3.7], [0.0, 12.5], [1e4, 1e4]):
             fa = propagator_abs_grid(spec, a, b, np.array(times))
-            expected = [abs(propagator(spec, a, b, t)) for t in times]
-            assert np.allclose(fa, expected, atol=1e-12)
+            assert np.allclose(fa, _direct_abs(spec, np.array(times)), atol=1e-12)
         assert propagator_abs_grid(spec, a, b, np.array([])).shape == (0,)
 
     def test_non_uniform_grid_rejected(self):

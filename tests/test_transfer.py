@@ -16,6 +16,7 @@ from dipolink import (
     DomainError,
     Geometry,
     NEAREST_NEIGHBOUR,
+    SpectralDecomposition,
     Topology,
     antipodal_site,
     build_hamiltonian,
@@ -25,6 +26,7 @@ from dipolink import (
     end_to_end_summary,
     find_peak,
     propagator_abs_grid,
+    ring,
     ring_sweep,
     site_state,
     summarize_transfer,
@@ -32,7 +34,12 @@ from dipolink import (
 )
 from dipolink import transfer
 
-from conftest import expm_transfer_abs
+from conftest import (
+    direct_abs,
+    expm_transfer_abs,
+    nn_chain_eigenpairs,
+    ring_transfer_terms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +241,18 @@ class TestWindowMaximum:
         assert not flag
         assert len(scans) <= 2
 
+    def test_closed_form_nn_chain(self):
+        # N = 1024 from the nn chain's closed-form eigenpairs, no eigensolve:
+        # the first arrival at the far end, near t = N / 2J, is the maximum
+        n, t_max = 1024, 600.0
+        e, v = nn_chain_eigenpairs(n)
+        spec = SpectralDecomposition(e, v)
+        f_abs, t_peak, _ = find_peak(spec, site_state(n, 1), site_state(n, n), t_max)
+        w = v[-1] * v[0]
+        assert direct_abs(w, e, [t_peak])[0] == pytest.approx(f_abs, abs=1e-12)
+        times = np.linspace(0.0, t_max, 4001)
+        assert direct_abs(w, e, times).max() <= f_abs + 1e-9
+
 
 def test_golden_refinement_ends_past_float_resolution():
     # past t = 2^23 adjacent doubles are 1.9e-9 apart, wider than the 1e-9
@@ -294,10 +313,6 @@ def _dipole_chain_terms(n):
     return vecs[-1] * vecs[0], vals - vals[0]
 
 
-def _direct_abs(w, e, times):
-    return np.abs(np.exp(-1j * np.outer(times, e)) @ w)
-
-
 class TestLargeN:
     """The N = 128 chain's one-beat window needs 1.3e8 grid points and peaks
     past t = 2^23, where adjacent doubles are wider than the tolerance."""
@@ -310,7 +325,7 @@ class TestLargeN:
     def test_peak_matches_direct_sum(self, large_chains):
         run = large_chains[128]
         w, e = _dipole_chain_terms(128)
-        direct = _direct_abs(w, e, [run["t_peak"]])[0]
+        direct = direct_abs(w, e, [run["t_peak"]])[0]
         assert direct == pytest.approx(self._f_abs(run), abs=1e-9)
 
     def test_no_higher_point_near_the_peak(self, large_chains):
@@ -319,7 +334,7 @@ class TestLargeN:
         w, e = _dipole_chain_terms(128)
         period = 2.0 * np.pi / e[-1]
         times = run["t_peak"] + period / 64.0 * np.arange(-20 * 64, 20 * 64 + 1)
-        assert _direct_abs(w, e, times).max() <= self._f_abs(run) + 1e-9
+        assert direct_abs(w, e, times).max() <= self._f_abs(run) + 1e-9
 
     def test_memory_does_not_grow_with_n(self, large_chains):
         grown = large_chains[128]["maxrss_kib"] - large_chains[64]["maxrss_kib"]
@@ -430,6 +445,24 @@ class TestRingSweep:
     def test_invalid_range(self):
         with pytest.raises(DomainError):
             ring_sweep(2, 5)
+
+    @pytest.mark.parametrize("n, coupling, model", [
+        (31, DIPOLE, "dipole"),
+        (256, DIPOLE, "dipole"),
+        (1024, DIPOLE, "dipole"),
+        (31, NEAREST_NEIGHBOUR, "nn"),
+        (256, NEAREST_NEIGHBOUR, "nn"),
+    ])
+    def test_matches_circulant_oracle(self, n, coupling, model):
+        # ring_sweep's configuration over 10 N, the shortest default ring
+        # window, against the plane-wave sum of the circulant ring (no
+        # eigensolve in the oracle)
+        spec = decompose(build_hamiltonian(ring(n), coupling))
+        target = antipodal_site(n)
+        times = np.linspace(0.0, 10.0 * n, 2001)
+        fa = propagator_abs_grid(spec, site_state(n, 1), site_state(n, target), times)
+        w, e = ring_transfer_terms(n, 1, target, model=model)
+        assert np.max(np.abs(fa - direct_abs(w, e, times))) <= 1e-9
 
 
 class TestNormalizedTime:
