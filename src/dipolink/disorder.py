@@ -5,6 +5,8 @@ rebuilt, and the state is evolved for exactly the clean system's peak time.
 A sample fails when the fidelity at that nominal time drops below the
 classical threshold 2/3. Per-sample randomness derives solely from
 (seed, sample index), so reports are reproducible and order-independent.
+Samples are drawn and evaluated a block at a time, so memory beyond the
+per-sample fidelities does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .lattice import (
     Geometry,
     Topology,
     _hamiltonian_matrices,
+    _to_count,
     _to_member,
     build_hamiltonian,
 )
@@ -52,9 +55,10 @@ class DisorderConfig:
 
     ``error_fraction`` is the displacement half-width (uniform) or standard
     deviation (gaussian) in units of the mean spacing a; it must be finite
-    and non-negative, and ``seed`` must be non-negative. A sample whose draw
-    breaks the site ordering is redrawn at most 100 times before the run
-    fails with DomainError.
+    and non-negative. ``samples`` (at least 1) and ``seed`` (non-negative)
+    must be integers; a bool is not one. A sample whose draw breaks the site
+    ordering is redrawn at most 100 times before the run fails with
+    DomainError.
     """
 
     error_fraction: float
@@ -69,10 +73,10 @@ class DisorderConfig:
                 "error fraction must be finite and non-negative, "
                 f"got {self.error_fraction}"
             )
+        _to_count(self, "samples", DomainError)
         if self.samples < 1:
             raise DomainError(f"need at least 1 sample, got {self.samples}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
+        _to_count(self, "seed", DomainError)
 
 
 @dataclass(frozen=True)
@@ -104,28 +108,9 @@ class DisorderReport:
         return {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
 
 
-def _draw_positions(
-    positions: np.ndarray,
-    spacing: float,
-    config: DisorderConfig,
-    rng: np.random.Generator,
-):
-    """One perturbed position vector; None when ordering is violated."""
-    n = len(positions)
-    model = config.noise_model
-    per_gap = model in (NoiseModel.UNIFORM_PER_GAP, NoiseModel.GAUSSIAN_PER_GAP)
-    uniform = model in (NoiseModel.UNIFORM_PER_SITE, NoiseModel.UNIFORM_PER_GAP)
-    size = n - 1 if per_gap else n
-    shift = rng.uniform(-1.0, 1.0, size=size) if uniform else rng.standard_normal(size)
-    shift = config.error_fraction * spacing * shift
-    if per_gap:
-        perturbed = positions.copy()
-        perturbed[1:] += np.cumsum(shift)
-    else:
-        perturbed = positions + shift
-    if np.any(np.diff(perturbed) <= 0):
-        return None
-    return perturbed
+def _draw(rng: np.random.Generator, uniform: bool, size: int) -> np.ndarray:
+    """One draw of ``size`` unscaled shifts, from U(-1, 1) or N(0, 1)."""
+    return rng.uniform(-1.0, 1.0, size) if uniform else rng.standard_normal(size)
 
 
 def run_disorder(
@@ -136,11 +121,13 @@ def run_disorder(
     """Failure-rate estimate for end-to-end transfer under placement noise.
 
     The clean geometry's peak time t_nominal is fixed first; each sample
-    evolves |1> for exactly t_nominal on its perturbed chain. Samples whose
-    draw breaks the site ordering are redrawn (and counted as rejected).
-    The drawn chains are then evaluated a block of at most 4096 matrix
-    elements at a time: one stacked build, one batched eigensolve and one
-    vectorized evaluation per block.
+    evolves |1> for exactly t_nominal on its perturbed chain. Samples are
+    drawn and evaluated a block of at most 4096 matrix elements at a time:
+    one draw per sample, then one vectorized perturbation, one stacked
+    build, one batched eigensolve and one vectorized evaluation per block.
+    A draw that breaks the site ordering is redrawn (and counted as
+    rejected). Memory beyond the per-sample fidelities does not grow with
+    the sample count.
     """
     if geometry.topology is not Topology.CHAIN:
         raise InvalidGeometryError("disorder analysis is defined for chains")
@@ -157,35 +144,53 @@ def run_disorder(
     clean = end_to_end_summary(build_hamiltonian(geometry, coupling))
     t_nominal = clean.t_peak
 
-    drawn = np.empty((config.samples, n))
-    rejected = 0
-    for k in range(config.samples):
-        rng = np.random.default_rng((config.seed, k))
-        perturbed = _draw_positions(positions, spacing, config, rng)
-        redraws = 0
-        while perturbed is None:
-            rejected += 1
-            redraws += 1
-            if redraws > _MAX_REDRAWS:
-                raise DomainError(
-                    f"sample {k}: exceeded {_MAX_REDRAWS} redraws; "
-                    "error fraction too large for this geometry"
-                )
-            perturbed = _draw_positions(positions, spacing, config, rng)
-        drawn[k] = perturbed
+    model = config.noise_model
+    per_gap = model in (NoiseModel.UNIFORM_PER_GAP, NoiseModel.GAUSSIAN_PER_GAP)
+    uniform = model in (NoiseModel.UNIFORM_PER_SITE, NoiseModel.UNIFORM_PER_GAP)
+    size = n - 1 if per_gap else n
 
-    # f = sum_m v[N-1, m] v[0, m] e^{-i E_m t}, which does not depend on the
-    # eigenvector signs; |f| by hypot, which is how abs() of a complex
-    # scalar computes it, so each sample matches its one-chain evaluation.
+    def perturb(draws):
+        """Chains for a (..., N) stack of draws, and which break the ordering;
+        a per-gap row holds 0 before its N - 1 draws, so its cumsum is the
+        displacement of every site."""
+        shifts = config.error_fraction * spacing * draws
+        chains = positions + (np.cumsum(shifts, axis=-1) if per_gap else shifts)
+        return chains, np.any(np.diff(chains) <= 0, axis=-1)
+
     values = np.empty(config.samples)
     block = _eigh_stack_size(n * n)
+    draws = np.zeros((min(block, config.samples), n))
+    rejected = 0
     for lo in range(0, config.samples, block):
-        h, _ = _hamiltonian_matrices(drawn[lo : lo + block], Topology.CHAIN, coupling)
+        rows = draws[: config.samples - lo]
+        for i in range(len(rows)):
+            rng = np.random.default_rng((config.seed, lo + i))
+            rows[i, -size:] = _draw(rng, uniform, size)
+        chains, broken = perturb(rows)
+        for i in np.flatnonzero(broken):
+            rng = np.random.default_rng((config.seed, lo + i))
+            _draw(rng, uniform, size)  # replays the rejected draw
+            for _ in range(_MAX_REDRAWS):
+                rejected += 1
+                rows[i, -size:] = _draw(rng, uniform, size)
+                chains[i], bad = perturb(rows[i])
+                if not bad:
+                    break
+            else:
+                raise DomainError(
+                    f"sample {lo + i}: exceeded {_MAX_REDRAWS} redraws; "
+                    "error fraction too large for this geometry"
+                )
+
+        # f = sum_m v[N-1, m] v[0, m] e^{-i E_m t}, which does not depend on
+        # the eigenvector signs; |f| by hypot, which is how abs() of a complex
+        # scalar computes it, so each sample matches its one-chain evaluation.
+        h, _ = _hamiltonian_matrices(chains, Topology.CHAIN, coupling)
         energies, vectors = _eigh(h)
         w = vectors[:, n - 1, :] * vectors[:, 0, :]
         f = np.sum(w * np.exp(-1j * energies * t_nominal), axis=-1)
         f_abs = np.minimum(np.hypot(f.real, f.imag), 1.0)
-        values[lo : lo + block] = fidelity(f_abs)
+        values[lo : lo + len(rows)] = fidelity(f_abs)
 
     failures = int(np.count_nonzero(values < CLASSICAL_THRESHOLD))
     return DisorderReport(

@@ -54,6 +54,16 @@ def _to_member(obj, name: str, enum_type, error):
         raise error(f"unknown {name} {value!r}; expected one of {choices}") from None
 
 
+def _to_count(obj, name: str, error):
+    """Set field ``name``, a non-negative integer (not a bool), to an int."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise error(f"{name} must be non-negative, got {value}")
+    object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class CouplingSpec:
     """Interaction model and overall coupling constant C (energy * length^3)."""
@@ -87,7 +97,12 @@ class Geometry:
 
     def __post_init__(self):
         _to_member(self, "topology", Topology, InvalidGeometryError)
-        pos = tuple(float(p) for p in self.positions)
+        try:
+            pos = tuple(float(p) for p in self.positions)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidGeometryError(
+                f"positions must be real numbers ({type(exc).__name__}: {exc})"
+            ) from exc
         object.__setattr__(self, "positions", pos)
         if not np.all(np.isfinite(pos)):
             raise InvalidGeometryError("positions must be finite")
@@ -135,11 +150,13 @@ class Geometry:
         """
         try:
             data = json.loads(text)
-            return cls(Topology(data["topology"]), tuple(data["positions"]))
+            topology = Topology(data["topology"])
+            positions = tuple(float(p) for p in data["positions"])
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise InvalidGeometryError(
                 f"malformed geometry JSON ({type(exc).__name__}: {exc})"
             ) from exc
+        return cls(topology, positions)
 
 
 def uniform_chain(n: int) -> Geometry:

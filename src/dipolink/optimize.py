@@ -33,6 +33,7 @@ from .lattice import (
     Geometry,
     Topology,
     _hamiltonian_matrices,
+    _to_count,
     build_hamiltonian,
 )
 from .spectral import (
@@ -62,7 +63,7 @@ class SearchConfig:
 
     Each of the ``restarts`` extra starts perturbs every free gap of the
     uniform chain by up to a quarter of the uniform gap, drawn from
-    ``seed``; ``restarts`` and ``seed`` must be non-negative. Gaps below
+    ``seed``; both must be non-negative integers, not bools. Gaps below
     0.05 are rejected. Nelder-Mead stops at xatol 1e-7 and fatol 1e-12 or
     after 400 iterations. The starts run in lockstep, each round one stacked
     build and one batched eigensolve, in blocks whose stacked matrices hold
@@ -77,10 +78,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 0:
-            raise DomainError(f"restarts must be non-negative, got {self.restarts}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be non-negative, got {self.seed}")
+        _to_count(self, "restarts", DomainError)
+        _to_count(self, "seed", DomainError)
         if not (np.isfinite(self.min_fidelity) and self.min_fidelity <= 1.0):
             raise DomainError(
                 f"min fidelity must be finite and at most 1, got {self.min_fidelity}"

@@ -30,24 +30,46 @@ from dipolink import disorder, spectral
 from dipolink.cli import main
 
 
+def reference_draw(geometry, config, k):
+    """Sample k's chain by the ensemble's documented rule, without package code.
+
+    The generator seeded with (seed, k) draws U(-1, 1) or N(0, 1) shifts,
+    scaled by error_fraction times the mean spacing: one per site, or one
+    per gap, accumulated along the chain. A draw that breaks the site
+    ordering is replaced by the generator's next one.
+    """
+    positions = np.asarray(geometry.positions)
+    n = len(positions)
+    spacing = (positions[-1] - positions[0]) / (n - 1)
+    model = config.noise_model
+    per_gap = model in (NoiseModel.UNIFORM_PER_GAP, NoiseModel.GAUSSIAN_PER_GAP)
+    uniform = model in (NoiseModel.UNIFORM_PER_SITE, NoiseModel.UNIFORM_PER_GAP)
+    size = n - 1 if per_gap else n
+    rng = np.random.default_rng((config.seed, k))
+    while True:
+        if uniform:
+            shift = rng.uniform(-1.0, 1.0, size)
+        else:
+            shift = rng.standard_normal(size)
+        shift = config.error_fraction * spacing * shift
+        drawn = positions.copy()
+        if per_gap:
+            drawn[1:] += np.cumsum(shift)
+        else:
+            drawn += shift
+        if np.all(np.diff(drawn) > 0):
+            return drawn
+
+
 def reference_fidelities(geometry, coupling, config):
     """Per-sample fidelities, one geometry at a time: build, decompose, and
     f = sum_m w_m e^{-i E_m t} over the weights of ``transfer_terms``.
-
-    The draws follow the ensemble's rule: sample k uses the generator seeded
-    with (seed, k) and redraws until the site ordering holds.
     """
     n = geometry.n
     t_nominal = end_to_end_summary(build_hamiltonian(geometry, coupling)).t_peak
-    positions = np.asarray(geometry.positions)
     values = []
     for k in range(config.samples):
-        rng = np.random.default_rng((config.seed, k))
-        drawn = None
-        while drawn is None:
-            drawn = disorder._draw_positions(
-                positions, geometry.mean_spacing, config, rng
-            )
+        drawn = reference_draw(geometry, config, k)
         h = build_hamiltonian(Geometry(Topology.CHAIN, tuple(drawn)), coupling)
         spec = decompose(h)
         w, _ = spectral.transfer_terms(spec, site_state(n, 1), site_state(n, n))
@@ -66,6 +88,21 @@ class TestConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
             DisorderConfig(0.02, 10, seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 2.5), ("samples", True), ("samples", "3"),
+        ("seed", 1.5), ("seed", True), ("seed", None),
+    ])
+    def test_non_integer_count_rejected(self, field, value):
+        fields = {"error_fraction": 0.02, "samples": 3, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            DisorderConfig(**fields)
+
+    def test_numpy_integers_become_ints(self):
+        config = DisorderConfig(0.02, np.int64(3), seed=np.uint8(2))
+        assert type(config.samples) is int and type(config.seed) is int
+        rep = run_disorder(uniform_chain(4), config=config)
+        assert json.loads(json.dumps(rep.as_dict()))["seed"] == 2
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_non_finite_error_fraction(self, eps):
@@ -230,16 +267,40 @@ class TestBatchedEnsemble:
         assert rep.mean_f_at_nominal_time == want.mean()
 
     def test_redraw_cap(self, monkeypatch):
-        calls = []
+        generators = []
 
-        def never_ordered(*args):
-            calls.append(args)
-            return None
+        def never_ordered(rng, uniform, size):
+            # every site lands far behind its left neighbour
+            generators.append(rng)
+            return -1e3 * np.arange(size)
 
-        monkeypatch.setattr(disorder, "_draw_positions", never_ordered)
-        with pytest.raises(DomainError, match="exceeded 100 redraws"):
+        monkeypatch.setattr(disorder, "_draw", never_ordered)
+        with pytest.raises(DomainError, match="sample 0: exceeded 100 redraws"):
             run_disorder(uniform_chain(4), config=DisorderConfig(0.02, 10))
-        assert len(calls) == disorder._MAX_REDRAWS + 1
+        # one draw per sample of the block, then sample 0's own generator
+        # again: the replayed first draw and exactly _MAX_REDRAWS redraws
+        block, failing = generators[:10], generators[10:]
+        assert len({id(rng) for rng in block}) == 10
+        assert len(failing) == 1 + disorder._MAX_REDRAWS
+        assert all(rng is failing[0] for rng in failing)
+        assert (failing[0].bit_generator.state
+                == np.random.default_rng((0, 0)).bit_generator.state)
+
+    @pytest.mark.parametrize("model", list(NoiseModel))
+    def test_sample_does_not_depend_on_sample_count(self, monkeypatch, model):
+        # 44 samples per block at N = 5. The gaussian models redraw samples
+        # 5, 50, 65, 73, 82 (twice), 87 and 106 per site and 38 and 50 per
+        # gap, so rejected rows sit on both sides of a block boundary; the
+        # shorter runs end inside a block, the last one on a rejected row.
+        monkeypatch.setattr(spectral, "_EIGH_BLOCK_ELEMENTS", 44 * 25)
+        geometry = Geometry(Topology.CHAIN, (0.0, 0.9, 2.1, 3.0, 4.2))
+        config = DisorderConfig(0.3, 150, seed=9, noise_model=model)
+        full = run_disorder(geometry, config=config)
+        rejected = {NoiseModel.GAUSSIAN_PER_SITE: 8, NoiseModel.GAUSSIAN_PER_GAP: 2}
+        assert full.rejected == rejected.get(model, 0)
+        for k in (1, 60, 107):
+            part = run_disorder(geometry, config=dataclasses.replace(config, samples=k))
+            assert np.array_equal(part.sample_fidelities, full.sample_fidelities[:k])
 
     @pytest.mark.parametrize("n", [4, 9])
     def test_block_budget_does_not_change_report(self, monkeypatch, n):

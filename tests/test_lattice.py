@@ -70,6 +70,21 @@ class TestGeometry:
         with pytest.raises(InvalidGeometryError):
             Geometry.from_json(text)
 
+    @pytest.mark.parametrize("position, text", [
+        (10**400, "1" + "0" * 400), ("x", '"x"'), (None, "null"),
+    ])
+    def test_unconvertible_position_rejected(self, position, text):
+        with pytest.raises((OverflowError, ValueError, TypeError)) as cause:
+            float(position)
+        reason = f"{type(cause.value).__name__}: {cause.value}"
+        with pytest.raises(InvalidGeometryError) as built:
+            Geometry(Topology.CHAIN, (0, position))
+        assert str(built.value) == f"positions must be real numbers ({reason})"
+        # from_json names the same cause under its own heading
+        with pytest.raises(InvalidGeometryError) as parsed:
+            Geometry.from_json(f'{{"topology": "chain", "positions": [0, {text}]}}')
+        assert str(parsed.value) == f"malformed geometry JSON ({reason})"
+
     @pytest.mark.parametrize("topology", list(Topology))
     def test_topology_value_is_the_member(self, topology):
         g = Geometry(topology.value, (0, 1, 2, 3))

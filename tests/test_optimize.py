@@ -101,6 +101,13 @@ class TestOptimizePlacement:
         with pytest.raises(DomainError, match=f"{field} must be non-negative"):
             SearchConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("restarts", 1.5), ("restarts", True), ("seed", 1.5), ("seed", False),
+    ])
+    def test_non_integer_config_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            SearchConfig(**{field: value})
+
 
 def _batched(func):
     """A batched objective that calls the one-point func row by row."""

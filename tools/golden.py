@@ -41,6 +41,13 @@ INVOCATIONS = (
         ["disorder", "--noise-model", "gaussian-gap", "--samples", "2000"],
         ["disorder", "--n", "5", "--error-fraction", "0.05"],
         ["disorder", "--error-fraction", "0"],
+        # the redraw path, the uniform per-gap model and a run of several
+        # eigensolve blocks (163 samples each at N = 5) with redraws in them
+        ["disorder", "--noise-model", "gaussian", "--error-fraction", "0.4",
+         "--samples", "300", "--seed", "5"],
+        ["disorder", "--noise-model", "uniform-gap", "--samples", "500", "--seed", "2"],
+        ["disorder", "--n", "5", "--noise-model", "gaussian", "--error-fraction", "0.3",
+         "--samples", "600", "--seed", "9"],
     ]
 )
 
