@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ExpansionInvalidError
-from .lattice import CouplingSpec, DIPOLE, build_hamiltonian, uniform_chain
+from .lattice import CouplingSpec, DIPOLE, _read_only, build_hamiltonian, uniform_chain
 from .spectral import decompose
 
 
@@ -38,9 +38,7 @@ class BoundStateModel:
     source_n: int
 
     def __post_init__(self):
-        arr = np.asarray(self.coefficients, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
+        _read_only(self, "coefficients")
 
     def as_dict(self) -> dict:
         return {

@@ -286,10 +286,7 @@ def main(argv=None) -> int:
     except (NumericInputError, ConvergenceError, ExpansionInvalidError) as exc:
         print(f"dipolink: numeric error: {exc}", file=sys.stderr)
         return 2
-    except DipolinkError as exc:
-        print(f"dipolink: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DipolinkError, OSError) as exc:
         print(f"dipolink: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -23,8 +23,10 @@ from .lattice import (
     Geometry,
     Topology,
     _hamiltonian_matrices,
+    _read_only,
     _to_count,
     _to_member,
+    _to_real,
     build_hamiltonian,
 )
 from .spectral import _eigh, _eigh_stack_size, fidelity
@@ -54,11 +56,11 @@ class DisorderConfig:
     """Placement-error ensemble: per-site displacement scale and sampling.
 
     ``error_fraction`` is the displacement half-width (uniform) or standard
-    deviation (gaussian) in units of the mean spacing a; it must be finite
-    and non-negative. ``samples`` (at least 1) and ``seed`` (non-negative)
-    must be integers; a bool is not one. A sample whose draw breaks the site
-    ordering is redrawn at most 100 times before the run fails with
-    DomainError.
+    deviation (gaussian) in units of the mean spacing a, a finite,
+    non-negative real number (not a bool) kept as a float. ``samples`` (at
+    least 1) and ``seed`` (non-negative) must be integers; a bool is not one.
+    A sample whose draw breaks the site ordering is redrawn at most 100
+    times before the run fails with DomainError.
     """
 
     error_fraction: float
@@ -68,6 +70,7 @@ class DisorderConfig:
 
     def __post_init__(self):
         _to_member(self, "noise_model", NoiseModel, DomainError)
+        _to_real(self, "error_fraction", DomainError)
         if not 0 <= self.error_fraction < np.inf:
             raise DomainError(
                 "error fraction must be finite and non-negative, "
@@ -100,9 +103,7 @@ class DisorderReport:
     sample_fidelities: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.sample_fidelities, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "sample_fidelities", arr)
+        _read_only(self, "sample_fidelities")
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)[:-1]}

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,15 +65,38 @@ def _to_count(obj, name: str, error):
     object.__setattr__(obj, name, int(value))
 
 
+def _to_real(obj, name: str, error):
+    """Set field ``name``, a real number (not a bool), to a float."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        object.__setattr__(obj, name, float(value))
+    except OverflowError:
+        raise error(f"{name} {value!r} overflows a float") from None
+
+
+def _read_only(obj, *names: str, dtype=float):
+    """Set each field in ``names`` to a read-only array of ``dtype``."""
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class CouplingSpec:
-    """Interaction model and overall coupling constant C (energy * length^3)."""
+    """Interaction model and overall coupling constant C (energy * length^3).
+
+    ``c_const`` is a positive, finite real number (not a bool), kept as a float.
+    """
 
     model: CouplingModel = CouplingModel.DIPOLE
     c_const: float = 2.0
 
     def __post_init__(self):
         _to_member(self, "model", CouplingModel, DomainError)
+        _to_real(self, "c_const", DomainError)
         if not 0 < self.c_const < np.inf:
             raise DomainError(
                 f"coupling constant must be positive and finite, got {self.c_const}"
@@ -188,9 +212,7 @@ class ExcitationHamiltonian:
     coupling: CouplingSpec
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        _read_only(self, "matrix")
 
     @property
     def n(self) -> int:

@@ -34,6 +34,7 @@ from .lattice import (
     Topology,
     _hamiltonian_matrices,
     _to_count,
+    _to_real,
     build_hamiltonian,
 )
 from .spectral import (
@@ -68,9 +69,9 @@ class SearchConfig:
     after 400 iterations. The starts run in lockstep, each round one stacked
     build and one batched eigensolve, in blocks whose stacked matrices hold
     at most 4096 elements, so memory does not grow with ``restarts``. The
-    fidelity constraint ``min_fidelity``, finite and at most 1, is checked
-    at each converged candidate by a peak search over 20 beat periods
-    2 pi / dl.
+    fidelity constraint ``min_fidelity``, a real number (not a bool), finite
+    and at most 1, is checked at each converged candidate by a peak search
+    over 20 beat periods 2 pi / dl.
     """
 
     min_fidelity: float = 0.99
@@ -80,6 +81,7 @@ class SearchConfig:
     def __post_init__(self):
         _to_count(self, "restarts", DomainError)
         _to_count(self, "seed", DomainError)
+        _to_real(self, "min_fidelity", DomainError)
         if not (np.isfinite(self.min_fidelity) and self.min_fidelity <= 1.0):
             raise DomainError(
                 f"min fidelity must be finite and at most 1, got {self.min_fidelity}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericInputError, ShapeError
-from .lattice import ExcitationHamiltonian
+from .lattice import ExcitationHamiltonian, _read_only
 
 # Complex elements per row block of the grid kernel (1 MiB).
 _BLOCK_ELEMENTS = 1 << 16
@@ -35,10 +35,7 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        for name in ("eigenvalues", "eigenvectors"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _read_only(self, "eigenvalues", "eigenvectors")
 
     @property
     def n(self) -> int:
@@ -57,12 +54,10 @@ class SiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        norm = np.linalg.norm(amp)
+        norm = np.linalg.norm(self.amplitudes)
         if abs(norm - 1.0) > 1e-12:
             raise DomainError(f"state norm deviates from 1 by {abs(norm - 1.0):.3g}")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+        _read_only(self, "amplitudes", dtype=complex)
 
     @property
     def n(self) -> int:
@@ -217,10 +212,7 @@ class FidelityCurve:
     samples_per_period: float | None
 
     def __post_init__(self):
-        for name in ("times", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _read_only(self, "times", "values")
         if self.times.shape != self.values.shape:
             raise ShapeError("times and values must have equal length")
 

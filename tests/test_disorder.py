@@ -104,6 +104,17 @@ class TestConfig:
         rep = run_disorder(uniform_chain(4), config=config)
         assert json.loads(json.dumps(rep.as_dict()))["seed"] == 2
 
+    @pytest.mark.parametrize("eps", [False, True, "0.02", None, 10**400])
+    def test_non_real_error_fraction_rejected(self, eps):
+        with pytest.raises(DomainError, match="error_fraction"):
+            DisorderConfig(eps, 5)
+
+    def test_error_fraction_becomes_float(self):
+        config = DisorderConfig(0, 5)
+        assert type(config.error_fraction) is float
+        rep = run_disorder(uniform_chain(4), config=config)
+        assert json.dumps(rep.as_dict()["error_fraction"]) == "0.0"
+
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_non_finite_error_fraction(self, eps):
         with pytest.raises(DomainError, match="finite"):

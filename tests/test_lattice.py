@@ -122,6 +122,16 @@ class TestCouplingSpec:
             with pytest.raises(DomainError):
                 CouplingSpec(CouplingModel.DIPOLE, c_const)
 
+    @pytest.mark.parametrize("c_const", [True, "2", None, 10**400])
+    def test_non_real_constant_rejected(self, c_const):
+        with pytest.raises(DomainError, match="c_const"):
+            CouplingSpec("dipole", c_const)
+
+    def test_real_constant_becomes_float(self):
+        for c_const in (2, np.int64(2), np.float32(2.0)):
+            spec = CouplingSpec("dipole", c_const)
+            assert type(spec.c_const) is float and spec.c_const == 2.0
+
 
 class TestChainHamiltonian:
     def test_two_spin_matrix(self):

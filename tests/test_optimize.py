@@ -108,6 +108,15 @@ class TestOptimizePlacement:
         with pytest.raises(DomainError, match=f"{field} must be an integer"):
             SearchConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [True, "0.9", None, 10**400])
+    def test_non_real_min_fidelity_rejected(self, value):
+        with pytest.raises(DomainError, match="min_fidelity"):
+            SearchConfig(min_fidelity=value)
+
+    def test_min_fidelity_becomes_float(self):
+        config = SearchConfig(min_fidelity=np.float32(0.5))
+        assert type(config.min_fidelity) is float
+
 
 def _batched(func):
     """A batched objective that calls the one-point func row by row."""

@@ -16,6 +16,7 @@ from dipolink import (
     DomainError,
     Geometry,
     NEAREST_NEIGHBOUR,
+    SiteState,
     SpectralDecomposition,
     Topology,
     antipodal_site,
@@ -45,6 +46,20 @@ from conftest import (
 @pytest.fixture(scope="module")
 def dipole_rows():
     return chain_sweep(2, 23)
+
+
+def _counting(monkeypatch):
+    """Patch the grid kernel as find_peak sees it; returns the lengths of
+    its multi-point calls."""
+    scans = []
+
+    def counted(spec, input_state, output_state, times):
+        if len(times) > 1:
+            scans.append(len(times))
+        return propagator_abs_grid(spec, input_state, output_state, times)
+
+    monkeypatch.setattr(transfer, "propagator_abs_grid", counted)
+    return scans
 
 
 class TestSummarizeTransfer:
@@ -224,14 +239,7 @@ class TestWindowMaximum:
         # |f| = |sin t| on the 2-spin chain reaches the cap sum_m |w_m| = 1
         # in the first of the window's three chunks, and no later point can
         # beat it
-        scans = []
-
-        def counted(spec, input_state, output_state, times):
-            if len(times) > 1:
-                scans.append(len(times))
-            return propagator_abs_grid(spec, input_state, output_state, times)
-
-        monkeypatch.setattr(transfer, "propagator_abs_grid", counted)
+        scans = _counting(monkeypatch)
         h = build_hamiltonian(uniform_chain(2))
         f_abs, t_peak, flag = find_peak(
             decompose(h), site_state(2, 1), site_state(2, 2), 1e6
@@ -302,12 +310,13 @@ def large_chains():
     return runs
 
 
-def _dipole_chain_terms(n):
+def _dipole_chain_terms(n, positions=None):
     """Weights <N|m><m|1> and energies E_m - E_0 from numpy eigh of the
-    uniform dipole chain's one-flip matrix, built here from its formula
-    (C = 2, so off-diagonals are 1/r^3; the common ground energy is left
-    out, as |f| does not depend on it)."""
-    sep = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+    dipole chain's one-flip matrix (uniform unless ``positions`` are given),
+    built here from its formula (C = 2, so off-diagonals are 1/r^3; the
+    common ground energy is left out, as |f| does not depend on it)."""
+    r = np.arange(n, dtype=float) if positions is None else np.asarray(positions)
+    sep = np.abs(np.subtract.outer(r, r))
     off = np.divide(1.0, sep**3, out=np.zeros_like(sep), where=sep > 0)
     vals, vecs = np.linalg.eigh(off + np.diag(2.0 * off.sum(axis=1)))
     return vecs[-1] * vecs[0], vals - vals[0]
@@ -473,3 +482,160 @@ class TestNormalizedTime:
         by_n = dict(pairs)
         assert by_n[4] == pytest.approx(0.5759, abs=1e-3)
         assert by_n[2] == pytest.approx(np.pi / 2.0, abs=1e-4)
+
+
+def _complex_terms_spec(w, e):
+    """A spectrum with eigenvectors I and states whose weights are ``w``.
+
+    With eigenvectors the identity, w_m = conj(out_m) in_m; in_m = sqrt|w_m|
+    and out_m = sqrt|w_m| e^{-i arg w_m} give any complex w with
+    sum_m |w_m| = 1.
+    """
+    amp = np.sqrt(np.abs(w))
+    spec = SpectralDecomposition(e, np.eye(len(e)))
+    return spec, SiteState(amp), SiteState(amp * np.exp(-1j * np.angle(w)))
+
+
+def _check_window_maximum(f_abs, t_peak, w, e, t_max):
+    """f_abs matches the direct sum at t_peak, and no sample of a dense grid
+    (12 per fastest period, not aligned with the search grid) beats it."""
+    assert direct_abs(w, e, [t_peak])[0] == pytest.approx(f_abs, abs=1e-9)
+    count = max(int(12 * t_max * (e.max() - e.min()) / (2.0 * np.pi)), 10_000)
+    assert direct_abs(w, e, np.linspace(0.0, t_max, count)).max() <= f_abs + 1e-9
+
+
+class TestBeatEnvelope:
+    """find_peak samples only where |w_a + w_b e^{-i (e_b - e_a) t}| + R,
+    R the weight outside the two heaviest terms, can reach the best sample.
+    The window's maximum must not move."""
+
+    @pytest.mark.parametrize("n", [5, 12, 23])
+    def test_dipole_chain(self, n):
+        h = build_hamiltonian(uniform_chain(n))
+        spec = decompose(h)
+        t_max = default_window(h, spec)
+        f_abs, t_peak, _ = find_peak(spec, site_state(n, 1), site_state(n, n), t_max)
+        _check_window_maximum(f_abs, t_peak, *_dipole_chain_terms(n), t_max)
+
+    def test_placement_over_twenty_beats(self):
+        # optimize_placement(6)'s answer: end gaps 0.425, interior gaps at
+        # the 0.05 floor, verified over 20 beats
+        positions = np.cumsum([0.0, 0.425, 0.05, 0.05, 0.05, 0.425])
+        spec = decompose(build_hamiltonian(Geometry(Topology.CHAIN, tuple(positions))))
+        t_max = 20 * 2.0 * np.pi / spec.splitting
+        f_abs, t_peak, _ = find_peak(spec, site_state(6, 1), site_state(6, 6), t_max)
+        _check_window_maximum(
+            f_abs, t_peak, *_dipole_chain_terms(6, positions), t_max
+        )
+
+    def test_peak_outside_the_band(self, monkeypatch):
+        # a pair of weight 0.3 each beating with period 2 pi (top at pi)
+        # and eight terms of 0.05 lined up with the pair at t0 = pi + 1.5,
+        # where the pair is down to 0.44: the maximum, near t0, lies where
+        # U < sum |w| - R / 10, outside the first pass's band
+        t0 = np.pi + 1.5
+        e = np.r_[0.0, 1.0, 2.0 + 1.3 * np.arange(8)]
+        pair = 0.3 - 0.3 * np.exp(-1j * t0)
+        w = np.r_[0.3, -0.3, 0.05 * np.exp(1j * (np.angle(pair) + e[2:] * t0))]
+        scans = _counting(monkeypatch)
+        f_abs, t_peak, _ = find_peak(*_complex_terms_spec(w, e), 2.0 * np.pi)
+        _check_window_maximum(f_abs, t_peak, w, e, 2.0 * np.pi)
+        assert t_peak == pytest.approx(t0, abs=0.05)
+        assert abs(0.3 - 0.3 * np.exp(-1j * t_peak)) + 0.4 < 1.0 - 0.04
+        assert sum(scans) < 5000
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_spectra(self, seed):
+        # a heavy pair and a bulk of random size, energies and phases,
+        # searched over about three beats
+        gen = np.random.default_rng(seed)
+        bulk = gen.integers(1, 8)
+        mag = np.r_[gen.uniform(0.2, 0.45, 2), gen.uniform(0.0, 1.0, bulk)]
+        mag[2:] *= gen.uniform(0.05, 0.5) / mag[2:].sum()
+        mag /= mag.sum()
+        w = mag * np.exp(2j * np.pi * gen.uniform(size=len(mag)))
+        e = np.sort(np.r_[0.0, gen.uniform(0.0, 20.0, len(mag) - 1)])
+        w = gen.permutation(w)
+        pair = np.argsort(np.abs(w))[-2:]
+        t_max = 3 * 2.0 * np.pi / abs(np.diff(e[pair])[0])
+        f_abs, t_peak, _ = find_peak(*_complex_terms_spec(w, e), t_max)
+        _check_window_maximum(f_abs, t_peak, w, e, t_max)
+
+    def test_scans_under_forty_percent_at_23(self, monkeypatch):
+        h = build_hamiltonian(uniform_chain(23))
+        spec = decompose(h)
+        t_max = default_window(h, spec)
+        scans = _counting(monkeypatch)
+        find_peak(spec, site_state(23, 1), site_state(23, 23), t_max)
+        bandwidth = spec.eigenvalues[-1] - spec.eigenvalues[0]
+        assert sum(scans) < 0.4 * transfer._grid_size(t_max, bandwidth)
+
+    @pytest.mark.parametrize(
+        "n, coupling, topology",
+        [
+            (10, NEAREST_NEIGHBOUR, "chain"),
+            (8, DIPOLE, "ring"),
+            (9, NEAREST_NEIGHBOUR, "ring"),
+        ],
+    )
+    def test_short_beats_are_sampled_in_few_calls(
+        self, monkeypatch, n, coupling, topology
+    ):
+        # nn chains and rings beat within a few hundred grid points, so the
+        # ranges around their beat maxima merge into one call per chunk
+        # (plus the window's last interval and the second pass's edges)
+        geometry = uniform_chain(n) if topology == "chain" else ring(n)
+        h = build_hamiltonian(geometry, coupling)
+        spec = decompose(h)
+        output = n if topology == "chain" else antipodal_site(n)
+        states = site_state(n, 1), site_state(n, output)
+        t_max = default_window(h, spec)
+        scans = _counting(monkeypatch)
+        f_abs, t_peak, _ = find_peak(spec, *states, t_max)
+        assert len(scans) <= 4
+        v = spec.eigenvectors
+        w = v[output - 1] * v[0]
+        _check_window_maximum(f_abs, t_peak, w, spec.eigenvalues, t_max)
+
+    @pytest.mark.parametrize(
+        "w, e",
+        [
+            # the two heaviest terms share an energy, so they do not beat
+            ([0.1, 0.35, -0.35j, 0.2], [0.0, 1.0, 1.0, 2.5]),
+            # one nonzero weight: no pair at all
+            ([0.0, 1.0, 0.0], [0.0, 0.5, 2.0]),
+            # a partner below 1e-9 of the heaviest weight counts as none
+            ([1.0 - 1e-12, 1e-12], [0.0, 1.0]),
+        ],
+        ids=["degenerate-pair", "single-weight", "negligible-partner"],
+    )
+    def test_no_beat_samples_the_whole_window(self, monkeypatch, w, e):
+        # with one weight |f| is the cap sum |w_m| at every t, so the first
+        # call certifies the peak and stops the scan
+        w, e = np.array(w), np.array(e)
+        scans = _counting(monkeypatch)
+        f_abs, t_peak, _ = find_peak(*_complex_terms_spec(w, e), 200.0)
+        assert scans == [transfer._grid_size(200.0, e.max() - e.min())]
+        _check_window_maximum(f_abs, t_peak, w, e, 200.0)
+
+    def test_two_spin_chain_over_a_long_window(self, monkeypatch):
+        # 3.2e8 beats in the window: the first chunk reaches the cap, and
+        # ranges are built a chunk at a time, here only for the first
+        scans = _counting(monkeypatch)
+        chunks = []
+
+        def recorded(pair, level, c0, step, npts):
+            chunks.append(c0)
+            return envelope_ranges(pair, level, c0, step, npts)
+
+        envelope_ranges = transfer._envelope_ranges
+        monkeypatch.setattr(transfer, "_envelope_ranges", recorded)
+        h = build_hamiltonian(uniform_chain(2))
+        f_abs, t_peak, flag = find_peak(
+            decompose(h), site_state(2, 1), site_state(2, 2), 1e9
+        )
+        assert f_abs == pytest.approx(1.0, abs=1e-12)
+        assert t_peak == pytest.approx(np.pi / 2.0, abs=1e-8)
+        assert not flag
+        assert len(scans) <= 2
+        assert chunks == [0]
