@@ -4,9 +4,14 @@ Every spin (ends included) is displaced independently, the Hamiltonian is
 rebuilt, and the state is evolved for exactly the clean system's peak time.
 A sample fails when the fidelity at that nominal time drops below the
 classical threshold 2/3. Per-sample randomness derives solely from
-(seed, sample index), so reports are reproducible and order-independent.
-Samples are drawn and evaluated a block at a time, so memory beyond the
-per-sample fidelities does not grow with the sample count.
+(seed, sample index): sample k draws from PCG64(SeedSequence((seed, k))),
+exactly the generator np.random.default_rng((seed, k)) returns, so reports
+are reproducible and order-independent. Samples are drawn and evaluated a
+block at a time, so memory beyond the per-sample fidelities does not grow
+with the sample count. A block's generator states are computed in one
+vectorized pass that replicates numpy's SeedSequence hash and PCG64's
+seeding (a test pins it against numpy), then loaded in turn into one
+generator.
 """
 
 from __future__ import annotations
@@ -34,6 +39,12 @@ from .transfer import end_to_end_summary
 
 CLASSICAL_THRESHOLD = 2.0 / 3.0
 _MAX_REDRAWS = 100
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 class NoiseModel(enum.Enum):
@@ -109,6 +120,70 @@ class DisorderReport:
         return {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
 
 
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash of uint32 arrays: each call XORs in the running
+    constant, steps it by ``mult`` and multiplies by it."""
+
+    def hash_(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return hash_
+
+
+def _pcg64_states(seed: int, lo: int, hi: int) -> list[dict]:
+    """Bit-generator states of np.random.default_rng((seed, k)), k = lo .. hi - 1.
+
+    That generator is PCG64(SeedSequence((seed, k))). SeedSequence hashes
+    the little-endian uint32 words of seed, then of k, into a 4-word pool
+    (past 4 words each extra word is mixed into every pool word), and
+    generate_state(4, uint64) hashes the pool into 128-bit s and i; PCG64
+    then sets inc = 2 i + 1 and state = (s + inc) * mult + inc mod 2^128.
+    The hash runs on all k at once, except that k below 2^32 and k from
+    2^32 on are hashed apart, the former having one entropy word fewer.
+    k must stay below 2^64.
+    """
+    seed_words = [seed & _MASK32]
+    while seed := seed >> 32:
+        seed_words.append(seed & _MASK32)
+    states = []
+    for start, stop in ((lo, min(hi, 1 << 32)), (max(lo, 1 << 32), hi)):
+        if start >= stop:
+            continue
+        k = np.arange(start, stop, dtype=np.uint64)
+        words = [np.full(len(k), word, np.uint32) for word in seed_words]
+        words.append(k.astype(np.uint32))
+        if start >> 32:
+            words.append((k >> 32).astype(np.uint32))
+        words += [np.zeros(len(k), np.uint32)] * (4 - len(words))
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(word) for word in words[:4]]
+
+        def mix(dst, value):
+            mixed = pool[dst] * _MIX_L - hashmix(value) * _MIX_R
+            pool[dst] = mixed ^ mixed >> 16
+
+        for src in range(4):
+            for dst in range(4):
+                if dst != src:
+                    mix(dst, pool[src])
+        for word in words[4:]:
+            for dst in range(4):
+                mix(dst, word)
+        generate = _hasher(_INIT_B, _MULT_B)
+        out = np.stack([generate(pool[i % 4]) for i in range(8)], axis=1)
+        for s_hi, s_lo, i_hi, i_lo in out.astype("<u4").view("<u8").tolist():
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+            states.append({"bit_generator": "PCG64",
+                           "state": {"state": state, "inc": inc},
+                           "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def _draw(rng: np.random.Generator, uniform: bool, size: int) -> np.ndarray:
     """One draw of ``size`` unscaled shifts, from U(-1, 1) or N(0, 1)."""
     return rng.uniform(-1.0, 1.0, size) if uniform else rng.standard_normal(size)
@@ -124,11 +199,14 @@ def run_disorder(
     The clean geometry's peak time t_nominal is fixed first; each sample
     evolves |1> for exactly t_nominal on its perturbed chain. Samples are
     drawn and evaluated a block of at most 4096 matrix elements at a time:
+    one vectorized pass for the generator states of the block's samples,
     one draw per sample, then one vectorized perturbation, one stacked
     build, one batched eigensolve and one vectorized evaluation per block.
-    A draw that breaks the site ordering is redrawn (and counted as
-    rejected). Memory beyond the per-sample fidelities does not grow with
-    the sample count.
+    Sample k draws from PCG64(SeedSequence((seed, k))), exactly
+    np.random.default_rng((seed, k)); its state is loaded into one reused
+    generator. A draw that breaks the site ordering is redrawn from the same
+    stream (and counted as rejected). Memory beyond the per-sample
+    fidelities does not grow with the sample count.
     """
     if geometry.topology is not Topology.CHAIN:
         raise InvalidGeometryError("disorder analysis is defined for chains")
@@ -162,14 +240,17 @@ def run_disorder(
     block = _eigh_stack_size(n * n)
     draws = np.zeros((min(block, config.samples), n))
     rejected = 0
+    # one generator, loaded with each sample's state before its draws
+    rng = np.random.default_rng(0)
     for lo in range(0, config.samples, block):
         rows = draws[: config.samples - lo]
-        for i in range(len(rows)):
-            rng = np.random.default_rng((config.seed, lo + i))
-            rows[i, -size:] = _draw(rng, uniform, size)
+        states = _pcg64_states(config.seed, lo, lo + len(rows))
+        for row, state in zip(rows, states):
+            rng.bit_generator.state = state
+            row[-size:] = _draw(rng, uniform, size)
         chains, broken = perturb(rows)
         for i in np.flatnonzero(broken):
-            rng = np.random.default_rng((config.seed, lo + i))
+            rng.bit_generator.state = states[i]
             _draw(rng, uniform, size)  # replays the rejected draw
             for _ in range(_MAX_REDRAWS):
                 rejected += 1

@@ -250,7 +250,8 @@ def find_peak(
     the kept intervals (subdivided whenever they outnumber a chunk) and the
     run heads that can still reach the best sample, whatever the window.
     Once a sample comes within tolerance of the cap sum_m |w_m|, no later
-    point can beat it by more than that, and the scan stops.
+    point can beat it by more than that: the scan stops, and only the kept
+    intervals up to that sample are subdivided.
     """
     if not 0 < t_max < np.inf:
         raise DomainError(f"search window must be positive and finite, got {t_max}")
@@ -288,21 +289,41 @@ def find_peak(
     # the heads within tolerance of the highest one can be refined below, so
     # the rest are dropped as they fall behind.
     heads = np.empty((2, 0))
+    # The earliest sample known to come within tolerance of the cap, at
+    # t_cap, certifies the height by itself, and the earliest run that does
+    # is reported: the run holding t_cap or an earlier one. So only the kept
+    # intervals that start before t_cap + step / 2 are subdivided: those up
+    # to the one holding it, and the one starting at it, whatever the
+    # roundoff in a subdivided sample's time.
+    cut = np.inf
+
+    def reach_cap(vals, time_of):
+        """Lower the cut for samples ``vals``; ``time_of`` maps flat indices
+        of them to times."""
+        nonlocal cut
+        if vals.max(initial=-np.inf) >= cap - tol:
+            first = time_of(np.flatnonzero(vals >= cap - tol)).min()
+            cut = min(cut, first + step / 2.0)
 
     def subdivide(kept):
         nonlocal best, heads
         kept = np.concatenate(kept, axis=1)
+        kept = kept[:, kept[0] < cut]
         # runs need time order, and the two sampling passes break it
         kept = kept[:, np.argsort(kept[0], kind="stable")]
         kept = kept[:, survivors(kept[1], kept[2], step)]
         found = [heads]
         for lo in range(0, kept.shape[1], _BATCH):
-            starts, left, right = kept[:, lo : lo + _BATCH]
+            batch = kept[:, lo : lo + _BATCH]
+            starts, left, right = batch[:, batch[0] < cut]
+            if not len(starts):
+                break
             h = step
             for sub in subs:
                 h /= sub
                 vals = abs_runs(w, e, starts, h, sub + 1)
                 best = vals.max(initial=best)
+                reach_cap(vals, lambda i: starts[i // (sub + 1)] + h * (i % (sub + 1)))
                 rows, cols = np.nonzero(survivors(vals[:, :-1], vals[:, 1:], h))
                 starts = starts[rows] + h * cols
                 left, right = vals[rows, cols], vals[rows, cols + 1]
@@ -321,6 +342,13 @@ def find_peak(
     # points with it, within 2 % of that from R / 5 to R / 20, and 1.54M
     # with R / 2, against 4.91M on the whole grid.
     pair = _beat_pair(w, e)
+    # In a window of more than two beats (so with two beat maxima or more),
+    # each shorter than _MERGE grid steps, all bands of a chunk merge into
+    # one range and the envelope could prune only the chunk's two ends, each
+    # under a beat. Such windows (nn chains, rings) are sampled whole, in
+    # one call per chunk.
+    if pair and pair[4] < _MERGE * step and t_max > 2.0 * pair[4]:
+        pair = None
     band = cap - pair[2] / 10.0 if pair else cap
 
     def ranges():
@@ -345,6 +373,7 @@ def find_peak(
         fa = propagator_abs_grid(spec, input_state, output_state, times)
         del times
         best = max(best, fa.max())
+        reach_cap(fa, lambda i: (lo + i) * step)
         keep = np.flatnonzero(survivors(fa[:-1], fa[1:], step))
         kept.append(np.stack(((lo + keep) * step, fa[keep], fa[keep + 1])))
         if hi == npts - 1:

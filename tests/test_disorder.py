@@ -3,10 +3,15 @@ the full 10^4-sample paper configuration)."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dipolink
 from dipolink import (
     CLASSICAL_THRESHOLD,
     DIPOLE,
@@ -255,6 +260,37 @@ class TestRunDisorder:
         assert rep.error_fraction == 0.02 and rep.noise_model == "gaussian-gap"
 
 
+class TestSeeding:
+    @pytest.mark.parametrize("seed", [
+        0, 5, 2**32 - 1,  # one uint32 word
+        2**32, 2**64 - 1,  # two
+        2**64 + 3,  # three
+        2**100, 2**200 + 12345,  # four and seven: the extra pool mixing
+    ])
+    def test_states_match_numpy(self, seed):
+        # k = 0..300 in one block, and a block straddling k = 2^32, where
+        # the entropy grows by a word
+        for lo, hi in ((0, 301), (2**32 - 2, 2**32 + 2)):
+            got = disorder._pcg64_states(seed, lo, hi)
+            want = [np.random.default_rng((seed, k)).bit_generator.state
+                    for k in range(lo, hi)]
+            assert got == want
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        src = str(Path(dipolink.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, dipolink.cli; print('numpy.random' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestBatchedEnsemble:
     @pytest.mark.parametrize("model", list(NoiseModel))
     @pytest.mark.parametrize("coupling", [DIPOLE, NEAREST_NEIGHBOUR])
@@ -278,24 +314,26 @@ class TestBatchedEnsemble:
         assert rep.mean_f_at_nominal_time == want.mean()
 
     def test_redraw_cap(self, monkeypatch):
-        generators = []
+        seen = []
 
         def never_ordered(rng, uniform, size):
-            # every site lands far behind its left neighbour
-            generators.append(rng)
+            # every site lands far behind its left neighbour; draws nothing,
+            # so the stream stays where the call found it
+            seen.append(rng.bit_generator.state)
             return -1e3 * np.arange(size)
 
         monkeypatch.setattr(disorder, "_draw", never_ordered)
         with pytest.raises(DomainError, match="sample 0: exceeded 100 redraws"):
             run_disorder(uniform_chain(4), config=DisorderConfig(0.02, 10))
-        # one draw per sample of the block, then sample 0's own generator
-        # again: the replayed first draw and exactly _MAX_REDRAWS redraws
-        block, failing = generators[:10], generators[10:]
-        assert len({id(rng) for rng in block}) == 10
+        # one draw per sample of the block from its own stream, then sample
+        # 0's stream again: the replayed first draw and exactly _MAX_REDRAWS
+        # redraws
+        block, failing = seen[:10], seen[10:]
+        assert block == [np.random.default_rng((0, k)).bit_generator.state
+                         for k in range(10)]
         assert len(failing) == 1 + disorder._MAX_REDRAWS
-        assert all(rng is failing[0] for rng in failing)
-        assert (failing[0].bit_generator.state
-                == np.random.default_rng((0, 0)).bit_generator.state)
+        first = np.random.default_rng((0, 0)).bit_generator.state
+        assert all(state == first for state in failing)
 
     @pytest.mark.parametrize("model", list(NoiseModel))
     def test_sample_does_not_depend_on_sample_count(self, monkeypatch, model):

@@ -581,9 +581,9 @@ class TestBeatEnvelope:
     def test_short_beats_are_sampled_in_few_calls(
         self, monkeypatch, n, coupling, topology
     ):
-        # nn chains and rings beat within a few hundred grid points, so the
-        # ranges around their beat maxima merge into one call per chunk
-        # (plus the window's last interval and the second pass's edges)
+        # nn chains and rings beat within a few hundred grid points, many
+        # times per window, so the ranges around their beat maxima would
+        # merge; the window is sampled whole, in one call
         geometry = uniform_chain(n) if topology == "chain" else ring(n)
         h = build_hamiltonian(geometry, coupling)
         spec = decompose(h)
@@ -592,7 +592,8 @@ class TestBeatEnvelope:
         t_max = default_window(h, spec)
         scans = _counting(monkeypatch)
         f_abs, t_peak, _ = find_peak(spec, *states, t_max)
-        assert len(scans) <= 4
+        bandwidth = spec.eigenvalues[-1] - spec.eigenvalues[0]
+        assert scans == [transfer._grid_size(t_max, bandwidth)]
         v = spec.eigenvectors
         w = v[output - 1] * v[0]
         _check_window_maximum(f_abs, t_peak, w, spec.eigenvalues, t_max)
@@ -620,16 +621,24 @@ class TestBeatEnvelope:
 
     def test_two_spin_chain_over_a_long_window(self, monkeypatch):
         # 3.2e8 beats in the window: the first chunk reaches the cap, and
-        # ranges are built a chunk at a time, here only for the first
+        # ranges are built a chunk at a time, here only for the first. That
+        # chunk holds 131k equal peaks; the coarse sample at the first one,
+        # t = pi / 2, reaches the cap, and no interval past the coarse step
+        # after it (pi / 8 wide) is screened.
         scans = _counting(monkeypatch)
-        chunks = []
+        chunks, screened = [], []
 
         def recorded(pair, level, c0, step, npts):
             chunks.append(c0)
             return envelope_ranges(pair, level, c0, step, npts)
 
-        envelope_ranges = transfer._envelope_ranges
+        def screen(w, e, starts, step, count):
+            screened.extend(starts)
+            return abs_runs(w, e, starts, step, count)
+
+        envelope_ranges, abs_runs = transfer._envelope_ranges, transfer.abs_runs
         monkeypatch.setattr(transfer, "_envelope_ranges", recorded)
+        monkeypatch.setattr(transfer, "abs_runs", screen)
         h = build_hamiltonian(uniform_chain(2))
         f_abs, t_peak, flag = find_peak(
             decompose(h), site_state(2, 1), site_state(2, 2), 1e9
@@ -639,3 +648,4 @@ class TestBeatEnvelope:
         assert not flag
         assert len(scans) <= 2
         assert chunks == [0]
+        assert 0 < len(screened) and max(screened) < np.pi / 2.0 + np.pi / 8.0

@@ -48,6 +48,12 @@ INVOCATIONS = (
         ["disorder", "--noise-model", "uniform-gap", "--samples", "500", "--seed", "2"],
         ["disorder", "--n", "5", "--noise-model", "gaussian", "--error-fraction", "0.3",
          "--samples", "600", "--seed", "9"],
+        # seeds of two and four uint32 words (2^32 and 2^100), which change
+        # the generator seeding's entropy length; the last one redraws
+        ["disorder", "--seed", "4294967296"],
+        ["disorder", "--seed", "1267650600228229401496703205376"],
+        ["disorder", "--seed", "1267650600228229401496703205376", "--noise-model",
+         "gaussian", "--error-fraction", "0.45", "--n", "6"],
     ]
 )
 
