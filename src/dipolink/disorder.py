@@ -264,13 +264,14 @@ def run_disorder(
                     "error fraction too large for this geometry"
                 )
 
-        # f = sum_m v[N-1, m] v[0, m] e^{-i E_m t}, which does not depend on
-        # the eigenvector signs; |f| by hypot, which is how abs() of a complex
+        # f = sum_m v[N-1, m] v[0, m] e^{-i (E_m - E_0) t}, independent of the
+        # eigenvector signs; |f| by hypot, which is how abs() of a complex
         # scalar computes it, so each sample matches its one-chain evaluation.
         h, _ = _hamiltonian_matrices(chains, Topology.CHAIN, coupling)
         energies, vectors = _eigh(h)
         w = vectors[:, n - 1, :] * vectors[:, 0, :]
-        f = np.sum(w * np.exp(-1j * energies * t_nominal), axis=-1)
+        e = energies - energies[:, :1]
+        f = np.sum(w * np.exp(-1j * e * t_nominal), axis=-1)
         f_abs = np.minimum(np.hypot(f.real, f.imag), 1.0)
         values[lo : lo + len(rows)] = fidelity(f_abs)
 

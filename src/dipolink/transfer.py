@@ -9,7 +9,8 @@ just the beat. The beat also bounds the curve: with a, b the two heaviest
 terms, |f| never exceeds the pair's beat envelope plus the rest's weight, so
 the grid is sampled only where that envelope can still reach the best sample
 found. A second-derivative bound then screens the sampled intervals that
-could hold the maximum before golden-section refinement localizes it.
+could hold the maximum, and Newton steps on |f|^2 from the best sample of
+each surviving run land on its peak to float resolution in t.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .spectral import (
     transfer_terms,
 )
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # Most parts a kept interval is cut into per round of the bounded screen,
 # and how many coarse intervals are screened together, which bounds the
 # screen's memory: on an exactly periodic curve (the 2-spin chain) screening
@@ -58,6 +58,10 @@ _CHUNK = 1 << 20
 # window of short beats (nn chains, rings) takes one call per chunk, not one
 # per beat.
 _MERGE = 1 << 16
+# Candidate peaks refined together, and the Newton steps each batch takes
+# from within one final subinterval of its peaks.
+_NEWTON_BATCH = 64
+_NEWTON_STEPS = 4
 # Coarse-grid samples per period of the fastest frequency; the search
 # tolerance; splittings at or below the floor are degenerate; the nn-chain
 # window in inverse nn couplings, after Bose's search horizon.
@@ -82,33 +86,6 @@ class TransferSummary:
     period: float | None
     length: float | None
     boundary_peak: bool = False
-
-
-def _golden_max(func, lo: float, hi: float, tol: float):
-    """Golden-section maximization on [lo, hi] to the given x tolerance.
-
-    Where two float spacings of the bracket's end exceed ``tol`` (past
-    t = 2^22 for tol = 1e-9) the bracket stops at them instead, and it stops
-    as soon as a step fails to shrink it, so the loop ends at any t.
-    """
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = func(c), func(d)
-    while b - a > max(tol, 2.0 * np.spacing(b)):
-        span = b - a
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = func(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = func(d)
-        if b - a >= span:
-            break
-    x = c if fc >= fd else d
-    return x, max(fc, fd)
 
 
 def default_window(h: ExcitationHamiltonian, spec: SpectralDecomposition) -> float:
@@ -221,13 +198,16 @@ def find_peak(
     M = sum_m |w_m| (E_m - c)^2 (``curvature_bound``), every interval [a, b]
     of width h obeys |f| <= max(|f(a)|, |f(b)|) + M h^2 / 8. The coarse-grid
     intervals whose bound reaches the best sample are subdivided until
-    M h^2 / 8 is below the 1e-9 tolerance, and each surviving run of them is
-    golden-refined to 1e-9 in time, or to two float spacings of t where
-    those are wider (past t = 2^22). Up to roundoff in evaluating f, the
-    returned height is therefore within 1e-9 of max |f| over [0, t_max]. The
-    reported time is the earliest refined peak within that tolerance of the
-    bound on the maximum; the boundary flag is set when the best value sits
-    on the window's trailing edge (window too small).
+    M h^2 / 8 is below the 1e-9 tolerance. From the best sample of each
+    surviving run, 4 Newton steps on g = |f|^2, with g' = 2 Re(conj(f) f')
+    and g'' = 2 (|f'|^2 + Re(conj(f) f'')), taken only where g'' < 0 and
+    within one final subinterval, reach the root of g' to a few float
+    spacings of t, however flat the peak. Up to roundoff in evaluating f,
+    the returned height, never below the run's best sample, is within 1e-9
+    of max |f| over [0, t_max]. The reported time is the earliest refined
+    peak within that tolerance of the bound on the maximum; the boundary
+    flag is set when the best value sits on the window's trailing edge
+    (window too small).
 
     Only grid intervals where the beat envelope can still reach the best
     sample are sampled. With a, b the two heaviest terms of w and
@@ -391,21 +371,37 @@ def find_peak(
     # Every maximum lies within the final excess above its run's best
     # sample, and past a stop the unscanned rest lies below the cap, so the
     # window's maximum is at most the ceiling below. Runs are refined in
-    # time order; the reported peak is the earliest that comes within
-    # tolerance of the ceiling, hence of the true maximum.
+    # time order, a batch at a time, by Newton steps on |f|^2 that stay
+    # within width of the run's head; the reported peak is the earliest
+    # that comes within tolerance of the ceiling, hence of the true maximum.
     ceiling = max(top.max() + excess, cap if stopped else -np.inf)
 
     def f_of(t: float) -> float:
         return propagator_abs_grid(spec, input_state, output_state, np.array([t]))[0]
 
+    terms = np.stack((w, -1j * e * w, -e * e * w), axis=1)
+    candidates = np.flatnonzero(top + excess >= ceiling - tol)
     t_peak, f_peak = 0.0, -1.0
-    for i in np.flatnonzero(top + excess >= ceiling - tol):
-        t, f = _golden_max(
-            f_of, max(at[i] - width, 0.0), min(at[i] + width, t_max), tol
-        )
-        if f > f_peak:
-            t_peak, f_peak = t, f
-        if f >= ceiling - tol:
+    for lo in range(0, len(candidates), _NEWTON_BATCH):
+        i = candidates[lo : lo + _NEWTON_BATCH]
+        t = at[i]
+        t_lo, t_hi = np.maximum(t - width, 0.0), np.minimum(t + width, t_max)
+        for _ in range(_NEWTON_STEPS):
+            f, df, ddf = (np.exp(-1j * np.outer(t, e)) @ terms).T
+            slope = 2.0 * np.real(np.conj(f) * df)
+            bend = 2.0 * (np.abs(df) ** 2 + np.real(np.conj(f) * ddf))
+            move = np.divide(-slope, bend, out=np.zeros_like(t), where=bend < 0.0)
+            t = np.clip(t + np.clip(move, -width, width), t_lo, t_hi)
+        for k, t_k in zip(i, t):
+            # a refined point below the run's best sample keeps the sample
+            f = f_of(t_k)
+            if f < top[k]:
+                t_k, f = at[k], top[k]
+            if f > f_peak:
+                t_peak, f_peak = t_k, f
+            if f >= ceiling - tol:
+                break
+        if f_peak >= ceiling - tol:
             break
     boundary_flag = bool(boundary and abs(t_peak - t_max) <= 2.0 * step)
     return f_peak, t_peak, boundary_flag

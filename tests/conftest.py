@@ -98,22 +98,34 @@ def expm_transfer_abs(
     return float(abs(expm(-1j * t * block)[target - 1, source - 1]))
 
 
-def rk4_evolve(matrix: np.ndarray, psi0: np.ndarray, t_final: float, dt: float):
-    """Integrate i dpsi/dt = H psi from 0 to t_final with fixed-step RK4."""
+def rk4_evolve(matrix: np.ndarray, psi0: np.ndarray, times, dt: float):
+    """Integrate i dpsi/dt = H psi from 0 with fixed-step RK4.
+
+    ``times`` is one positive time, for which the state there is returned,
+    or an ascending sequence of them, for which the states at each are
+    returned from one integration. The step is t_last / ceil(t_last / dt),
+    and every time must fall on a whole number of steps.
+    """
+    checkpoints = np.atleast_1d(np.asarray(times, dtype=float))
+    step = checkpoints[-1] / np.ceil(checkpoints[-1] / dt)
+    marks = np.rint(checkpoints / step).astype(int)
+    assert np.allclose(marks * step, checkpoints, rtol=1e-12, atol=0.0)
     psi = psi0.astype(complex).copy()
-    steps = int(np.ceil(t_final / dt))
-    step = t_final / steps if steps else 0.0
 
     def rhs(p):
         return -1j * (matrix @ p)
 
-    for _ in range(steps):
-        k1 = rhs(psi)
-        k2 = rhs(psi + 0.5 * step * k1)
-        k3 = rhs(psi + 0.5 * step * k2)
-        k4 = rhs(psi + step * k3)
-        psi = psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return psi
+    states, done = [], 0
+    for mark in marks:
+        for _ in range(done, mark):
+            k1 = rhs(psi)
+            k2 = rhs(psi + 0.5 * step * k1)
+            k3 = rhs(psi + 0.5 * step * k2)
+            k4 = rhs(psi + step * k3)
+            psi = psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        done = mark
+        states.append(psi)
+    return states if np.ndim(times) else states[0]
 
 
 def nn_chain_eigenpairs(n: int, j: float = 1.0) -> tuple[np.ndarray, np.ndarray]:

@@ -77,8 +77,8 @@ def reference_fidelities(geometry, coupling, config):
         drawn = reference_draw(geometry, config, k)
         h = build_hamiltonian(Geometry(Topology.CHAIN, tuple(drawn)), coupling)
         spec = decompose(h)
-        w, _ = spectral.transfer_terms(spec, site_state(n, 1), site_state(n, n))
-        f = np.sum(w * np.exp(-1j * spec.eigenvalues * t_nominal))
+        w, e = spectral.transfer_terms(spec, site_state(n, 1), site_state(n, n))
+        f = np.sum(w * np.exp(-1j * e * t_nominal))
         values.append(fidelity(min(abs(f), 1.0)))
     return t_nominal, np.array(values)
 

@@ -251,8 +251,8 @@ class TestPropagator:
         spec = decompose(h)
         psi0 = np.zeros(n)
         psi0[0] = 1.0
-        for t in (1.0, 10.0, 100.0):
-            psi = rk4_evolve(h.matrix, psi0, t, dt=1e-3)
+        times = (1.0, 10.0, 100.0)
+        for t, psi in zip(times, rk4_evolve(h.matrix, psi0, times, dt=1e-3)):
             f_oracle = abs(psi[-1])
             f_eig = _abs_at(spec, site_state(n, 1), site_state(n, n), t)
             assert f_eig == pytest.approx(f_oracle, abs=1e-8)

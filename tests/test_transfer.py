@@ -262,21 +262,6 @@ class TestWindowMaximum:
         assert direct_abs(w, e, times).max() <= f_abs + 1e-9
 
 
-def test_golden_refinement_ends_past_float_resolution():
-    # past t = 2^23 adjacent doubles are 1.9e-9 apart, wider than the 1e-9
-    # tolerance, so the bracket stops at two float spacings instead
-    calls = []
-
-    def f(t):
-        calls.append(t)
-        if len(calls) > 200:
-            raise AssertionError("golden refinement did not stop")
-        return -((t - 9e6 - 0.25) ** 2)
-
-    t, _ = transfer._golden_max(f, 9e6 - 1.0, 9e6 + 1.0, 1e-9)
-    assert t == pytest.approx(9e6 + 0.25, abs=1e-8)
-
-
 # Runs end_to_end_summary on the uniform dipole chain of argv[1] spins and
 # prints its f_max, t_peak and the process's peak RSS (KiB).
 _LARGE_N_HARNESS = """
@@ -649,3 +634,79 @@ class TestBeatEnvelope:
         assert len(scans) <= 2
         assert chunks == [0]
         assert 0 < len(screened) and max(screened) < np.pi / 2.0 + np.pi / 8.0
+
+
+def _slope(w, e, t):
+    """d|f|^2/dt = 2 Re(conj(f) f') at t, from the direct sums
+    f = sum_m w_m e^{-i e_m t} and f' = sum_m -i e_m w_m e^{-i e_m t}."""
+    phase = np.exp(-1j * e * t)
+    f, df = np.dot(phase, w), np.dot(phase, -1j * e * w)
+    return 2.0 * (f.real * df.real + f.imag * df.imag)
+
+
+def _stationary_point(w, e, lo, hi):
+    """The root of d|f|^2/dt in [lo, hi], where it falls, by bisection down
+    to adjacent doubles."""
+    assert _slope(w, e, lo) > 0.0 > _slope(w, e, hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _slope(w, e, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def _nn_chain_case(n, t_max):
+    e, v = nn_chain_eigenpairs(n)
+    states = site_state(n, 1), site_state(n, n)
+    return (SpectralDecomposition(e, v), *states), v[-1] * v[0], e, t_max
+
+
+def _ring_case(n):
+    w, e = ring_transfer_terms(n, 1, antipodal_site(n))
+    order = np.argsort(e, kind="stable")
+    w, e = w[order], e[order] - e[order][0]
+    return _complex_terms_spec(w, e), w, e, 10.0 * n
+
+
+def _three_term_case():
+    w = np.array([0.5, 0.3 * np.exp(2.0j), 0.2 * np.exp(-1.0j)])
+    e = np.array([0.0, 1.0, np.sqrt(7.0)])
+    return _complex_terms_spec(w, e), w, e, 50.0
+
+
+class TestNewtonRefinement:
+    """find_peak's Newton steps on |f|^2 land on the stationary point of the
+    peak to float resolution in t."""
+
+    def test_peak_past_float_resolution(self):
+        # f = (1 - e^{-i t / 2^22}) / 2 peaks once in the window, at
+        # t = pi 2^22 > 2^23, where adjacent doubles are 1.9e-9 apart and
+        # the peak is so flat that |f| is 1 to float resolution over +-0.1
+        w, e = np.array([0.5, -0.5]), np.array([0.0, 2.0**-22])
+        f_abs, t_peak, _ = find_peak(*_complex_terms_spec(w, e), 2e7)
+        t_exact = np.pi * 2.0**22
+        assert abs(t_peak - t_exact) <= 2.0 * np.spacing(t_exact)
+        assert f_abs == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: _nn_chain_case(64, 40.0),
+            lambda: _nn_chain_case(1024, 600.0),
+            lambda: _ring_case(30),
+            lambda: _ring_case(1024),
+            _three_term_case,
+        ],
+        ids=["nn-64", "nn-1024", "ring-30", "ring-1024", "three-terms"],
+    )
+    def test_lands_on_the_stationary_point(self, case):
+        # Each phase e_m t is rounded to within half a float spacing of t
+        # times e_m, so package and test each evaluate the slope at times
+        # that are off by about one spacing; four spacings cover both and
+        # the summation.
+        args, w, e, t_max = case()
+        _, t_peak, _ = find_peak(*args, t_max)
+        half = 2.0 * np.pi / e.max() / 16.0
+        t_root = _stationary_point(w, e, t_peak - half, t_peak + half)
+        assert abs(t_peak - t_root) <= 4.0 * np.spacing(t_root)
