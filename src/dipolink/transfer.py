@@ -52,7 +52,7 @@ _BATCH = 1 << 14
 # Coarse-grid points per kernel call. The kernel factorizes a call of K
 # points into sqrt(K)-wide rows, so shorter chunks are slower: 2^18 costs
 # the chain sweep 15-20 % wall, while 2^20 holds every chain-sweep grid
-# (at most 774k points) in one call.
+# (at most 387k points) in one call.
 _CHUNK = 1 << 20
 # Ranges of grid points closer than this are sampled by one call, so a
 # window of short beats (nn chains, rings) takes one call per chunk, not one
@@ -64,8 +64,13 @@ _NEWTON_BATCH = 64
 _NEWTON_STEPS = 4
 # Coarse-grid samples per period of the fastest frequency; the search
 # tolerance; splittings at or below the floor are degenerate; the nn-chain
-# window in inverse nn couplings, after Bose's search horizon.
-_OVERSAMPLE = 8.0
+# window in inverse nn couplings, after Bose's search horizon. The screen
+# and the Newton steps, not the coarse step, set the answer to within the
+# tolerance, so the density trades coarse points against subdivided ones.
+# Over chain-sweep 2..23, 8 samples evaluate 1.13M coarse and 1.7k
+# subdivided points, 4 samples 570k and 2.8k, 3 samples 435k and 5.0k, and
+# 2 samples 292k and 30k.
+_OVERSAMPLE = 4.0
 _TOLERANCE = 1e-9
 _DEGENERATE_FLOOR = 1e-9
 _NN_CHAIN_WINDOW = 4000.0
@@ -192,9 +197,11 @@ def find_peak(
 ):
     """Locate the first global peak of |f(t)| over the window [0, t_max].
 
-    Returns ``(f_abs_max, t_peak, boundary_flag)``. A coarse grid of 8
+    Returns ``(f_abs_max, t_peak, boundary_flag)``. A coarse grid of 4
     samples per period of the fastest spectral frequency (at least 5000
-    points) seeds the search. With the overlap weights w_m and
+    points) seeds the search; its density changes how many points are
+    evaluated, and the height is certified either way. With the overlap
+    weights w_m and
     M = sum_m |w_m| (E_m - c)^2 (``curvature_bound``), every interval [a, b]
     of width h obeys |f| <= max(|f(a)|, |f(b)|) + M h^2 / 8. The coarse-grid
     intervals whose bound reaches the best sample are subdivided until
@@ -207,7 +214,9 @@ def find_peak(
     of max |f| over [0, t_max]. The reported time is the earliest refined
     peak within that tolerance of the bound on the maximum; the boundary
     flag is set when the best value sits on the window's trailing edge
-    (window too small).
+    (window too small): the last coarse interval rises and t_peak lies
+    within two coarse steps of t_max, half the fastest period (less where
+    the 5000-point floor sets the grid).
 
     Only grid intervals where the beat envelope can still reach the best
     sample are sampled. With a, b the two heaviest terms of w and
@@ -318,9 +327,9 @@ def find_peak(
 
     # Envelope pruning (see the docstring). U is exact while the samples
     # of f are not, so its level drops by a second slack. The band's level
-    # sum_m |w_m| - R / 10 was measured: chain-sweep 2..23 samples 1.13M
-    # points with it, within 2 % of that from R / 5 to R / 20, and 1.54M
-    # with R / 2, against 4.91M on the whole grid.
+    # sum_m |w_m| - R / 10 was measured: chain-sweep 2..23 samples 570k
+    # points with it, within 1.5 % of that from R / 5 to R / 20, and 775k
+    # with R / 2, against 2.47M on the whole grid.
     pair = _beat_pair(w, e)
     # In a window of more than two beats (so with two beat maxima or more),
     # each shorter than _MERGE grid steps, all bands of a chunk merge into

@@ -433,3 +433,33 @@ class TestGoldenInvocations:
         golden = _golden_tool()
         names = [golden._name(argv) for argv in golden.INVOCATIONS]
         assert len(set(names)) == len(names)
+
+
+class TestGoldenCompare:
+    """tools/golden.py --compare passes records that differ only in numbers
+    and reports the largest difference."""
+
+    @pytest.mark.parametrize(
+        "name, after, code, shown",
+        [
+            ("a.stdout", "n,f\n23,0.84510572476506507\n", 0, None),
+            ("a.stdout", "n,f\n23,0.84510572476510504\n", 0, "max abs 4e-14"),
+            ("a.stdout", "n,f\n23,0.84510572476506507,True\n", 1, "more than numbers"),
+            ("a.stdout", "n,f\n23,nan\n", 1, "more than numbers"),
+            ("a.code", "1\n", 1, "more than numbers"),
+            ("b.stdout", "", 1, "missing on one side"),
+        ],
+        ids=["identical", "numbers", "text", "nan", "exit-code", "missing"],
+    )
+    def test_compare(self, tmp_path, capsys, name, after, code, shown):
+        before = {"a.stdout": "n,f\n23,0.84510572476506507\n", "a.code": "0\n"}
+        for side, files in (("A", before), ("B", {**before, name: after})):
+            (tmp_path / side).mkdir()
+            for file, text in files.items():
+                (tmp_path / side / file).write_text(text)
+        assert _golden_tool().compare(tmp_path / "A", tmp_path / "B") == code
+        out = capsys.readouterr().out
+        if shown is None:
+            assert out == "2 of 2 files identical\n"
+        else:
+            assert shown in out

@@ -308,7 +308,7 @@ def _dipole_chain_terms(n, positions=None):
 
 
 class TestLargeN:
-    """The N = 128 chain's one-beat window needs 1.3e8 grid points and peaks
+    """The N = 128 chain's one-beat window needs 6.7e7 grid points and peaks
     past t = 2^23, where adjacent doubles are wider than the tolerance."""
 
     @staticmethod
@@ -710,3 +710,85 @@ class TestNewtonRefinement:
         half = 2.0 * np.pi / e.max() / 16.0
         t_root = _stationary_point(w, e, t_peak - half, t_peak + half)
         assert abs(t_peak - t_root) <= 4.0 * np.spacing(t_root)
+
+
+def _dipole_23(cut=None):
+    """The N = 23 dipole chain over its default window, or over one that
+    ends ``cut`` after (if negative, before) that window's peak."""
+    h = build_hamiltonian(uniform_chain(23))
+    spec = decompose(h)
+    args = spec, site_state(23, 1), site_state(23, 23)
+    t_max = default_window(h, spec)
+    if cut is not None:
+        t_max = find_peak(*args, t_max)[1] + cut
+    return args, t_max
+
+
+class TestGridDensity:
+    """The screen's curvature bound and the Newton refinement, not the
+    coarse grid's density, set find_peak's height and time; the density
+    trades coarse points against subdivided ones and sets how far the
+    boundary flag reaches."""
+
+    @pytest.mark.parametrize(
+        "case, flagged",
+        [
+            # 4000 inverse couplings, the nn chain's default window, puts
+            # even 2 samples per fastest period above the 5000-point floor
+            (lambda: (_nn_chain_case(64, 4000.0)[0], 4000.0), False),
+            (lambda: (_ring_case(30)[0], 4000.0), False),
+            (_dipole_23, False),
+            # cut on the rising edge 0.01 before the peak: the window's
+            # maximum is its last point
+            (lambda: _dipole_23(-0.01), True),
+        ],
+        ids=["nn-64", "ring-30", "dipole-23", "dipole-23-rising-edge"],
+    )
+    def test_density_does_not_move_the_peak(self, monkeypatch, case, flagged):
+        args, t_max = case()
+        f_abs, t_peak, flag = find_peak(*args, t_max)
+        assert flag == flagged
+        bandwidth = np.ptp(args[0].eigenvalues)
+        for samples in (8.0, 2.0):
+            monkeypatch.setattr(transfer, "_OVERSAMPLE", samples)
+            assert transfer._grid_size(t_max, bandwidth) > 5000
+            other = find_peak(*args, t_max)
+            assert abs(other[0] - f_abs) <= 1e-12
+            assert abs(other[1] - t_peak) <= 4.0 * np.spacing(t_peak)
+            assert other[2] == flag
+
+    @pytest.mark.parametrize("periods, flagged", [(0.1, True), (0.2, False)])
+    def test_boundary_flag_reach(self, periods, flagged):
+        # A window that ends just past its peak, on the falling side, is
+        # flagged while the last coarse interval still rises into the edge,
+        # up to about half a coarse step past the peak: an eighth of the
+        # fastest period T at 4 samples per period (a sixteenth at 8, a
+        # quarter at 2).
+        args, t_max = _dipole_23()
+        fastest = 2.0 * np.pi / np.ptp(args[0].eigenvalues)
+        args, t_max = _dipole_23(periods * fastest)
+        _, t_peak, flag = find_peak(*args, t_max)
+        assert t_peak < t_max - 0.05 * fastest
+        assert flag == flagged
+
+    def test_points_evaluated_over_the_chain_sweep(self, monkeypatch):
+        # About 1.2x the 570k coarse and 2.8k subdivided points measured at 4
+        # samples per fastest period. For the same answers, 8 samples
+        # evaluate 1.13M coarse points, and 2 samples 30k subdivided ones
+        # (1 sample: 1.3M).
+        coarse, subdivided = [], []
+        grid, runs = transfer.propagator_abs_grid, transfer.abs_runs
+
+        def counted_grid(spec, input_state, output_state, times):
+            coarse.append(len(times))
+            return grid(spec, input_state, output_state, times)
+
+        def counted_runs(w, e, starts, step, count):
+            subdivided.append(len(starts) * count)
+            return runs(w, e, starts, step, count)
+
+        monkeypatch.setattr(transfer, "propagator_abs_grid", counted_grid)
+        monkeypatch.setattr(transfer, "abs_runs", counted_runs)
+        chain_sweep(2, 23)
+        assert sum(coarse) <= 685_000
+        assert sum(subdivided) <= 3_400

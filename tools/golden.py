@@ -1,8 +1,9 @@
-"""Record the CLI's output for a fixed list of invocations, for byte-identity checks.
+"""Record the CLI's output for a fixed list of invocations, and compare records.
 
 Usage:
 
     python3 tools/golden.py OUTDIR
+    python3 tools/golden.py --compare OUTDIR_A OUTDIR_B
 
 Runs every invocation in ``INVOCATIONS`` in-process through
 ``dipolink.cli.main``, imported from the ``src`` directory next to this
@@ -10,11 +11,20 @@ script, and writes ``<name>.stdout``, ``<name>.stderr`` and ``<name>.code``
 (the exit code) under OUTDIR. Run it in two checkouts and compare with
 ``diff -r OUTDIR_A OUTDIR_B``: no output means every invocation printed the
 same bytes and exited with the same code.
+
+``--compare`` checks two such records for a change that may move numbers
+in their last digits but nothing else. For every file whose bytes differ it
+prints whether every difference is in a numeric token (the text between
+the numbers, and how many there are, being the same) and the largest
+absolute and relative difference of those tokens. It exits 1 if some file
+differs in anything but numbers, is missing on one side, or is an exit code
+(``.code``) that changed, and 0 otherwise.
 """
 
 import contextlib
 import io
 import os
+import re
 import sys
 import warnings
 
@@ -84,7 +94,57 @@ def main(outdir: str) -> int:
     return 0
 
 
+# A decimal number with optional sign and exponent; splitting on it with a
+# group gives text and numbers alternately, the numbers at odd indices.
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _numeric_difference(text_a: str, text_b: str):
+    """(max absolute, max relative) difference of the numeric tokens of two
+    texts, or None when they differ in anything but those tokens."""
+    parts_a, parts_b = _NUMBER.split(text_a), _NUMBER.split(text_b)
+    if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+        return None
+    worst_abs = worst_rel = 0.0
+    for a, b in zip(map(float, parts_a[1::2]), map(float, parts_b[1::2])):
+        gap = abs(a - b)
+        worst_abs = max(worst_abs, gap)
+        if gap:
+            worst_rel = max(worst_rel, gap / max(abs(a), abs(b)))
+    return worst_abs, worst_rel
+
+
+def _read(path: str) -> str:
+    with open(path, newline="") as fh:
+        return fh.read()
+
+
+def compare(dir_a: str, dir_b: str) -> int:
+    names = sorted(set(os.listdir(dir_a)) | set(os.listdir(dir_b)))
+    same, failed = 0, False
+    for name in names:
+        paths = os.path.join(dir_a, name), os.path.join(dir_b, name)
+        if not all(os.path.isfile(p) for p in paths):
+            print(f"{name}: missing on one side")
+            failed = True
+            continue
+        text_a, text_b = map(_read, paths)
+        if text_a == text_b:
+            same += 1
+            continue
+        gaps = None if name.endswith(".code") else _numeric_difference(text_a, text_b)
+        if gaps is None:
+            print(f"{name}: differs in more than numbers")
+            failed = True
+        else:
+            print(f"{name}: numbers only, max abs {gaps[0]:.3g}, max rel {gaps[1]:.3g}")
+    print(f"{same} of {len(names)} files identical")
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(sys.argv[2], sys.argv[3]))
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     sys.exit(main(sys.argv[1]))
