@@ -26,6 +26,7 @@ default C = 2 the nearest-neighbour coupling C/(2 a^3) equals 1 at a = 1.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import numbers
 from dataclasses import dataclass, field
@@ -231,11 +232,16 @@ def _pair_distances(positions: np.ndarray, topology: Topology) -> np.ndarray:
     return np.minimum(sep, n - sep)
 
 
-def _neighbour_mask(n: int, topology: Topology, coupling: CouplingSpec) -> np.ndarray:
-    """True where a pair interacts under the given coupling model."""
-    if coupling.model is CouplingModel.DIPOLE:
-        return ~np.eye(n, dtype=bool)
-    return _pair_distances(np.arange(n), topology) == 1
+@functools.lru_cache(maxsize=32)
+def _neighbour_mask(n: int, topology: Topology, model: CouplingModel) -> np.ndarray:
+    """True where a pair interacts under the given coupling model; one
+    read-only array per (n, topology, model)."""
+    if model is CouplingModel.DIPOLE:
+        mask = ~np.eye(n, dtype=bool)
+    else:
+        mask = _pair_distances(np.arange(n), topology) == 1
+    mask.setflags(write=False)
+    return mask
 
 
 def _hamiltonian_matrices(
@@ -251,7 +257,7 @@ def _hamiltonian_matrices(
     """
     n = positions.shape[-1]
     dist = _pair_distances(positions, topology)
-    mask = _neighbour_mask(n, topology, coupling)
+    mask = _neighbour_mask(n, topology, coupling.model)
     with np.errstate(over="ignore", divide="ignore"):
         inv3 = np.divide(1.0, dist**3, out=np.zeros_like(dist), where=mask)
     coupled = inv3[..., mask]

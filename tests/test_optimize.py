@@ -209,7 +209,9 @@ class TestLockstepBlocks:
     """Blocks of starts bound memory without changing any result."""
 
     @pytest.mark.parametrize("n, seed", [
-        (4, 0), (5, 0), (6, 0), (7, 0), (8, 0), (6, 9), (6, 12),
+        # seed 16 spends 961 of its 1198 rounds with every point below the
+        # gap floor
+        (4, 0), (5, 0), (6, 0), (7, 0), (8, 0), (6, 9), (6, 12), (6, 16),
     ])
     def test_one_start_per_block_gives_the_same_run(self, monkeypatch, n, seed):
         blocks = []
@@ -257,6 +259,33 @@ class TestStackedObjective:
         for g, tau in zip(gaps[~below], stacked[~below]):
             spec = dipolink.decompose(build_hamiltonian(optimize._geometry_from_gaps(g)))
             assert tau == np.pi / spec.splitting
+
+    def test_all_below_the_floor_skips_build_and_eigensolve(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("no chain to build or solve")
+
+        monkeypatch.setattr(optimize, "_hamiltonian_matrices", unreachable)
+        monkeypatch.setattr(optimize, "_eigh", unreachable)
+        # each row puts one gap of a 6-spin chain at 0.04, below the floor
+        free = np.array([[0.04, 0.3], [0.3, 0.04], [0.04, 0.04]])
+        gaps = optimize._gaps_from_free(free, 6)
+        tau = optimize._tau(gaps, dipolink.DIPOLE)
+        assert tau.shape == (3,) and np.all(tau == np.inf)
+
+    def test_rounds_below_the_floor_cost_no_eigensolve(self, monkeypatch):
+        # seed 16 runs the 1198-round cap plus the uniform chain's tau, 1199
+        # eigensolves if every round made one; 961 of its rounds hold no
+        # point above the floor
+        solves = []
+        own = optimize._eigh
+
+        def counted(matrices):
+            solves.append(len(matrices))
+            return own(matrices)
+
+        monkeypatch.setattr(optimize, "_eigh", counted)
+        optimize_placement(6, config=SearchConfig(seed=16))
+        assert len(solves) <= 240
 
 
 # Runs one placement search and prints whether any scipy module got loaded.

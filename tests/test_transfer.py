@@ -513,6 +513,24 @@ class TestBeatEnvelope:
             f_abs, t_peak, *_dipole_chain_terms(6, positions), t_max
         )
 
+    def test_beat_just_under_the_merge_span(self, monkeypatch):
+        # optimize_placement(6, seed=35)'s answer: over 20 beats its two
+        # heaviest terms beat every 65.3k grid steps, just under 2^16, so
+        # merging ranges up to 2^16 apart sampled all 1.3M grid points
+        gaps = [0.4165294686355143, 0.05000000000058281, 0.06694106272780576,
+                0.05000000000058281, 0.4165294686355143]
+        positions = np.cumsum([0.0, *gaps])
+        spec = decompose(build_hamiltonian(Geometry(Topology.CHAIN, tuple(positions))))
+        args = spec, site_state(6, 1), site_state(6, 6), 20 * 2.0 * np.pi / spec.splitting
+        scans = _counting(monkeypatch)
+        peak = find_peak(*args)
+        assert sum(scans) < 100_000
+        # the same answer as sampling the whole window
+        monkeypatch.setattr(transfer, "_MERGE", 1 << 16)
+        scans.clear()
+        assert find_peak(*args) == peak
+        assert sum(scans) > 1_000_000
+
     def test_peak_outside_the_band(self, monkeypatch):
         # a pair of weight 0.3 each beating with period 2 pi (top at pi)
         # and eight terms of 0.05 lined up with the pair at t0 = pi + 1.5,
