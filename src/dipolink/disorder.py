@@ -11,7 +11,8 @@ block at a time, so memory beyond the per-sample fidelities does not grow
 with the sample count. A block's generator states are computed in one
 vectorized pass that replicates numpy's SeedSequence hash and PCG64's
 seeding (a test pins it against numpy), then loaded in turn into one
-generator.
+generator. The same replica, with PCG64's step and numpy's uniform map in
+Python ints, draws the placement search's restart perturbations.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ _MAX_REDRAWS = 100
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 class NoiseModel(enum.Enum):
@@ -134,54 +135,93 @@ def _hasher(const: int, mult: int):
     return hash_
 
 
+def _words(value: int) -> list[int]:
+    """The little-endian uint32 words of a non-negative int, as SeedSequence
+    splits its entropy: one word for 0."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seeded_pcg64(words: list[np.ndarray]) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) when seeded from SeedSequence(entropy), for every
+    entropy held column by column in ``words``, its uint32 words in order,
+    each word one uint32 array.
+
+    SeedSequence hashes the words into a 4-word pool (past 4 words each
+    extra word is mixed into every pool word), and generate_state(4, uint64)
+    hashes the pool into 128-bit s and i; PCG64 then sets inc = 2 i + 1 and
+    state = (s + inc) * mult + inc mod 2^128. The hash runs on all columns
+    at once.
+    """
+    words = words + [np.zeros_like(words[0])] * (4 - len(words))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words[:4]]
+
+    def mix(dst, value):
+        mixed = pool[dst] * _MIX_L - hashmix(value) * _MIX_R
+        pool[dst] = mixed ^ mixed >> 16
+
+    for src in range(4):
+        for dst in range(4):
+            if dst != src:
+                mix(dst, pool[src])
+    for word in words[4:]:
+        for dst in range(4):
+            mix(dst, word)
+    generate = _hasher(_INIT_B, _MULT_B)
+    out = np.stack([generate(pool[i % 4]) for i in range(8)], axis=1)
+    seeded = []
+    for s_hi, s_lo, i_hi, i_lo in out.astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
+        seeded.append((state, inc))
+    return seeded
+
+
 def _pcg64_states(seed: int, lo: int, hi: int) -> list[dict]:
     """Bit-generator states of np.random.default_rng((seed, k)), k = lo .. hi - 1.
 
-    That generator is PCG64(SeedSequence((seed, k))). SeedSequence hashes
-    the little-endian uint32 words of seed, then of k, into a 4-word pool
-    (past 4 words each extra word is mixed into every pool word), and
-    generate_state(4, uint64) hashes the pool into 128-bit s and i; PCG64
-    then sets inc = 2 i + 1 and state = (s + inc) * mult + inc mod 2^128.
-    The hash runs on all k at once, except that k below 2^32 and k from
-    2^32 on are hashed apart, the former having one entropy word fewer.
-    k must stay below 2^64.
+    That generator is PCG64(SeedSequence((seed, k))), whose entropy is the
+    uint32 words of seed, then of k. k below 2^32 and k from 2^32 on are
+    seeded apart, the former having one entropy word fewer. k must stay
+    below 2^64.
     """
-    seed_words = [seed & _MASK32]
-    while seed := seed >> 32:
-        seed_words.append(seed & _MASK32)
     states = []
     for start, stop in ((lo, min(hi, 1 << 32)), (max(lo, 1 << 32), hi)):
         if start >= stop:
             continue
         k = np.arange(start, stop, dtype=np.uint64)
-        words = [np.full(len(k), word, np.uint32) for word in seed_words]
+        words = [np.full(len(k), word, np.uint32) for word in _words(seed)]
         words.append(k.astype(np.uint32))
         if start >> 32:
             words.append((k >> 32).astype(np.uint32))
-        words += [np.zeros(len(k), np.uint32)] * (4 - len(words))
-        hashmix = _hasher(_INIT_A, _MULT_A)
-        pool = [hashmix(word) for word in words[:4]]
-
-        def mix(dst, value):
-            mixed = pool[dst] * _MIX_L - hashmix(value) * _MIX_R
-            pool[dst] = mixed ^ mixed >> 16
-
-        for src in range(4):
-            for dst in range(4):
-                if dst != src:
-                    mix(dst, pool[src])
-        for word in words[4:]:
-            for dst in range(4):
-                mix(dst, word)
-        generate = _hasher(_INIT_B, _MULT_B)
-        out = np.stack([generate(pool[i % 4]) for i in range(8)], axis=1)
-        for s_hi, s_lo, i_hi, i_lo in out.astype("<u4").view("<u8").tolist():
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = ((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128
-            states.append({"bit_generator": "PCG64",
-                           "state": {"state": state, "inc": inc},
-                           "has_uint32": 0, "uinteger": 0})
+        states += [{"bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+                   for state, inc in _seeded_pcg64(words)]
     return states
+
+
+def _uniform_stream(seed: int, low: float, high: float, size: int) -> list[float]:
+    """np.random.default_rng(seed).uniform(low, high, size) as floats, bit
+    for bit, without numpy.random.
+
+    default_rng(seed) is PCG64(SeedSequence(seed)). Each draw steps the
+    128-bit LCG, outputs the XSL-RR of the new state, and maps its top 53
+    bits u to low + (high - low) * (u * 2^-53), as numpy's uniform does.
+    """
+    ((state, inc),) = _seeded_pcg64([np.array([word], np.uint32)
+                                     for word in _words(seed)])
+    span = high - low
+    draws = []
+    for _ in range(size):
+        state = state * _PCG_MULT + inc & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        draws.append(low + span * ((x >> 11) * 2.0**-53))
+    return draws
 
 
 def _draw(rng: np.random.Generator, uniform: bool, size: int) -> np.ndarray:

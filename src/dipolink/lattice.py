@@ -224,22 +224,22 @@ class ExcitationHamiltonian:
 
 
 def _pair_distances(positions: np.ndarray, topology: Topology) -> np.ndarray:
-    """(..., N, N) site distances for (..., N) positions."""
-    sep = np.abs(positions[..., :, None] - positions[..., None, :])
-    if topology is Topology.CHAIN:
-        return sep
-    n = positions.shape[-1]
-    return np.minimum(sep, n - sep)
+    """(..., N, N) site distances for (..., N) positions, in a new array."""
+    sep = positions[..., :, None] - positions[..., None, :]
+    np.abs(sep, out=sep)
+    if topology is Topology.RING:
+        np.minimum(sep, positions.shape[-1] - sep, out=sep)
+    return sep
 
 
 @functools.lru_cache(maxsize=32)
-def _neighbour_mask(n: int, topology: Topology, model: CouplingModel) -> np.ndarray:
-    """True where a pair interacts under the given coupling model; one
-    read-only array per (n, topology, model)."""
+def _apart_mask(n: int, topology: Topology, model: CouplingModel) -> np.ndarray:
+    """True where a pair does not interact under the given coupling model
+    (the diagonal among them); one read-only array per (n, topology, model)."""
     if model is CouplingModel.DIPOLE:
-        mask = ~np.eye(n, dtype=bool)
+        mask = np.eye(n, dtype=bool)
     else:
-        mask = _pair_distances(np.arange(n), topology) == 1
+        mask = _pair_distances(np.arange(n), topology) != 1
     mask.setflags(write=False)
     return mask
 
@@ -253,27 +253,36 @@ def _hamiltonian_matrices(
     over the last axes, so each matrix is the same to the bit whether it is
     built alone or in a stack. A geometry whose 1/r^3 for some interacting
     pair is 0 or not finite (positions [0, 1e120] or [0, 1e-120]) raises
-    InvalidGeometryError.
+    InvalidGeometryError for the whole stack.
+
+    The stack is formed in the distance array. Each distance is cubed and
+    inverted in place, with the pairs that do not interact set to 1 in
+    between, so that one min and one max over the stack check every
+    coupling; those pairs are then zeroed, and the on-site terms are written
+    through a strided view of the diagonal.
     """
     n = positions.shape[-1]
-    dist = _pair_distances(positions, topology)
-    mask = _neighbour_mask(n, topology, coupling.model)
+    inv3 = _pair_distances(positions, topology)
+    apart = _apart_mask(n, topology, coupling.model)
     with np.errstate(over="ignore", divide="ignore"):
-        inv3 = np.divide(1.0, dist**3, out=np.zeros_like(dist), where=mask)
-    coupled = inv3[..., mask]
-    if not np.all(np.isfinite(coupled) & (coupled > 0)):
+        np.power(inv3, 3, out=inv3)
+        np.copyto(inv3, 1.0, where=apart)
+        np.divide(1.0, inv3, out=inv3)
+    if not (0.0 < inv3.min() and inv3.max() < np.inf):
         raise InvalidGeometryError(
             "a pair distance overflows or underflows its 1/r^3 coupling"
         )
+    np.copyto(inv3, 0.0, where=apart)
 
     c = coupling.c_const
     # Heisenberg nn bonds carry half the dipole on-site coefficient.
     diag_coef = c if coupling.model is CouplingModel.DIPOLE else 0.5 * c
     ground = -0.25 * diag_coef * inv3.sum(axis=(-2, -1))  # k<l pair sum, counted twice
-    h = 0.5 * c * inv3
-    idx = np.arange(n)
-    h[..., idx, idx] = ground[..., None] + diag_coef * inv3.sum(axis=-1)
-    return h, ground
+    onsite = diag_coef * inv3.sum(axis=-1)
+    inv3 *= 0.5 * c
+    diagonal = inv3.reshape(inv3.shape[:-2] + (n * n,))[..., :: n + 1]
+    np.add(ground[..., None], onsite, out=diagonal)
+    return inv3, ground
 
 
 def build_hamiltonian(

@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .disorder import _uniform_stream
 from .errors import DomainError, InfeasibleConstraintError
 from .lattice import (
     CouplingSpec,
@@ -63,8 +64,9 @@ class SearchConfig:
     """Controls the mirror-symmetric placement search.
 
     Each of the ``restarts`` extra starts perturbs every free gap of the
-    uniform chain by up to a quarter of the uniform gap, drawn from
-    ``seed``; both must be non-negative integers, not bools. Gaps below
+    uniform chain by up to a quarter of the uniform gap, drawn as
+    np.random.default_rng(seed).uniform would draw them (without loading
+    numpy.random); both must be non-negative integers, not bools. Gaps below
     0.05 are rejected. Nelder-Mead stops at xatol 1e-7 and fatol 1e-12 or
     after 400 iterations. The starts run in lockstep, each round one stacked
     build and one batched eigensolve of its points above the floor (none if
@@ -159,14 +161,17 @@ def _tau(gaps: np.ndarray, coupling: CouplingSpec) -> np.ndarray:
     The feasible chains are built in one stack and solved in one batched
     eigensolve, without the Geometry and ExcitationHamiltonian of the public
     path; each dl is the one ``decompose`` returns for that chain alone, bit
-    for bit. A stack with no feasible chain (about 30 % of the rounds of an
-    N = 6 search) is all inf without a build or an eigensolve.
+    for bit. Their pair distances lie between the 0.05 floor and the unit
+    length, so every coupling is finite and the eigensolve scans no entry.
+    A stack with no feasible chain (about 30 % of the rounds of an N = 6
+    search) is all inf without a build or an eigensolve.
     """
     tau = np.full(len(gaps), np.inf)
     feasible = ~(gaps < _GAP_MIN).any(axis=-1)
-    if not feasible.any():
+    count = np.count_nonzero(feasible)
+    if not count:
         return tau
-    positions = np.zeros((np.count_nonzero(feasible), gaps.shape[-1] + 1))
+    positions = np.zeros((count, gaps.shape[-1] + 1))
     np.cumsum(gaps[feasible], axis=-1, out=positions[:, 1:])
     h, _ = _hamiltonian_matrices(positions, Topology.CHAIN, coupling)
     vals, _ = _eigh(h)
@@ -175,71 +180,79 @@ def _tau(gaps: np.ndarray, coupling: CouplingSpec) -> np.ndarray:
     return tau
 
 
-def _sort_simplex(sim: np.ndarray, fsim: np.ndarray):
-    ind = fsim.argsort()
-    return sim[ind], fsim[ind]
+def _sort_simplex(sim: list, fsim: list):
+    order = np.array(fsim).argsort().tolist()
+    return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def _nelder_mead(x0: np.ndarray):
-    """Minimize from x0 as a generator: yields each (k, n) stack of points it
-    needs, is sent their k values, and returns (lowest value, its vertex).
+def _nelder_mead(x0):
+    """Minimize from x0 as a generator: yields each list of k points it needs,
+    each point a list of floats, is sent their k values as floats, and
+    returns (lowest value, its vertex as an array).
 
     Repeats scipy 1.17's unbounded, non-adaptive Nelder-Mead (``minimize``
     with xatol 1e-7, fatol 1e-12, maxiter 400) operation for operation, so
     it asks for the same points in the same order and returns the same bits.
-    The initial simplex and a shrink ask for all their points at once, every
-    other step for one. Reflection, expansion, contraction and shrink
-    coefficients are rho = 1, chi = 2, psi = 0.5 and sigma = 0.5, written out
-    below as their products. A start with no free parameter is its own
-    minimum.
+    The simplex is held in Python floats, which round each operation as
+    numpy does; numpy's ``argsort`` orders the vertices, so ties fall as in
+    scipy. The initial simplex and a shrink ask for all their points at
+    once, every other step for one. Reflection, expansion, contraction and
+    shrink coefficients are rho = 1, chi = 2, psi = 0.5 and sigma = 0.5,
+    written out below as their products; the centroid adds the vertices in
+    order, as numpy's reduction over the simplex's first axis does. A start
+    with no free parameter is its own minimum.
     """
     n = len(x0)
-    sim = np.tile(np.asarray(x0, dtype=float), (n + 1, 1))
-    for k in range(n):
-        sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0 else 0.00025
-    fsim = np.array((yield sim), dtype=float)
+    x0 = [float(v) for v in x0]
+    sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1 :]
+                  for k, v in enumerate(x0)]
+    fsim = list((yield sim))
     # sorted twice, as scipy does: argsort need not keep ties in place
     sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
     iterations = 1
     while n and iterations < _MAXITER:
-        if (abs(sim[1:] - sim[0]).max() <= _XATOL
-                and abs(fsim[0] - fsim[1:]).max() <= _FATOL):
+        best, last = sim[0], sim[-1]
+        if (all(abs(v - b) <= _XATOL for x in sim[1:] for v, b in zip(x, best))
+                and all(abs(fsim[0] - f) <= _FATOL for f in fsim[1:])):
             break
-        last = sim[-1]  # the worst vertex, a view
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - last
-        (fxr,) = yield xr[None]
+        xbar = best
+        for x in sim[1:-1]:
+            xbar = [a + v for a, v in zip(xbar, x)]
+        xbar = [a / n for a in xbar]
+        xr = [2 * a - v for a, v in zip(xbar, last)]
+        (fxr,) = yield [xr]
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * last
-            (fxe,) = yield xe[None]
-            last[:], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            xe = [3 * a - 2 * v for a, v in zip(xbar, last)]
+            (fxe,) = yield [xe]
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
-            last[:], fsim[-1] = xr, fxr
+            sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * last
-                (fxc,) = yield xc[None]
+                xc = [1.5 * a - 0.5 * v for a, v in zip(xbar, last)]
+                (fxc,) = yield [xc]
                 shrink = not fxc <= fxr
             else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * last
-                (fxc,) = yield xc[None]
+                xc = [0.5 * a + 0.5 * v for a, v in zip(xbar, last)]
+                (fxc,) = yield [xc]
                 shrink = not fxc < fsim[-1]
             if shrink:
-                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                sim[1:] = [[b + 0.5 * (v - b) for b, v in zip(best, x)]
+                           for x in sim[1:]]
                 fsim[1:] = yield sim[1:]
             else:
-                last[:], fsim[-1] = xc, fxc
+                sim[-1], fsim[-1] = xc, fxc
         iterations += 1
         sim, fsim = _sort_simplex(sim, fsim)
-    return fsim.min(), sim[0]
+    return min(fsim), np.array(sim[0])
 
 
 def _lockstep(func, starts) -> list:
     """Run ``_nelder_mead`` from every start together; (value, vertex,
     evaluations) per start.
 
-    Each round concatenates the points every unfinished start asks for and
-    evaluates them in one call of func, which maps a (k, n) stack of points
+    Each round stacks the points every unfinished start asks for and
+    evaluates them in one call of func, which maps a (k, n) array of points
     to k values, so every start takes the steps it would take alone.
     """
     runs = [_nelder_mead(x0) for x0 in starts]
@@ -247,17 +260,32 @@ def _lockstep(func, starts) -> list:
     calls = [0] * len(runs)
     ends = [None] * len(runs)
     while asks:
-        values = func(np.concatenate(list(asks.values())))
+        values = func(np.array([x for points in asks.values() for x in points]))
+        values = values.tolist()
         lo = 0
         for i, points in list(asks.items()):
+            hi = lo + len(points)
             calls[i] += len(points)
             try:
-                asks[i] = runs[i].send(values[lo : lo + len(points)])
+                asks[i] = runs[i].send(values[lo:hi])
             except StopIteration as stop:
                 del asks[i]
                 ends[i] = (*stop.value, calls[i])
-            lo += len(points)
+            lo = hi
     return ends
+
+
+def _starts(n: int, config: SearchConfig) -> list[np.ndarray]:
+    """The uniform free-gap vector, then ``config.restarts`` perturbations of
+    it: each adds nfree draws of np.random.default_rng(config.seed)'s
+    uniform(-s, s), s a quarter of the uniform gap, to the uniform vector,
+    drawn in turn from one stream."""
+    nfree = n_free_gaps(n)
+    uniform_free = np.full(nfree, 1.0 / (n - 1))
+    scale = _PERTURBATION / (n - 1)
+    draws = _uniform_stream(config.seed, -scale, scale, config.restarts * nfree)
+    return [uniform_free] + [uniform_free + draws[k * nfree : (k + 1) * nfree]
+                             for k in range(config.restarts)]
 
 
 def optimize_placement(
@@ -283,23 +311,17 @@ def optimize_placement(
     if n < 3:
         raise DomainError(f"need at least 3 spins to optimize, got {n}")
     nfree = n_free_gaps(n)
-    uniform_free = np.full(nfree, 1.0 / (n - 1))
+    starts = _starts(n, config)
+    uniform_free = starts[0]
 
     def objective(x: np.ndarray) -> np.ndarray:
         return _tau(_gaps_from_free(x, n), coupling)  # tau at unit length
 
-    rng = np.random.default_rng(config.seed)
-    starts = [uniform_free]
-    scale = _PERTURBATION / (n - 1)
-    for _ in range(config.restarts):
-        starts.append(uniform_free + rng.uniform(-scale, scale, size=nfree))
-
     # a round evaluates at most nfree + 1 points per start
     block = _eigh_stack_size((nfree + 1) * n * n)
     ends = []
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, len(starts), block):
-            ends += _lockstep(objective, starts[lo : lo + block])
+    for lo in range(0, len(starts), block):
+        ends += _lockstep(objective, starts[lo : lo + block])
     evaluations = sum(calls for _, _, calls in ends)
     candidates = [(float(value), x) for value, x, _ in ends if np.isfinite(value)]
 

@@ -77,10 +77,10 @@ def _eigh(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK ``eigh`` of one symmetric matrix or a stack of them.
 
     Each matrix of a stack is solved exactly as it would be alone. Eigenvector
-    signs are LAPACK's.
+    signs are LAPACK's. The entries are not scanned here: ``decompose``
+    checks the matrices users hand it, and the package's own stacks come
+    from ``_hamiltonian_matrices``, whose couplings are checked finite.
     """
-    if not np.all(np.isfinite(matrices)):
-        raise NumericInputError("matrix contains non-finite entries")
     try:
         return np.linalg.eigh(matrices)
     except np.linalg.LinAlgError as exc:
@@ -102,6 +102,8 @@ def decompose(h: ExcitationHamiltonian | np.ndarray) -> SpectralDecomposition:
     matrix = h.matrix if isinstance(h, ExcitationHamiltonian) else np.asarray(h, float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise NumericInputError("matrix contains non-finite entries")
     return SpectralDecomposition(*_eigh(matrix))
 
 

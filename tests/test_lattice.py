@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dipolink import lattice
 from dipolink import (
     CouplingSpec,
     CouplingModel,
@@ -313,3 +314,45 @@ class TestRingHamiltonian:
         for n in (4, 7, 10):
             e = ring_bloch_energies(n)
             assert np.argmax(e) == 0
+
+
+class TestStackedBuild:
+    """``_hamiltonian_matrices`` builds a stack as it builds each matrix alone."""
+
+    @pytest.mark.parametrize("model", list(CouplingModel))
+    @pytest.mark.parametrize("c_const", [2.0, 0.7])
+    @pytest.mark.parametrize("n", [2, 3, 6, 9])
+    def test_chain_stack_matches_one_at_a_time(self, model, c_const, n):
+        coupling = CouplingSpec(model, c_const)
+        rng = np.random.default_rng(n)
+        positions = np.zeros((7, n))
+        gaps = rng.uniform(0.05, 2.0, (7, n - 1))
+        np.cumsum(gaps, axis=-1, out=positions[:, 1:])
+        h, ground = lattice._hamiltonian_matrices(positions, Topology.CHAIN, coupling)
+        assert h.shape == (7, n, n) and ground.shape == (7,)
+        for row, h_row, g_row in zip(positions, h, ground):
+            alone, g_alone = lattice._hamiltonian_matrices(
+                row, Topology.CHAIN, coupling)
+            assert alone.tobytes() == h_row.tobytes() and g_alone == g_row
+            public = build_hamiltonian(Geometry(Topology.CHAIN, tuple(row)), coupling)
+            assert public.matrix.tobytes() == h_row.tobytes()
+            assert public.ground_energy == g_row
+
+    @pytest.mark.parametrize("model", list(CouplingModel))
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_ring_stack_matches_one_at_a_time(self, model, n):
+        coupling = CouplingSpec(model)
+        positions = np.tile(np.arange(n, dtype=float), (3, 1))
+        h, ground = lattice._hamiltonian_matrices(positions, Topology.RING, coupling)
+        public = build_hamiltonian(ring(n), coupling)
+        for h_row, g_row in zip(h, ground):
+            assert public.matrix.tobytes() == h_row.tobytes()
+            assert public.ground_energy == g_row
+
+    @pytest.mark.parametrize("model", list(CouplingModel))
+    def test_one_bad_row_rejects_the_stack(self, model):
+        # the second chain's 1/r^3 underflows to 0 on its only pair
+        positions = np.array([[0.0, 1.0], [0.0, 1e120], [0.0, 2.0]])
+        with pytest.raises(InvalidGeometryError, match="1/r\\^3"):
+            lattice._hamiltonian_matrices(
+                positions, Topology.CHAIN, CouplingSpec(model))

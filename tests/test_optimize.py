@@ -287,28 +287,77 @@ class TestStackedObjective:
         optimize_placement(6, config=SearchConfig(seed=16))
         assert len(solves) <= 240
 
+    def test_nn_stacked_evaluation_matches_one_row_at_a_time(self):
+        # the nn coupling zeroes every pair but nearest neighbours through
+        # its own mask
+        n = 7
+        rng = np.random.default_rng(4)
+        free = 1 / 6 + rng.uniform(-0.14, 0.14, size=(30, n_free_gaps(n)))
+        gaps = optimize._gaps_from_free(free, n)
+        below = np.any(gaps < 0.05, axis=-1)
+        assert 0 < below.sum() < len(free)
+        nn = dipolink.NEAREST_NEIGHBOUR
+        stacked = optimize._tau(gaps, nn)
+        assert np.all(np.isinf(stacked[below]))
+        for g, tau in zip(gaps, stacked):
+            assert np.array_equal(optimize._tau(g[None], nn), [tau])
+        for g, tau in zip(gaps[~below], stacked[~below]):
+            h = build_hamiltonian(optimize._geometry_from_gaps(g), nn)
+            assert tau == np.pi / dipolink.decompose(h).splitting
 
-# Runs one placement search and prints whether any scipy module got loaded.
-_NO_SCIPY_HARNESS = """
+
+class TestRestartStarts:
+    """The restart perturbations are numpy's uniform draws, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "seed", [0, 5, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 12345]
+    )
+    @pytest.mark.parametrize("restarts", [0, 1, 40])
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_starts_match_default_rng(self, seed, restarts, n):
+        starts = optimize._starts(n, SearchConfig(restarts=restarts, seed=seed))
+        uniform = np.full(n_free_gaps(n), 1.0 / (n - 1))
+        scale = 0.25 / (n - 1)
+        rng = np.random.default_rng(seed)
+        assert len(starts) == restarts + 1
+        assert np.array_equal(starts[0], uniform)
+        for start in starts[1:]:
+            want = uniform + rng.uniform(-scale, scale, n_free_gaps(n))
+            assert start.tobytes() == want.tobytes()
+
+
+# Run one placement search in a fresh process and print which scipy modules
+# it loaded, and whether it loaded numpy.random.
+_MODULES_HARNESS = """
 import sys
 from dipolink.cli import main
 code = main(["optimize-placement", "--n", "5"])
 print([name for name in sys.modules if name.startswith("scipy")], code)
+print("numpy.random" in sys.modules, code)
 """
 
 
-def test_placement_runs_without_scipy():
+@pytest.fixture(scope="module")
+def placement_modules():
     src = str(Path(dipolink.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_HARNESS],
+        [sys.executable, "-c", _MODULES_HARNESS],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[] 0"
+    return proc.stdout.splitlines()[-2:]
+
+
+def test_placement_runs_without_scipy(placement_modules):
+    assert placement_modules[0] == "[] 0"
+
+
+def test_placement_runs_without_numpy_random(placement_modules):
+    assert placement_modules[1] == "False 0"
 
 
 class TestEncodedEndStates:

@@ -46,6 +46,12 @@ INVOCATIONS = (
     + [["optimize-placement", "--n", str(n)] for n in (3, 4, 5, 7, 8)]
     + [["optimize-placement", "--n", "6", "--seed", str(s)] for s in range(43)]
     + [
+        # two lockstep blocks of starts (37 + 4), and a seed of two uint32
+        # words for the restart draws
+        ["optimize-placement", "--n", "6", "--restarts", "40", "--seed", "7"],
+        ["optimize-placement", "--n", "6", "--seed", "4294967296"],
+    ]
+    + [
         ["encoded-transfer", "--n", "10"],
         ["encoded-transfer", "--n", "12", "--width", "3"],
         ["disorder", "--noise-model", "gaussian-gap", "--samples", "2000"],
