@@ -304,9 +304,10 @@ def optimize_placement(
     hold at most 4096 elements, so memory stays flat for any number of
     restarts.
     Converged candidates are screened in ascending-objective order against
-    the fidelity constraint; ties within 1e-9 are broken toward the point
-    closest to uniform. Raises InfeasibleConstraintError, naming the best
-    fidelity reached, if no candidate passes.
+    the fidelity constraint; only exactly equal objectives tie, and a tie
+    is broken toward the point closest to uniform. Raises
+    InfeasibleConstraintError, naming the best fidelity reached, if no
+    candidate passes.
     """
     if n < 3:
         raise DomainError(f"need at least 3 spins to optimize, got {n}")

@@ -17,8 +17,15 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, NumericInputError, ShapeError
 from .lattice import ExcitationHamiltonian, _read_only
 
-# Complex elements per row block of the grid kernel (1 MiB).
+# Complex elements per row block of the grid kernel (1 MiB). A block of
+# grouped rows is cut to a whole number of groups.
 _BLOCK_ELEMENTS = 1 << 16
+# Smallest complex product m*n*k that OpenBLAS (0.3.31, measured with two
+# threads) hands to a second thread: 4 x 1024 x 15 (61,440) and 2 x 1024 x 31
+# stayed on the calling thread, 4 x 1024 x 16 and 2 x 1024 x 32 (65,536) did
+# not. After each threaded call the idle worker spins for about 0.13 s of CPU,
+# so the grid kernel keeps its products below this size where it can.
+_THREADED_PRODUCT = 1 << 16
 # Largest deviation, relative to max |t|, of a grid from exact uniformity.
 _UNIFORM_RTOL = 1e-12
 # Matrix elements per stacked `_eigh` call (256 matrices at N = 4), so that
@@ -129,15 +136,34 @@ def abs_runs(w, e, starts, step: float, count: int) -> np.ndarray:
     """|sum_m w_m e^{-i e_m (s + j step)}| for starts s (rows), j < count (columns).
 
     f = (w e^{-ie s}) @ e^{-ie j step}, formed a row block at a time so that
-    no temporary outgrows the block budget.
+    no temporary outgrows the block budget. Each block is multiplied as a
+    stack of groups of g >= 2 rows, g the largest with g N count below
+    ``_THREADED_PRODUCT``, so that BLAS runs each product on the calling
+    thread. Rows too long to pair below it make one product per block. The
+    rows past the last whole group or block make one product of at least two
+    rows, since a one-row product goes through ``gemv``, which rounds its
+    sums differently and threads from a few thousand elements. So every
+    element has the bits it has in one product of all the rows.
     """
     starts = np.asarray(starts, dtype=float)
     out = np.empty((len(starts), count))
     inner = np.exp(-1j * np.outer(e, step * np.arange(count)))
     rows = max(_BLOCK_ELEMENTS // max(count, 1), 1)
-    for lo in range(0, len(starts), rows):
-        outer = np.exp(-1j * np.outer(starts[lo : lo + rows], e)) * w
-        out[lo : lo + rows] = np.abs(outer @ inner)
+    group = min((_THREADED_PRODUCT - 1) // max(len(e) * count, 1), len(starts))
+    group = max(group, 1)
+    rows -= rows % group
+    whole = len(starts) - len(starts) % group
+    if whole % rows == 1 and whole > 1:
+        whole -= 1  # the last row goes with the one before it
+    for lo in range(0, whole, rows):
+        hi = min(lo + rows, whole)
+        outer = np.exp(-1j * np.outer(starts[lo:hi], e)) * w
+        if group > 1:
+            outer = outer.reshape(-1, group, len(e))
+        out[lo:hi] = np.abs(outer @ inner).reshape(hi - lo, count)
+    if whole < len(starts):
+        lo = min(whole, len(starts) - 2)
+        out[lo:] = np.abs((np.exp(-1j * np.outer(starts[lo:], e)) * w) @ inner)
     return out
 
 

@@ -77,6 +77,10 @@ _OVERSAMPLE = 4.0
 _TOLERANCE = 1e-9
 _DEGENERATE_FLOOR = 1e-9
 _NN_CHAIN_WINDOW = 4000.0
+# Largest energy spread e_max the peak search takes. Its curvature bound and
+# Newton steps form sums of up to 4 e_max^2 (the |w_m| sum to at most 1),
+# which stay finite, with room to spare, below this.
+_MAX_SPREAD = np.sqrt(np.finfo(float).max) / 4.0
 
 
 @dataclass(frozen=True)
@@ -250,6 +254,11 @@ def find_peak(
 
     w, e = transfer_terms(spec, input_state, output_state)
     bandwidth = e[-1]
+    if not bandwidth < _MAX_SPREAD:
+        raise DomainError(
+            f"energy spread {bandwidth:.3g} above {_MAX_SPREAD:.3g}: "
+            "the bound on |f|'s curvature would overflow"
+        )
     npts = _grid_size(t_max, bandwidth)
     step = t_max / (npts - 1)
 

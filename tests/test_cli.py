@@ -1,12 +1,17 @@
-"""CLI subcommand tests (in-process via main)."""
+"""CLI subcommand tests (in-process via main, or in a fresh process where a
+test reads what a user's terminal would show)."""
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dipolink
 from dipolink import Geometry, Topology, build_hamiltonian, decompose, uniform_chain
 from dipolink import disorder, optimize
 from dipolink.cli import build_parser, main
@@ -405,6 +410,27 @@ class TestInputErrors:
             capsys, "spectrum-sweep", "--n-min", "5", "--n-max", "4"
         )
         assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["chain-sweep", "--n-min", "2", "--n-max", "4", "--c-const", "1e160"],
+        ["optimize-placement", "--n", "4", "--c-const", "1e300"],
+    ])
+    def test_huge_coupling_constant(self, argv):
+        """Energies whose squares overflow end in a one-line error, not in
+        numpy warnings and a traceback."""
+        src = str(Path(dipolink.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "dipolink.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "the bound on |f|'s curvature would overflow" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
 
 
 def _golden_tool():

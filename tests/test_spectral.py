@@ -1,10 +1,16 @@
 """Eigensolver, time-grid kernel and fidelity tests, including independent oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dipolink
 from dipolink import (
     ConvergenceError,
     DIPOLE,
@@ -311,6 +317,73 @@ class TestGridKernel:
         times[70_000] += 1e-9
         with pytest.raises(DomainError):
             propagator_abs_grid(spec, a, b, times)
+
+
+def _kernel_row_counts(n, count):
+    """Row counts that run one row, two rows, a group short of and past a
+    whole one, and more than one block, for N = n and ``count`` columns."""
+    group = max((spectral._THREADED_PRODUCT - 1) // (n * count), 1)
+    block = max(spectral._BLOCK_ELEMENTS // count, 1) // group * group
+    rows = {1, 2, group - 1, group + 1, 2 * block + group // 2 + 1}
+    # the reference holds every row at once
+    return sorted(r for r in rows if r >= 1 and r * (n + count) <= 1 << 21)
+
+
+class TestKernelShape:
+    """The grid kernel's grouping of rows changes no bit of its output.
+
+    The reference is the same product formed in one call over all the rows.
+    BLAS computes each element of a multi-row product alike whatever the
+    number of rows, but a one-row product goes through ``gemv``, whose sums
+    round differently, so a row-by-row reference would not match.
+    """
+
+    # 2 N count reaches 2^16 first at N = 32, count 1024: from there on each
+    # block is one product
+    @pytest.mark.parametrize("count", [1, 2, 9, 622, 1024])
+    @pytest.mark.parametrize("n", [1, 2, 4, 23, 31, 32, 64])
+    def test_bit_identical_to_one_product(self, n, count):
+        rng = np.random.default_rng(n * 10_000 + count)
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        e = np.sort(rng.uniform(0.0, 5.0, n))
+        e -= e[0]
+        step = 0.37
+        inner = np.exp(-1j * np.outer(e, step * np.arange(count)))
+        for rows in _kernel_row_counts(n, count):
+            starts = rng.uniform(0.0, 1e3, rows)
+            reference = np.abs((np.exp(-1j * np.outer(starts, e)) * w) @ inner)
+            assert np.array_equal(spectral.abs_runs(w, e, starts, step, count), reference)
+
+
+# Sweeps the paper's chains in a process whose BLAS worker has gone idle and
+# prints the CPU time that threads other than the main one spent meanwhile.
+_THREAD_HARNESS = """
+import time
+import dipolink
+time.sleep(0.5)  # OpenBLAS's worker spins for a while after start-up
+before = time.process_time() - time.thread_time()
+for coupling in (dipolink.DIPOLE, dipolink.NEAREST_NEIGHBOUR):
+    dipolink.chain_sweep(2, 23, coupling)
+time.sleep(0.3)
+print(time.process_time() - time.thread_time() - before)
+"""
+
+
+def test_chain_sweep_keeps_blas_on_one_thread():
+    """Every grid product of the chain sweep stays below BLAS's threading
+    threshold, so no worker thread wakes and spins (0.2-0.5 s of CPU when
+    they did)."""
+    src = str(Path(dipolink.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREAD_HARNESS],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.02
 
 
 class TestFidelity:

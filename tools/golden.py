@@ -38,6 +38,10 @@ INVOCATIONS = (
         for fmt in ("csv", "json")
     ]
     + [
+        # N = 48, 49 and 52 each make one grid-kernel call whose rows are too
+        # long to pair below the BLAS threading threshold; every other call
+        # is grouped
+        ["chain-sweep", "--n-min", "44", "--n-max", "52", "--format", "json"],
         ["bound-state", "--format", "csv"],
         ["bound-state", "--format", "json"],
         ["fidelity-curve", "--n", "10", "--t-max", "4000", "--steps", "2000"],
