@@ -143,11 +143,6 @@ def _cmd_spectrum_sweep(args):
     _emit(args, records)
 
 
-def _cmd_normalized_time(args):
-    rows = chain_sweep(args.n_min, args.n_max, _coupling(args))
-    _emit(args, [{"n": r.n, "tau": r.tau} for r in rows])
-
-
 def _cmd_bound_state(args):
     coupling = _coupling(args)
     model = fit_bound_state(args.q, args.source_n, coupling)
@@ -162,8 +157,8 @@ def _cmd_bound_state(args):
                 "n": n,
                 "delta_lambda_exact": spec.splitting,
                 "delta_lambda_pred": dl_pred,
-                "tau_exact": (np.pi / spec.splitting) / length**3,
-                "tau_pred": (np.pi / dl_pred) / length**3,
+                "beat_tau_exact": (np.pi / spec.splitting) / length**3,
+                "beat_tau_pred": (np.pi / dl_pred) / length**3,
             }
         )
     _emit(args, records, {"model": model.as_dict()})
@@ -243,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     geometry(add("onsite-energies", _cmd_onsite_energies))
     sizes(add("spectrum-sweep", _cmd_spectrum_sweep), 2, 23)
-    sizes(add("normalized-time", _cmd_normalized_time), 2, 23)
 
     p = add("bound-state", _cmd_bound_state)
     p.add_argument("--q", type=int, default=4)

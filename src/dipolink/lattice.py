@@ -253,7 +253,8 @@ def _hamiltonian_matrices(
     over the last axes, so each matrix is the same to the bit whether it is
     built alone or in a stack. A geometry whose 1/r^3 for some interacting
     pair is 0 or not finite (positions [0, 1e120] or [0, 1e-120]) raises
-    InvalidGeometryError for the whole stack.
+    InvalidGeometryError for the whole stack, and one whose terms could
+    overflow a float (see below) raises DomainError.
 
     The stack is formed in the distance array. Each distance is cubed and
     inverted in place, with the pairs that do not interact set to 1 in
@@ -268,13 +269,21 @@ def _hamiltonian_matrices(
         np.power(inv3, 3, out=inv3)
         np.copyto(inv3, 1.0, where=apart)
         np.divide(1.0, inv3, out=inv3)
-    if not (0.0 < inv3.min() and inv3.max() < np.inf):
+    largest = float(inv3.max())
+    if not (0.0 < inv3.min() and largest < np.inf):
         raise InvalidGeometryError(
             "a pair distance overflows or underflows its 1/r^3 coupling"
         )
+    c = coupling.c_const
+    # Every sum and scaled term below is at most max(C, 1) N^2 largest, a
+    # Python float product, which overflows to inf without a warning.
+    if not largest * max(c, 1.0) * n * n < np.inf:
+        raise DomainError(
+            f"coupling constant {c:.3g} with a largest 1/r^3 of {largest:.3g} "
+            f"over {n} sites: the Hamiltonian's terms would overflow"
+        )
     np.copyto(inv3, 0.0, where=apart)
 
-    c = coupling.c_const
     # Heisenberg nn bonds carry half the dipole on-site coefficient.
     diag_coef = c if coupling.model is CouplingModel.DIPOLE else 0.5 * c
     ground = -0.25 * diag_coef * inv3.sum(axis=(-2, -1))  # k<l pair sum, counted twice

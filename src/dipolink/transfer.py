@@ -363,9 +363,9 @@ def find_peak(
                 yield from todo.T
 
     # Each range's grid points are sampled by one call, and the (start,
-    # left, right) of kept intervals are buffered and subdivided when they
-    # outnumber a chunk, at a certified stop and at the end.
-    kept, boundary, stopped = [], False, False
+    # left, right) of kept intervals (held of them) are buffered and
+    # subdivided when they outnumber a chunk, at a certified stop and at the end.
+    kept, held, boundary, stopped = [], 0, False, False
     for lo, hi in ranges():
         times = np.arange(lo, hi + 1, dtype=float)
         times *= step
@@ -377,12 +377,13 @@ def find_peak(
         reach_cap(fa, lambda i: (lo + i) * step)
         keep = np.flatnonzero(survivors(fa[:-1], fa[1:], step))
         kept.append(np.stack(((lo + keep) * step, fa[keep], fa[keep + 1])))
+        held += len(keep)
         if hi == npts - 1:
             boundary = bool(fa[-1] >= fa[-2])
         stopped = best >= cap - tol
-        if stopped or sum(k.shape[1] for k in kept) > _CHUNK:
+        if stopped or held > _CHUNK:
             subdivide(kept)
-            kept = []
+            kept, held = [], 0
         if stopped:
             break
     if kept:

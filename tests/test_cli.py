@@ -24,8 +24,9 @@ def run_cli(capsys, *argv):
 
 
 class TestExitCodes:
-    def test_unknown_subcommand(self, capsys):
-        code, _, err = run_cli(capsys, "frobnicate")
+    @pytest.mark.parametrize("command", ["frobnicate", "normalized-time"])
+    def test_unknown_subcommand(self, capsys, command):
+        code, _, err = run_cli(capsys, command)
         assert code == 1
 
     def test_missing_subcommand(self, capsys):
@@ -147,16 +148,6 @@ class TestCurvesAndSpectra:
         assert lines[0] == "n,m,delta_e"
         assert len(lines) == 6  # 2 levels for N=2 plus 3 for N=3
 
-    def test_normalized_time(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "normalized-time", "--n-min", "2", "--n-max", "4"
-        )
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "n,tau"
-        taus = {int(l.split(",")[0]): float(l.split(",")[1]) for l in lines[1:]}
-        assert taus[2] == pytest.approx(1.5708, abs=1e-3)
-
 
 class TestModelCommands:
     def test_bound_state_json(self, capsys):
@@ -168,6 +159,12 @@ class TestModelCommands:
         data = json.loads(out)
         assert data["model"]["Q"] == pytest.approx(0.325, abs=0.005)
         assert len(data["rows"]) == 2
+        # (pi / dl) / L^3 is the beat time, not the sweeps' tau = t_peak / L^3
+        for row in data["rows"]:
+            assert {"beat_tau_exact", "beat_tau_pred"} <= set(row)
+            assert not [key for key in row if key.startswith("tau")]
+            beat = np.pi / row["delta_lambda_exact"]
+            assert row["beat_tau_exact"] == beat / (row["n"] - 1.0) ** 3
 
     def test_optimize_placement(self, capsys):
         code, out, _ = run_cli(
@@ -215,7 +212,6 @@ TABLE_COMMANDS = {
     "fidelity-curve": ["--n", "3", "--t-max", "2", "--steps", "3"],
     "onsite-energies": ["--n", "3"],
     "spectrum-sweep": ["--n-min", "2", "--n-max", "3"],
-    "normalized-time": ["--n-min", "2", "--n-max", "3"],
     "bound-state": ["--n-min", "10", "--n-max", "11"],
 }
 DOCUMENT_COMMANDS = {
@@ -411,13 +407,23 @@ class TestInputErrors:
         )
         assert code == 1 and out == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["chain-sweep", "--n-min", "2", "--n-max", "4", "--c-const", "1e160"],
-        ["optimize-placement", "--n", "4", "--c-const", "1e300"],
-    ])
-    def test_huge_coupling_constant(self, argv):
-        """Energies whose squares overflow end in a one-line error, not in
-        numpy warnings and a traceback."""
+    @pytest.mark.parametrize("argv, message", [
+        (["chain-sweep", "--n-min", "2", "--n-max", "4", "--c-const", "1e160"],
+         "the bound on |f|'s curvature would overflow"),
+        (["optimize-placement", "--n", "4", "--c-const", "1e300"],
+         "the bound on |f|'s curvature would overflow"),
+        # the search reaches gaps whose terms overflow a float
+        (["optimize-placement", "--n", "4", "--c-const", "1e305"],
+         "coupling constant 1e+305 with a largest 1/r^3 of"),
+        # so does the first stacked build
+        (["optimize-placement", "--n", "4", "--c-const", "1e307"],
+         "coupling constant 1e+307 with a largest 1/r^3 of"),
+    ], ids=["chain-sweep-1e160", "placement-1e300", "placement-1e305",
+            "placement-1e307"])
+    def test_huge_coupling_constant(self, argv, message):
+        """Energies whose squares overflow, or terms that overflow the
+        Hamiltonian build, end in a one-line error, not in numpy warnings and
+        a traceback."""
         src = str(Path(dipolink.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
@@ -428,7 +434,7 @@ class TestInputErrors:
             timeout=120,
         )
         assert proc.returncode == 1 and proc.stdout == ""
-        assert "the bound on |f|'s curvature would overflow" in proc.stderr
+        assert message in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 

@@ -186,6 +186,26 @@ class TestChainHamiltonian:
         with pytest.raises(InvalidGeometryError, match="1/r\\^3"):
             build_hamiltonian(Geometry(Topology.CHAIN, positions))
 
+    @pytest.mark.parametrize("positions, c_const", [
+        ((0.0, 1.0, 2.0, 3.0), 1e308),  # C times the pair sum
+        ((0.0, 2.2e-103), 2.0),  # a finite 1/r^3 of 9.4e307, summed
+    ])
+    def test_overflowing_terms_rejected(self, positions, c_const):
+        # rejected before any sum or scaling, so numpy warns of no overflow
+        # (the suite turns warnings into errors)
+        geometry = Geometry(Topology.CHAIN, positions)
+        with pytest.raises(DomainError, match="terms would overflow"):
+            build_hamiltonian(geometry, CouplingSpec("dipole", c_const))
+
+    def test_largest_buildable_coupling_constant(self):
+        # max(C, 1) N^2 times the largest 1/r^3 equals float max
+        c_const = np.finfo(float).max / 16
+        h = build_hamiltonian(uniform_chain(4), CouplingSpec("dipole", c_const))
+        assert np.isfinite(h.matrix).all() and np.isfinite(h.ground_energy)
+        above = CouplingSpec("dipole", np.nextafter(c_const, np.inf))
+        with pytest.raises(DomainError, match="terms would overflow"):
+            build_hamiltonian(uniform_chain(4), above)
+
     def test_only_interacting_pairs_are_checked(self):
         # the end pair's 1/r^3 underflows, but it couples only in the
         # dipole model

@@ -28,7 +28,7 @@ import re
 import sys
 import warnings
 
-_SWEEPS = ["chain-sweep", "ring-sweep", "normalized-time", "spectrum-sweep"]
+_SWEEPS = ["chain-sweep", "ring-sweep", "spectrum-sweep"]
 
 INVOCATIONS = (
     [
