@@ -312,8 +312,7 @@ def run_disorder(
         w = vectors[:, n - 1, :] * vectors[:, 0, :]
         e = energies - energies[:, :1]
         f = np.sum(w * np.exp(-1j * e * t_nominal), axis=-1)
-        f_abs = np.minimum(np.hypot(f.real, f.imag), 1.0)
-        values[lo : lo + len(rows)] = fidelity(f_abs)
+        values[lo : lo + len(rows)] = fidelity(np.hypot(f.real, f.imag))
 
     failures = int(np.count_nonzero(values < CLASSICAL_THRESHOLD))
     return DisorderReport(

@@ -66,10 +66,11 @@ _MERGE = 1 << 12
 _NEWTON_BATCH = 64
 _NEWTON_STEPS = 4
 # Coarse-grid samples per period of the fastest frequency; the search
-# tolerance; splittings at or below the floor are degenerate; the nn-chain
-# window in inverse nn couplings, after Bose's search horizon. The screen
-# and the Newton steps, not the coarse step, set the answer to within the
-# tolerance, so the density trades coarse points against subdivided ones.
+# tolerance; splittings at or below the floor, in nn couplings J, are
+# degenerate; the nn-chain window in inverse nn couplings, after Bose's
+# search horizon. The screen and the Newton steps, not the coarse step, set
+# the answer to within the tolerance, so the density trades coarse points
+# against subdivided ones.
 # Over chain-sweep 2..23, 8 samples evaluate 1.13M coarse and 1.7k
 # subdivided points, 4 samples 570k and 2.8k, 3 samples 435k and 5.0k, and
 # 2 samples 292k and 30k.
@@ -108,21 +109,25 @@ def default_window(h: ExcitationHamiltonian, spec: SpectralDecomposition) -> flo
     later, incidentally better-aligned recurrence instead. The nn chain has
     no such pair of bound states and its best transfer can occur many
     traversals in; it gets max(2 pi / dl, 4000 / J), with J = C / (2 a^3)
-    the nn coupling at the chain's mean spacing a. Rings get
-    max(2 pi / dl, 10 N), covering several traversals of the arc.
-    Splittings up to 1e-9 count as degenerate: no beat, so a ring falls
-    back to 10 N and a dipole chain raises DomainError.
+    the nn coupling at the mean spacing a (1 on rings). Rings get
+    max(2 pi / dl, 10 N / J), covering several traversals of the arc.
+    Splittings up to 1e-9 J count as degenerate: no beat, so a ring falls
+    back to 10 N / J and a dipole chain raises DomainError.
     """
-    dl = spec.splitting
-    beat = 2.0 * np.pi / dl if dl > _DEGENERATE_FLOOR else 0.0
+    dl, unit = spec.splitting, _energy_unit(h)
+    beat = 2.0 * np.pi / dl if dl > _DEGENERATE_FLOOR * unit else 0.0
     if h.geometry.topology is Topology.RING:
-        return max(beat, 10.0 * spec.n)
+        return max(beat, 10.0 * spec.n / unit)
     if h.coupling.model is CouplingModel.NEAREST_NEIGHBOUR:
-        nn_energy = h.coupling.c_const / (2.0 * h.geometry.mean_spacing**3)
-        return max(beat, _NN_CHAIN_WINDOW / nn_energy)
+        return max(beat, _NN_CHAIN_WINDOW / unit)
     if beat == 0.0:
         raise DomainError("degenerate lowest levels; supply an explicit t_max")
     return beat
+
+
+def _energy_unit(h: ExcitationHamiltonian) -> float:
+    """J = C / (2 a^3), the nn coupling at the mean spacing a (1 on rings)."""
+    return h.coupling.c_const / (2.0 * h.geometry.mean_spacing**3)
 
 
 def _grid_size(t_max: float, bandwidth: float) -> int:
@@ -157,9 +162,9 @@ def _envelope_ranges(pair, level: float, c0: int, step: float, npts: int):
     level set around each beat top t_k is |t - t_k| <= d, from
     1 + s^2 + 2 s cos(2 pi d / T) = ((level - R) / |w_a|)^2, s = |w_b| / |w_a|;
     the cosine is lowered by far more than its roundoff, and each range
-    reaches two grid points past the set. Ranges fewer than _MERGE points apart are
-    merged, and the window's final interval is always included. Returns a
-    (2, k) int array of ascending, disjoint ranges.
+    reaches two grid points past the set. Ranges fewer than _MERGE points
+    apart are merged. Returns a (2, k) int array of ascending, disjoint
+    ranges.
     """
     c1 = min(c0 + _CHUNK - 1, npts - 1)
     if pair is None:
@@ -180,8 +185,6 @@ def _envelope_ranges(pair, level: float, c0: int, step: float, npts: int):
         if len(lo):
             new = np.concatenate(([True], lo[1:] - hi[:-1] >= _MERGE))
             ranges = np.stack((lo[new], hi[np.concatenate((new[1:], [True]))]))
-    if c1 == npts - 1 and not (ranges.shape[1] and ranges[1, -1] == c1):
-        ranges = np.concatenate((ranges, [[c1 - 1], [c1]]), axis=1)
     return ranges.astype(np.int64)
 
 
@@ -207,23 +210,26 @@ def find_peak(
     Returns ``(f_abs_max, t_peak, boundary_flag)``. A coarse grid of 4
     samples per period of the fastest spectral frequency (at least 5000
     points) seeds the search; its density changes how many points are
-    evaluated, and the height is certified either way. With the overlap
-    weights w_m and
+    evaluated, not the answer. With the overlap weights w_m and
     M = sum_m |w_m| (E_m - c)^2 (``curvature_bound``), every interval [a, b]
     of width h obeys |f| <= max(|f(a)|, |f(b)|) + M h^2 / 8. The coarse-grid
-    intervals whose bound reaches the best sample are subdivided until
-    M h^2 / 8 is below the 1e-9 tolerance. From the best sample of each
-    surviving run, 4 Newton steps on g = |f|^2, with g' = 2 Re(conj(f) f')
-    and g'' = 2 (|f'|^2 + Re(conj(f) f'')), taken only where g'' < 0 and
-    within one final subinterval, reach the root of g' to a few float
-    spacings of t, however flat the peak. Up to roundoff in evaluating f,
-    the returned height, never below the run's best sample, is within 1e-9
-    of max |f| over [0, t_max]. The reported time is the earliest refined
-    peak within that tolerance of the bound on the maximum; the boundary
-    flag is set when the best value sits on the window's trailing edge
-    (window too small): the last coarse interval rises and t_peak lies
-    within two coarse steps of t_max, half the fastest period (less where
-    the 5000-point floor sets the grid).
+    intervals whose bound reaches the best sample are subdivided until that
+    excess is below the 1e-9 tolerance, and every run of them whose best
+    sample plus the excess reaches the best sample less the tolerance is
+    refined: 4 Newton steps on g = |f|^2 from that sample, with
+    g' = 2 Re(conj(f) f') and g'' = 2 (|f'|^2 + Re(conj(f) f'')), taken only
+    where g'' < 0 and within one final subinterval, reach the root of g' to
+    a few float spacings of t, however flat the peak.
+
+    One rule picks the answer: the earliest refined peak within 1e-9 of the
+    highest, whose heights are right to float resolution wherever the
+    samples fall. Runs are refined in time order until that peak also comes
+    within 1e-9 of every later run's bound (and of the cap sum_m |w_m| past
+    a scan stop). Up to roundoff in evaluating f, the returned height is
+    within 1e-9 of max |f| over [0, t_max]; it is the search's one
+    one-point call of the grid kernel, at t_peak. The boundary flag (window
+    too small) is set iff |f(t_max)| is within 1e-9 of that height and
+    g'(t_max) > 0.
 
     Only grid intervals where the beat envelope can still reach the best
     sample are sampled. With a, b the two heaviest terms of w and
@@ -286,9 +292,10 @@ def find_peak(
     excess = curvature * width**2 / 8.0
 
     # Contiguous survivors form one run around one peak; each run is
-    # represented by its best sample (time, height), earliest on ties. Only
-    # the heads within tolerance of the highest one can be refined below, so
-    # the rest are dropped as they fall behind.
+    # represented by its best sample (time, height), earliest on ties. A run
+    # whose bound, head + excess, falls below the best sample less the
+    # tolerance holds no peak within tolerance of the maximum, so it is
+    # dropped.
     heads = np.empty((2, 0))
     # The earliest sample known to come within tolerance of the cap, at
     # t_cap, certifies the height by itself, and the earliest run that does
@@ -334,8 +341,7 @@ def find_peak(
             first = order[np.diff(run[order], prepend=0) != 0]
             found.append((starts[first] + width * (right > left)[first], peak[first]))
         heads = np.concatenate(found, axis=1)
-        top = heads[1]
-        heads = heads[:, top + excess >= top.max(initial=-np.inf) + excess - tol]
+        heads = heads[:, heads[1] + excess >= best - tol]
 
     # Envelope pruning (see the docstring). U is exact while the samples
     # of f are not, so its level drops by a second slack. The band's level
@@ -365,7 +371,7 @@ def find_peak(
     # Each range's grid points are sampled by one call, and the (start,
     # left, right) of kept intervals (held of them) are buffered and
     # subdivided when they outnumber a chunk, at a certified stop and at the end.
-    kept, held, boundary, stopped = [], 0, False, False
+    kept, held, stopped = [], 0, False
     for lo, hi in ranges():
         times = np.arange(lo, hi + 1, dtype=float)
         times *= step
@@ -378,8 +384,6 @@ def find_peak(
         keep = np.flatnonzero(survivors(fa[:-1], fa[1:], step))
         kept.append(np.stack(((lo + keep) * step, fa[keep], fa[keep + 1])))
         held += len(keep)
-        if hi == npts - 1:
-            boundary = bool(fa[-1] >= fa[-2])
         stopped = best >= cap - tol
         if stopped or held > _CHUNK:
             subdivide(kept)
@@ -390,23 +394,15 @@ def find_peak(
         subdivide(kept)
     at, top = heads[:, np.argsort(heads[0], kind="stable")]
 
-    # Every maximum lies within the final excess above its run's best
-    # sample, and past a stop the unscanned rest lies below the cap, so the
-    # window's maximum is at most the ceiling below. Runs are refined in
-    # time order, a batch at a time, by Newton steps on |f|^2 that stay
-    # within width of the run's head; the reported peak is the earliest
-    # that comes within tolerance of the ceiling, hence of the true maximum.
-    ceiling = max(top.max() + excess, cap if stopped else -np.inf)
-
-    def f_of(t: float) -> float:
-        return propagator_abs_grid(spec, input_state, output_state, np.array([t]))[0]
-
+    # Runs are refined a batch at a time, in time order (see the docstring);
+    # a run whose refined point falls below its head keeps the head.
+    later = np.maximum.accumulate((top + excess)[::-1])[::-1]
+    later = np.append(later[1:], cap if stopped else -np.inf)
     terms = np.stack((w, -1j * e * w, -e * e * w), axis=1)
-    candidates = np.flatnonzero(top + excess >= ceiling - tol)
-    t_peak, f_peak = 0.0, -1.0
-    for lo in range(0, len(candidates), _NEWTON_BATCH):
-        i = candidates[lo : lo + _NEWTON_BATCH]
-        t = at[i]
+    t_ref, f_ref = at.copy(), top.copy()
+    for lo in range(0, len(at), _NEWTON_BATCH):
+        hi = min(lo + _NEWTON_BATCH, len(at))
+        t = at[lo:hi]
         t_lo, t_hi = np.maximum(t - width, 0.0), np.minimum(t + width, t_max)
         for _ in range(_NEWTON_STEPS):
             f, df, ddf = (np.exp(-1j * np.outer(t, e)) @ terms).T
@@ -414,18 +410,16 @@ def find_peak(
             bend = 2.0 * (np.abs(df) ** 2 + np.real(np.conj(f) * ddf))
             move = np.divide(-slope, bend, out=np.zeros_like(t), where=bend < 0.0)
             t = np.clip(t + np.clip(move, -width, width), t_lo, t_hi)
-        for k, t_k in zip(i, t):
-            # a refined point below the run's best sample keeps the sample
-            f = f_of(t_k)
-            if f < top[k]:
-                t_k, f = at[k], top[k]
-            if f > f_peak:
-                t_peak, f_peak = t_k, f
-            if f >= ceiling - tol:
-                break
-        if f_peak >= ceiling - tol:
+        f = np.abs(np.exp(-1j * np.outer(t, e)) @ w)
+        rose = f >= top[lo:hi]
+        t_ref[lo:hi][rose], f_ref[lo:hi][rose] = t[rose], f[rose]
+        pick = int(np.argmax(f_ref[:hi] >= f_ref[:hi].max() - tol))
+        if f_ref[pick] >= later[hi - 1] - tol:
             break
-    boundary_flag = bool(boundary and abs(t_peak - t_max) <= 2.0 * step)
+    t_peak = t_ref[pick]
+    f_peak = propagator_abs_grid(spec, input_state, output_state, np.array([t_peak]))[0]
+    f, df, _ = np.exp(-1j * t_max * e) @ terms
+    boundary_flag = bool(abs(f) >= f_peak - tol and np.real(np.conj(f) * df) > 0.0)
     return f_peak, t_peak, boundary_flag
 
 
@@ -440,14 +434,15 @@ def summarize_transfer(
     The peak is searched over [0, t_max], by default over
     ``default_window(h, spec)``. tau = t_peak / L^3 is reported for chains
     only (rings have no end-to-end length to normalize by); the beat period
-    2 pi / dl is None when the splitting is degenerate (at most 1e-9).
+    2 pi / dl is None when the splitting is degenerate (at most 1e-9 J,
+    ``default_window``).
     """
     spec = decompose(h)
     if t_max is None:
         t_max = default_window(h, spec)
     f_abs, t_peak, boundary = find_peak(spec, input_state, output_state, t_max)
     dl = spec.splitting
-    period = 2.0 * np.pi / dl if dl > _DEGENERATE_FLOOR else None
+    period = 2.0 * np.pi / dl if dl > _DEGENERATE_FLOOR * _energy_unit(h) else None
     if h.geometry.topology is Topology.CHAIN:
         length = h.geometry.length
         tau = t_peak / length**3

@@ -80,6 +80,36 @@ class TestSweeps:
         assert out == ""
         assert target.read_text().startswith("n,model,topology")
 
+    @pytest.mark.parametrize("c_const", ["1e8", "1e30", "1e100"])
+    def test_ring_sweep_at_a_large_coupling_constant(self, c_const):
+        """The odd rings' roundoff splitting (2.1e-8 at N = 3 and C = 1e8)
+        is no beat, as the degenerate floor and the 10 N window are in units
+        of J = C / 2: the sweep runs in a 3 GB address space, where a floor
+        and window in absolute units asked for gigabytes."""
+        src = str(Path(dipolink.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _ADDRESS_SPACE_LIMITED_CLI, "ring-sweep",
+             "--n-min", "3", "--n-max", "6", "--c-const", c_const],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [line.split(",")[0] for line in proc.stdout.splitlines()[1:]] == [
+            "3", "4", "5", "6"]
+
+
+# Runs the CLI on argv[1:] with the process's address space capped at 3 GB,
+# set before numpy is imported.
+_ADDRESS_SPACE_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+from dipolink.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 
 class TestCurvesAndSpectra:
     def test_fidelity_curve(self, capsys):

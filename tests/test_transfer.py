@@ -13,6 +13,7 @@ import dipolink
 
 from dipolink import (
     DIPOLE,
+    CouplingSpec,
     DomainError,
     Geometry,
     NEAREST_NEIGHBOUR,
@@ -440,6 +441,25 @@ class TestRingSweep:
         with pytest.raises(DomainError):
             ring_sweep(2, 5)
 
+    @pytest.mark.parametrize("k", [-20, -1, 2, 20])
+    @pytest.mark.parametrize(
+        "coupling", [DIPOLE, NEAREST_NEIGHBOUR], ids=["dipole", "nn"]
+    )
+    def test_scale_covariance(self, coupling, k):
+        # C -> 2^k C scales every energy by 2^k exactly, so f(t) becomes
+        # f(2^k t) bit for bit; the window and the degenerate floor are in
+        # units of J = C / 2, so the odd rings' roundoff splitting stays
+        # degenerate and every row keeps its bits
+        base = ring_sweep(3, 14, coupling)
+        scaled = ring_sweep(
+            3, 14, CouplingSpec(coupling.model, coupling.c_const * 2.0**k)
+        )
+        for b, s in zip(base, scaled):
+            assert s.f_max == b.f_max, f"N={b.n}"
+            assert s.t_peak * 2.0**k == b.t_peak, f"N={b.n}"
+            assert s.boundary_peak == b.boundary_peak, f"N={b.n}"
+            assert (s.period is None) == (b.period is None), f"N={b.n}"
+
     @pytest.mark.parametrize("n, coupling, model", [
         (31, DIPOLE, "dipole"),
         (256, DIPOLE, "dipole"),
@@ -729,6 +749,21 @@ class TestNewtonRefinement:
         t_root = _stationary_point(w, e, t_peak - half, t_peak + half)
         assert abs(t_peak - t_root) <= 4.0 * np.spacing(t_root)
 
+    def test_one_point_kernel_call_per_search(self, monkeypatch):
+        # Newton steps and refined heights are formed from the weights; the
+        # grid kernel is called at one point once per search, at t_peak
+        points = []
+        grid = transfer.propagator_abs_grid
+
+        def counted(spec, input_state, output_state, times):
+            if len(times) == 1:
+                points.append(times[0])
+            return grid(spec, input_state, output_state, times)
+
+        monkeypatch.setattr(transfer, "propagator_abs_grid", counted)
+        rows = chain_sweep(2, 23) + ring_sweep(3, 30, NEAREST_NEIGHBOUR)
+        assert points == [row.t_peak for row in rows]
+
 
 def _dipole_23(cut=None):
     """The N = 23 dipole chain over its default window, or over one that
@@ -742,11 +777,47 @@ def _dipole_23(cut=None):
     return args, t_max
 
 
+def _sweep_rows():
+    """Every chain_sweep(2, 23) and ring_sweep(3, 30) row of both models, and
+    criterion 01's rows (uniform dipole chains N = 2..5 over t_max = 1e6)."""
+    rows = [
+        end_to_end_summary(build_hamiltonian(uniform_chain(n)), 1e6)
+        for n in (2, 3, 4, 5)
+    ]
+    for coupling in (DIPOLE, NEAREST_NEIGHBOUR):
+        rows += chain_sweep(2, 23, coupling) + ring_sweep(3, 30, coupling)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def sweep_rows():
+    return _sweep_rows()
+
+
 class TestGridDensity:
     """The screen's curvature bound and the Newton refinement, not the
-    coarse grid's density, set find_peak's height and time; the density
-    trades coarse points against subdivided ones and sets how far the
-    boundary flag reaches."""
+    coarse grid's density, set find_peak's height, time and boundary flag;
+    the density trades coarse points against subdivided ones."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("_OVERSAMPLE", 2.0), ("_OVERSAMPLE", 3.0), ("_OVERSAMPLE", 8.0),
+         ("_CHUNK", 4097)],
+    )
+    def test_sweeps_do_not_depend_on_the_grid(
+        self, monkeypatch, sweep_rows, name, value
+    ):
+        # The earliest peak within tolerance of the maximum is chosen from
+        # refined heights, never from where samples fall: criterion 01's
+        # N = 3 row once moved from t = 5144.82 to 93408.05 at 8 samples.
+        # t_peak gets 1e-6, not a few float spacings: at 2 samples the nn
+        # N = 12 row lands 1.7e-7 away on a peak at t = 2978 so flat that
+        # |f| differs by 1.3e-14, and more Newton steps do not move it.
+        monkeypatch.setattr(transfer, name, value)
+        for base, other in zip(sweep_rows, _sweep_rows()):
+            assert other.boundary_peak == base.boundary_peak, base
+            assert abs(other.f_max - base.f_max) <= 1e-12, base
+            assert abs(other.t_peak - base.t_peak) <= 1e-6, base
 
     @pytest.mark.parametrize(
         "case, flagged",
@@ -775,19 +846,27 @@ class TestGridDensity:
             assert abs(other[1] - t_peak) <= 4.0 * np.spacing(t_peak)
             assert other[2] == flag
 
-    @pytest.mark.parametrize("periods, flagged", [(0.1, True), (0.2, False)])
-    def test_boundary_flag_reach(self, periods, flagged):
-        # A window that ends just past its peak, on the falling side, is
-        # flagged while the last coarse interval still rises into the edge,
-        # up to about half a coarse step past the peak: an eighth of the
-        # fastest period T at 4 samples per period (a sixteenth at 8, a
-        # quarter at 2).
+    @pytest.mark.parametrize(
+        "periods, flagged",
+        [(-0.2, False), (-0.1, True), (-0.01, True),
+         (0.01, False), (0.1, False), (0.2, False)],
+    )
+    def test_boundary_flag_reach(self, monkeypatch, periods, flagged):
+        # A window that ends a fraction of the fastest period before the
+        # N = 23 peak ends while |f|^2 still rises. Up to 0.1 periods before
+        # it that edge is the window's maximum, and the window is flagged;
+        # 0.2 periods before it the edge is still rising but lies below a
+        # peak 2703 earlier, so the window's maximum is inside it. A window
+        # that ends after the peak, however close, ends falling and is not
+        # flagged. None of this depends on the grid's density.
         args, t_max = _dipole_23()
         fastest = 2.0 * np.pi / np.ptp(args[0].eigenvalues)
         args, t_max = _dipole_23(periods * fastest)
-        _, t_peak, flag = find_peak(*args, t_max)
-        assert t_peak < t_max - 0.05 * fastest
-        assert flag == flagged
+        for samples in (2.0, 3.0, 4.0, 8.0):
+            monkeypatch.setattr(transfer, "_OVERSAMPLE", samples)
+            _, t_peak, flag = find_peak(*args, t_max)
+            assert flag == flagged, samples
+            assert (t_peak == t_max) == flagged, samples
 
     def test_points_evaluated_over_the_chain_sweep(self, monkeypatch):
         # About 1.2x the 570k coarse and 2.8k subdivided points measured at 4

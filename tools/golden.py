@@ -42,6 +42,9 @@ INVOCATIONS = (
         # long to pair below the BLAS threading threshold; every other call
         # is grouped
         ["chain-sweep", "--n-min", "44", "--n-max", "52", "--format", "json"],
+        # C = 2 * 2^2: every row's F and flag should equal the C = 2 ring's,
+        # and its t_peak be that row's divided by 4, bit for bit
+        ["ring-sweep", "--c-const", "8", "--format", "json"],
         ["bound-state", "--format", "csv"],
         ["bound-state", "--format", "json"],
         ["fidelity-curve", "--n", "10", "--t-max", "4000", "--steps", "2000"],
