@@ -89,7 +89,8 @@ def _read_only(obj, *names: str, dtype=float):
 class CouplingSpec:
     """Interaction model and overall coupling constant C (energy * length^3).
 
-    ``c_const`` is a positive, finite real number (not a bool), kept as a float.
+    ``c_const`` is a finite real number (not a bool), kept as a float, no
+    smaller than the smallest normal float: below it, energies lose bits.
     """
 
     model: CouplingModel = CouplingModel.DIPOLE
@@ -98,9 +99,11 @@ class CouplingSpec:
     def __post_init__(self):
         _to_member(self, "model", CouplingModel, DomainError)
         _to_real(self, "c_const", DomainError)
-        if not 0 < self.c_const < np.inf:
+        if not np.finfo(float).tiny <= self.c_const < np.inf:
             raise DomainError(
-                f"coupling constant must be positive and finite, got {self.c_const}"
+                "coupling constant must be positive and finite, and no smaller "
+                f"than the smallest normal float {np.finfo(float).tiny:.3g}, "
+                f"got {self.c_const}"
             )
 
 

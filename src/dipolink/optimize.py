@@ -95,8 +95,8 @@ class SearchConfig:
 class PlacementResult:
     """Best placement found, its transfer figures, and how the search ran.
 
-    ``tau`` is the minimized objective (pi / dl per unit cubed length) at
-    ``best_gaps``; ``start_tau`` is its value at the uniform ``start_gaps``.
+    ``tau`` (pi / dl per unit cubed length), which the search minimizes, is
+    taken at ``best_gaps``; ``start_tau`` is its value at ``start_gaps``.
     ``f_max`` and ``t_best`` come from the verification peak search over the
     multi-beat window. Fields are in the order of ``report``.
     """
@@ -155,8 +155,11 @@ def _geometry_from_gaps(gaps: np.ndarray) -> Geometry:
 
 
 def _tau(gaps: np.ndarray, coupling: CouplingSpec) -> np.ndarray:
-    """pi / dl of each chain in a (k, n-1) stack of gaps; inf for a chain
-    with a gap below the floor or with dl <= 0.
+    """pi / dl in units of 2 / C (as it is at C = 2) of each chain in a
+    (k, n-1) stack of gaps; inf for a chain with a gap below the floor or
+    with dl <= 0. In that unit the value does not depend on C, up to
+    roundoff, so Nelder-Mead's absolute tolerances mean the same at every
+    C and no quotient overflows.
 
     The feasible chains are built in one stack and solved in one batched
     eigensolve, without the Geometry and ExcitationHamiltonian of the public
@@ -175,7 +178,7 @@ def _tau(gaps: np.ndarray, coupling: CouplingSpec) -> np.ndarray:
     np.cumsum(gaps[feasible], axis=-1, out=positions[:, 1:])
     h, _ = _hamiltonian_matrices(positions, Topology.CHAIN, coupling)
     vals, _ = _eigh(h)
-    dl = vals[:, 1] - vals[:, 0]
+    dl = (vals[:, 1] - vals[:, 0]) * (2.0 / coupling.c_const)
     tau[feasible] = np.divide(np.pi, dl, out=np.full_like(dl, np.inf), where=dl > 0)
     return tau
 
@@ -336,16 +339,18 @@ def optimize_placement(
     )
 
     start_gaps = _gaps_from_free(uniform_free, n)
-    start_tau = float(_tau(start_gaps[None], coupling)[0])
+    start_tau = float(_tau(start_gaps[None], coupling)[0]) / (coupling.c_const / 2.0)
     best_f = -np.inf
-    for value, x_best in candidates:
+    for _, x_best in candidates:
         gaps = _gaps_from_free(np.asarray(x_best, dtype=float), n)
         spec = decompose(build_hamiltonian(_geometry_from_gaps(gaps), coupling))
-        window = _VERIFY_BEATS * 2.0 * np.pi / spec.splitting
+        # a Python float: past float max it is inf, which find_peak refuses
+        window = _VERIFY_BEATS * 2.0 * np.pi / float(spec.splitting)
         f_abs, t_best, _ = find_peak(spec, site_state(n, 1), site_state(n, n), window)
         result = PlacementResult(
             n, tuple(start_gaps), start_tau, evaluations, config.restarts,
-            config.seed, tuple(gaps), value, spec.splitting, fidelity(f_abs), t_best,
+            config.seed, tuple(gaps), np.pi / spec.splitting, spec.splitting,
+            fidelity(f_abs), t_best,
         )
         if result.f_max >= config.min_fidelity:
             return result

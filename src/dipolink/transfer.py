@@ -78,10 +78,9 @@ _OVERSAMPLE = 4.0
 _TOLERANCE = 1e-9
 _DEGENERATE_FLOOR = 1e-9
 _NN_CHAIN_WINDOW = 4000.0
-# Largest energy spread e_max the peak search takes. Its curvature bound and
-# Newton steps form sums of up to 4 e_max^2 (the |w_m| sum to at most 1),
-# which stay finite, with room to spare, below this.
-_MAX_SPREAD = np.sqrt(np.finfo(float).max) / 4.0
+# Longest window the search takes, and longest beat period it prunes by: the
+# envelope's ranges reach t_max plus three periods, finite below this.
+_MAX_WINDOW = np.finfo(float).max / 8.0
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,7 @@ def default_window(h: ExcitationHamiltonian, spec: SpectralDecomposition) -> flo
     Splittings up to 1e-9 J count as degenerate: no beat, so a ring falls
     back to 10 N / J and a dipole chain raises DomainError.
     """
-    dl, unit = spec.splitting, _energy_unit(h)
-    beat = 2.0 * np.pi / dl if dl > _DEGENERATE_FLOOR * unit else 0.0
+    beat, unit = _beat_period(h, spec) or 0.0, _energy_unit(h)
     if h.geometry.topology is Topology.RING:
         return max(beat, 10.0 * spec.n / unit)
     if h.coupling.model is CouplingModel.NEAREST_NEIGHBOUR:
@@ -130,6 +128,15 @@ def _energy_unit(h: ExcitationHamiltonian) -> float:
     return h.coupling.c_const / (2.0 * h.geometry.mean_spacing**3)
 
 
+def _beat_period(h: ExcitationHamiltonian, spec: SpectralDecomposition):
+    """2 pi / dl; None if dl is at most 1e-9 J, DomainError if it overflows."""
+    dl = float(spec.splitting)
+    period = 2.0 * np.pi / dl if dl > _DEGENERATE_FLOOR * _energy_unit(h) else None
+    if period == np.inf:
+        raise DomainError(f"beat period 2 pi / {dl:.3g} overflows a float")
+    return period
+
+
 def _grid_size(t_max: float, bandwidth: float) -> int:
     return max(5000, int(np.ceil(t_max * bandwidth * _OVERSAMPLE / (2.0 * np.pi))))
 
@@ -140,14 +147,15 @@ def _beat_pair(w: np.ndarray, e: np.ndarray):
     Returns (|w_a|, |w_b|, R, t_0, T): R = sum_m |w_m| - |w_a| - |w_b| is the
     rest's weight, and |w_a + w_b e^{-i (e_b - e_a) t}| peaks at t_0 + k T.
     Equal energies do not beat, and neither does a pair with |w_b| at most
-    1e-9 |w_a|, whose beat could not prune anything.
+    1e-9 |w_a|, whose beat could not prune anything, nor one whose period
+    would exceed the longest window the search takes.
     """
     mag = np.abs(w)
     if len(w) < 2:
         return None
     b, a = np.argsort(mag, kind="stable")[-2:]
     beat = e[b] - e[a]
-    if mag[b] <= 1e-9 * mag[a] or beat == 0.0:
+    if mag[b] <= 1e-9 * mag[a] or not abs(beat) > 2.0 * np.pi / _MAX_WINDOW:
         return None
     period = 2.0 * np.pi / abs(beat)
     top = ((np.angle(w[b]) - np.angle(w[a])) / beat) % period
@@ -231,6 +239,11 @@ def find_peak(
     too small) is set iff |f(t_max)| is within 1e-9 of that height and
     g'(t_max) > 0.
 
+    Energies are squared in units of ``scale``, the power of two in
+    (e_max / 2, e_max] (0.5 for a flat spectrum), and scaled back by it:
+    M, each excess and each Newton step keep their bits, and no square
+    overflows or underflows, however large or small the energies.
+
     Only grid intervals where the beat envelope can still reach the best
     sample are sampled. With a, b the two heaviest terms of w and
     R = sum_m |w_m| - |w_a| - |w_b|, |f(t)| <= U(t) =
@@ -245,7 +258,7 @@ def find_peak(
     as without pruning. Ranges fewer than 2^12 points apart are sampled as
     one, so windows of short beats are sampled whole, and so is any window
     whose two heaviest terms do not beat (fewer than two nonzero weights,
-    or equal energies).
+    equal energies, or a period longer than any window, float max / 8).
 
     Ranges are produced 2^20 grid points at a time and each call evaluates
     at most that many, so memory is one call and one chunk's ranges plus
@@ -255,16 +268,13 @@ def find_peak(
     point can beat it by more than that: the scan stops, and only the kept
     intervals up to that sample are subdivided.
     """
-    if not 0 < t_max < np.inf:
-        raise DomainError(f"search window must be positive and finite, got {t_max}")
+    if not 0 < t_max <= _MAX_WINDOW:
+        raise DomainError(f"search window {t_max:.3g} outside (0, {_MAX_WINDOW:.3g}]")
 
     w, e = transfer_terms(spec, input_state, output_state)
     bandwidth = e[-1]
-    if not bandwidth < _MAX_SPREAD:
-        raise DomainError(
-            f"energy spread {bandwidth:.3g} above {_MAX_SPREAD:.3g}: "
-            "the bound on |f|'s curvature would overflow"
-        )
+    scale = np.ldexp(0.5, np.frexp(bandwidth)[1])
+    u = e / scale
     npts = _grid_size(t_max, bandwidth)
     step = t_max / (npts - 1)
 
@@ -275,21 +285,21 @@ def find_peak(
     # itself below tolerance. A batch may lose all its intervals to a
     # better sample found in an earlier one.
     tol = _TOLERANCE
-    curvature = curvature_bound(w, e)
+    curvature = curvature_bound(w, u)
     slack = 8.0 * np.finfo(float).eps * (1.0 + t_max * bandwidth)
     cap = np.abs(w).sum()
     best = -np.inf
 
     def survivors(left, right, width):
-        floor = best - tol - slack - curvature * width**2 / 8.0
+        floor = best - tol - slack - curvature * (width * scale) ** 2 / 8.0
         return np.maximum(left, right) >= floor
 
     subs, width = [], step
-    while curvature * width**2 / 8.0 > tol:
-        needed = np.sqrt(curvature * width**2 / (8.0 * tol))
+    while curvature * (width * scale) ** 2 / 8.0 > tol:
+        needed = np.sqrt(curvature * (width * scale) ** 2 / (8.0 * tol))
         subs.append(int(min(_SUBDIVIDE, np.ceil(needed))))
         width /= subs[-1]
-    excess = curvature * width**2 / 8.0
+    excess = curvature * (width * scale) ** 2 / 8.0
 
     # Contiguous survivors form one run around one peak; each run is
     # represented by its best sample (time, height), earliest on ties. A run
@@ -398,7 +408,7 @@ def find_peak(
     # a run whose refined point falls below its head keeps the head.
     later = np.maximum.accumulate((top + excess)[::-1])[::-1]
     later = np.append(later[1:], cap if stopped else -np.inf)
-    terms = np.stack((w, -1j * e * w, -e * e * w), axis=1)
+    terms = np.stack((w, -1j * u * w, -u * u * w), axis=1)
     t_ref, f_ref = at.copy(), top.copy()
     for lo in range(0, len(at), _NEWTON_BATCH):
         hi = min(lo + _NEWTON_BATCH, len(at))
@@ -409,7 +419,7 @@ def find_peak(
             slope = 2.0 * np.real(np.conj(f) * df)
             bend = 2.0 * (np.abs(df) ** 2 + np.real(np.conj(f) * ddf))
             move = np.divide(-slope, bend, out=np.zeros_like(t), where=bend < 0.0)
-            t = np.clip(t + np.clip(move, -width, width), t_lo, t_hi)
+            t = np.clip(t + np.clip(move / scale, -width, width), t_lo, t_hi)
         f = np.abs(np.exp(-1j * np.outer(t, e)) @ w)
         rose = f >= top[lo:hi]
         t_ref[lo:hi][rose], f_ref[lo:hi][rose] = t[rose], f[rose]
@@ -438,25 +448,14 @@ def summarize_transfer(
     ``default_window``).
     """
     spec = decompose(h)
+    period = _beat_period(h, spec)
     if t_max is None:
         t_max = default_window(h, spec)
     f_abs, t_peak, boundary = find_peak(spec, input_state, output_state, t_max)
-    dl = spec.splitting
-    period = 2.0 * np.pi / dl if dl > _DEGENERATE_FLOOR * _energy_unit(h) else None
-    if h.geometry.topology is Topology.CHAIN:
-        length = h.geometry.length
-        tau = t_peak / length**3
-    else:
-        length, tau = None, None
+    length = h.geometry.length if h.geometry.topology is Topology.CHAIN else None
+    tau = None if length is None else t_peak / length**3
     return TransferSummary(
-        n=h.n,
-        f_max=fidelity(f_abs),
-        t_peak=t_peak,
-        delta_lambda=dl,
-        tau=tau,
-        period=period,
-        length=length,
-        boundary_peak=boundary,
+        h.n, fidelity(f_abs), t_peak, spec.splitting, tau, period, length, boundary
     )
 
 

@@ -86,15 +86,8 @@ class TestSweeps:
         is no beat, as the degenerate floor and the 10 N window are in units
         of J = C / 2: the sweep runs in a 3 GB address space, where a floor
         and window in absolute units asked for gigabytes."""
-        src = str(Path(dipolink.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", _ADDRESS_SPACE_LIMITED_CLI, "ring-sweep",
-             "--n-min", "3", "--n-max", "6", "--c-const", c_const],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
+        proc = _run_capped(
+            "ring-sweep", "--n-min", "3", "--n-max", "6", "--c-const", c_const
         )
         assert proc.returncode == 0, proc.stderr
         assert [line.split(",")[0] for line in proc.stdout.splitlines()[1:]] == [
@@ -109,6 +102,20 @@ resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
 from dipolink.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def _run_capped(*argv):
+    """The CLI on ``argv`` in a fresh process with every warning an error,
+    a 3 GB address space and a two-minute timeout."""
+    src = str(Path(dipolink.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", _ADDRESS_SPACE_LIMITED_CLI, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestCurvesAndSpectra:
@@ -438,35 +445,72 @@ class TestInputErrors:
         assert code == 1 and out == ""
 
     @pytest.mark.parametrize("argv, message", [
-        (["chain-sweep", "--n-min", "2", "--n-max", "4", "--c-const", "1e160"],
-         "the bound on |f|'s curvature would overflow"),
-        (["optimize-placement", "--n", "4", "--c-const", "1e300"],
-         "the bound on |f|'s curvature would overflow"),
         # the search reaches gaps whose terms overflow a float
         (["optimize-placement", "--n", "4", "--c-const", "1e305"],
          "coupling constant 1e+305 with a largest 1/r^3 of"),
         # so does the first stacked build
         (["optimize-placement", "--n", "4", "--c-const", "1e307"],
          "coupling constant 1e+307 with a largest 1/r^3 of"),
-    ], ids=["chain-sweep-1e160", "placement-1e300", "placement-1e305",
-            "placement-1e307"])
+    ], ids=["placement-1e305", "placement-1e307"])
     def test_huge_coupling_constant(self, argv, message):
-        """Energies whose squares overflow, or terms that overflow the
-        Hamiltonian build, end in a one-line error, not in numpy warnings and
-        a traceback."""
-        src = str(Path(dipolink.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-m", "dipolink.cli", *argv],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert message in proc.stderr
-        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-        assert len(proc.stderr.splitlines()) == 1
+        """Terms that overflow the Hamiltonian build end in a one-line error,
+        not in numpy warnings and a traceback."""
+        _assert_one_line_error(_run_capped(*argv), message)
+
+    @pytest.mark.parametrize("argv, message", [
+        # the longer chains' default windows, their beats, pass float max / 8
+        (["chain-sweep", "--c-const", "1e-303"], "outside (0, 2.25e+307]"),
+        (["chain-sweep", "--c-const", "1e-305"], "outside (0, 2.25e+307]"),
+        # a subnormal C, whose energies would lose bits
+        (["optimize-placement", "--n", "4", "--c-const", "1e-310"],
+         "no smaller than the smallest normal float"),
+    ], ids=["chain-sweep-1e-303", "chain-sweep-1e-305", "placement-1e-310"])
+    def test_tiny_coupling_constant(self, argv, message):
+        """Windows that a float cannot hold and subnormal coupling constants
+        end in a one-line error before any scan."""
+        _assert_one_line_error(_run_capped(*argv), message)
+
+
+def _assert_one_line_error(proc, message):
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+# Coupling constants whose energies' squares overflow (1e160, 1e300) or
+# underflow (1e-160, 1e-300) a float.
+_EXTREME_C = ["1e160", "1e300", "1e-160", "1e-300"]
+
+
+class TestExtremeCouplingConstant:
+    """C only sets the unit of time: at any C whose spectrum and window a
+    float can hold, the CLI gives the C = 2 answer."""
+
+    @pytest.mark.parametrize("c_const", _EXTREME_C)
+    @pytest.mark.parametrize("command", ["chain-sweep", "ring-sweep"])
+    def test_sweep(self, capsys, command, c_const):
+        assert main([command, "--format", "json"]) == 0
+        base = json.loads(capsys.readouterr().out)
+        proc = _run_capped(command, "--c-const", c_const, "--format", "json")
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        rows = json.loads(proc.stdout)
+        assert [r["n"] for r in rows] == [b["n"] for b in base]
+        for r, b in zip(rows, base):
+            assert abs(r["f_max"] - b["f_max"]) <= 1e-10, r["n"]
+            assert r["t_peak"] * float(c_const) / 2.0 == pytest.approx(
+                b["t_peak"], rel=1e-12
+            ), r["n"]
+            assert r["boundary_peak"] == b["boundary_peak"], r["n"]
+
+    @pytest.mark.parametrize("c_const", _EXTREME_C)
+    def test_placement(self, capsys, c_const):
+        assert main(["optimize-placement", "--n", "4"]) == 0
+        base = json.loads(capsys.readouterr().out)
+        proc = _run_capped("optimize-placement", "--n", "4", "--c-const", c_const)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        gaps = json.loads(proc.stdout)["best_gaps"]
+        assert np.allclose(gaps, base["best_gaps"], rtol=0.0, atol=1e-6)
 
 
 def _golden_tool():

@@ -1,6 +1,7 @@
 """Placement optimizer and encoded-state tests."""
 
 import dataclasses
+import functools
 import os
 import subprocess
 import sys
@@ -31,6 +32,11 @@ from dipolink import (
 @pytest.fixture(scope="module")
 def four_spin_result():
     return optimize_placement(4)
+
+
+@functools.cache
+def _placement(n: int, c_const: float) -> PlacementResult:
+    return optimize_placement(n, dipolink.CouplingSpec("dipole", c_const))
 
 
 class TestFreeParameters:
@@ -95,6 +101,19 @@ class TestOptimizePlacement:
     def test_too_few_spins(self):
         with pytest.raises(DomainError):
             optimize_placement(2)
+
+    @pytest.mark.parametrize("k", [-60, -20, -10, 10, 20, 60])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_scale_covariance(self, n, k):
+        # C -> 2^k C scales every dl by 2^k exactly, and the search minimizes
+        # tau in units of 2 / C, so it takes the same steps at every such C
+        base, scaled = _placement(n, 2.0), _placement(n, 2.0 * 2.0**k)
+        assert scaled.best_gaps == base.best_gaps
+        assert scaled.evaluations == base.evaluations
+        assert scaled.f_max == base.f_max
+        assert scaled.delta_lambda / 2.0**k == base.delta_lambda
+        for field in ("start_tau", "tau", "t_best"):
+            assert getattr(scaled, field) * 2.0**k == getattr(base, field), field
 
     @pytest.mark.parametrize("field, value", [("restarts", -1), ("seed", -1)])
     def test_negative_config_rejected(self, field, value):

@@ -384,6 +384,23 @@ class TestChainSweep:
         with pytest.raises(DomainError):
             chain_sweep(1, 5)
 
+    @pytest.mark.parametrize("k", [-60, -20, -1, 1, 20, 60])
+    @pytest.mark.parametrize(
+        "coupling", [DIPOLE, NEAREST_NEIGHBOUR], ids=["dipole", "nn"]
+    )
+    def test_scale_covariance(self, coupling, k):
+        # C -> 2^k C scales the matrix, its eigenvalues and every energy the
+        # peak search squares by 2^k exactly, so each row keeps its bits
+        base = chain_sweep(2, 12, coupling)
+        scaled = chain_sweep(
+            2, 12, CouplingSpec(coupling.model, coupling.c_const * 2.0**k)
+        )
+        for b, s in zip(base, scaled):
+            assert s.f_max == b.f_max, f"N={b.n}"
+            assert s.t_peak * 2.0**k == b.t_peak, f"N={b.n}"
+            assert s.delta_lambda / 2.0**k == b.delta_lambda, f"N={b.n}"
+            assert s.boundary_peak == b.boundary_peak, f"N={b.n}"
+
     def test_csv_format(self, dipole_rows, capsys):
         from dipolink.cli import main
 
@@ -441,7 +458,7 @@ class TestRingSweep:
         with pytest.raises(DomainError):
             ring_sweep(2, 5)
 
-    @pytest.mark.parametrize("k", [-20, -1, 2, 20])
+    @pytest.mark.parametrize("k", [-60, -20, -1, 2, 20, 60])
     @pytest.mark.parametrize(
         "coupling", [DIPOLE, NEAREST_NEIGHBOUR], ids=["dipole", "nn"]
     )
@@ -630,8 +647,10 @@ class TestBeatEnvelope:
             ([0.0, 1.0, 0.0], [0.0, 0.5, 2.0]),
             # a partner below 1e-9 of the heaviest weight counts as none
             ([1.0 - 1e-12, 1e-12], [0.0, 1.0]),
+            # a beat period past float max / 8, the longest window taken
+            ([0.35, -0.35j, 0.1, 0.2], [0.0, 1e-310, 1.0, 2.5]),
         ],
-        ids=["degenerate-pair", "single-weight", "negligible-partner"],
+        ids=["degenerate-pair", "single-weight", "negligible-partner", "slow-beat"],
     )
     def test_no_beat_samples_the_whole_window(self, monkeypatch, w, e):
         # with one weight |f| is the cap sum |w_m| at every t, so the first

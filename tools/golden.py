@@ -45,12 +45,17 @@ INVOCATIONS = (
         # C = 2 * 2^2: every row's F and flag should equal the C = 2 ring's,
         # and its t_peak be that row's divided by 4, bit for bit
         ["ring-sweep", "--c-const", "8", "--format", "json"],
+        # energies whose squares underflow or overflow a float; the peak
+        # search squares them in a power-of-two unit of the spread
+        ["chain-sweep", "--c-const", "1e-200", "--format", "json"],
+        ["ring-sweep", "--c-const", "1e-300", "--format", "json"],
         ["bound-state", "--format", "csv"],
         ["bound-state", "--format", "json"],
         ["fidelity-curve", "--n", "10", "--t-max", "4000", "--steps", "2000"],
         ["onsite-energies"],
     ]
     + [["optimize-placement", "--n", str(n)] for n in (3, 4, 5, 7, 8)]
+    + [["optimize-placement", "--n", "4", "--c-const", "1e300"]]
     + [["optimize-placement", "--n", "6", "--seed", str(s)] for s in range(43)]
     + [
         # two lockstep blocks of starts (37 + 4), and a seed of two uint32
