@@ -11,8 +11,6 @@ import json
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from .boundstate import fit_bound_state, predict_splitting
 from .disorder import CLASSICAL_THRESHOLD, DisorderConfig, NoiseModel, run_disorder
 from .errors import (
@@ -31,7 +29,7 @@ from .lattice import (
 )
 from .optimize import SearchConfig, encoded_end_states, optimize_placement
 from .spectral import decompose, fidelity_curve, site_state
-from .transfer import chain_sweep, ring_sweep, summarize_transfer
+from .transfer import _period, chain_sweep, ring_sweep, summarize_transfer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -157,8 +155,8 @@ def _cmd_bound_state(args):
                 "n": n,
                 "delta_lambda_exact": spec.splitting,
                 "delta_lambda_pred": dl_pred,
-                "beat_tau_exact": (np.pi / spec.splitting) / length**3,
-                "beat_tau_pred": (np.pi / dl_pred) / length**3,
+                "beat_tau_exact": _period(spec.splitting) / 2.0 / length**3,
+                "beat_tau_pred": _period(dl_pred) / 2.0 / length**3,
             }
         )
     _emit(args, records, {"model": model.as_dict()})

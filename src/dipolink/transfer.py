@@ -131,7 +131,12 @@ def _energy_unit(h: ExcitationHamiltonian) -> float:
 def _beat_period(h: ExcitationHamiltonian, spec: SpectralDecomposition):
     """2 pi / dl; None if dl is at most 1e-9 J, DomainError if it overflows."""
     dl = float(spec.splitting)
-    period = 2.0 * np.pi / dl if dl > _DEGENERATE_FLOOR * _energy_unit(h) else None
+    return _period(dl) if dl > _DEGENERATE_FLOOR * _energy_unit(h) else None
+
+
+def _period(dl: float) -> float:
+    """2 pi / dl for a splitting dl > 0; DomainError if it overflows a float."""
+    period = 2.0 * np.pi / float(dl)
     if period == np.inf:
         raise DomainError(f"beat period 2 pi / {dl:.3g} overflows a float")
     return period
@@ -261,12 +266,17 @@ def find_peak(
     equal energies, or a period longer than any window, float max / 8).
 
     Ranges are produced 2^20 grid points at a time and each call evaluates
-    at most that many, so memory is one call and one chunk's ranges plus
-    the kept intervals (subdivided whenever they outnumber a chunk) and the
-    run heads that can still reach the best sample, whatever the window.
-    Once a sample comes within tolerance of the cap sum_m |w_m|, no later
-    point can beat it by more than that: the scan stops, and only the kept
-    intervals up to that sample are subdivided.
+    at most that many. Each range's kept intervals are subdivided as soon as
+    it is sampled, so memory is one call, one chunk's ranges, one range's
+    kept intervals and the run heads that can still reach the best sample,
+    whatever the window. Once a sample, coarse or subdivided, comes within
+    tolerance of the cap sum_m |w_m|, no later point can beat it by more
+    than that: the scan stops after that range, and kept intervals past
+    that sample are no longer subdivided.
+
+    A window whose roundoff slack 8 eps (1 + t_max e_max) reaches
+    sum_m |w_m| > 0 could prune no interval at any depth, so it raises
+    DomainError before any scan.
     """
     if not 0 < t_max <= _MAX_WINDOW:
         raise DomainError(f"search window {t_max:.3g} outside (0, {_MAX_WINDOW:.3g}]")
@@ -288,6 +298,11 @@ def find_peak(
     curvature = curvature_bound(w, u)
     slack = 8.0 * np.finfo(float).eps * (1.0 + t_max * bandwidth)
     cap = np.abs(w).sum()
+    if slack >= cap > 0.0:
+        raise DomainError(
+            f"search window {t_max:.3g}: roundoff slack {slack:.3g} reaches "
+            f"sum |w_m| = {cap:.3g}, so no interval could be pruned"
+        )
     best = -np.inf
 
     def survivors(left, right, width):
@@ -325,11 +340,6 @@ def find_peak(
 
     def subdivide(kept):
         nonlocal best, heads
-        kept = np.concatenate(kept, axis=1)
-        kept = kept[:, kept[0] < cut]
-        # runs need time order, and the two sampling passes break it
-        kept = kept[:, np.argsort(kept[0], kind="stable")]
-        kept = kept[:, survivors(kept[1], kept[2], step)]
         found = [heads]
         for lo in range(0, kept.shape[1], _BATCH):
             batch = kept[:, lo : lo + _BATCH]
@@ -379,9 +389,9 @@ def find_peak(
                 yield from todo.T
 
     # Each range's grid points are sampled by one call, and the (start,
-    # left, right) of kept intervals (held of them) are buffered and
-    # subdivided when they outnumber a chunk, at a certified stop and at the end.
-    kept, held, stopped = [], 0, False
+    # left, right) of its kept intervals, in time order and screened against
+    # the best sample so far, are subdivided at once.
+    stopped = False
     for lo, hi in ranges():
         times = np.arange(lo, hi + 1, dtype=float)
         times *= step
@@ -392,16 +402,10 @@ def find_peak(
         best = max(best, fa.max())
         reach_cap(fa, lambda i: (lo + i) * step)
         keep = np.flatnonzero(survivors(fa[:-1], fa[1:], step))
-        kept.append(np.stack(((lo + keep) * step, fa[keep], fa[keep + 1])))
-        held += len(keep)
+        subdivide(np.stack(((lo + keep) * step, fa[keep], fa[keep + 1])))
         stopped = best >= cap - tol
-        if stopped or held > _CHUNK:
-            subdivide(kept)
-            kept, held = [], 0
         if stopped:
             break
-    if kept:
-        subdivide(kept)
     at, top = heads[:, np.argsort(heads[0], kind="stable")]
 
     # Runs are refined a batch at a time, in time order (see the docstring);

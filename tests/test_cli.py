@@ -104,13 +104,14 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _run_capped(*argv):
-    """The CLI on ``argv`` in a fresh process with every warning an error,
-    a 3 GB address space and a two-minute timeout."""
+def _run_capped(*argv, warnings="error"):
+    """The CLI on ``argv`` in a fresh process with every warning an error
+    (or the ``-W`` action ``warnings``), a 3 GB address space and a
+    two-minute timeout."""
     src = str(Path(dipolink.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-W", "error", "-c", _ADDRESS_SPACE_LIMITED_CLI, *argv],
+        [sys.executable, "-W", warnings, "-c", _ADDRESS_SPACE_LIMITED_CLI, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -438,6 +439,11 @@ class TestInputErrors:
         assert code == 1 and out == ""
         assert err == "dipolink: seed must be non-negative, got -1\n"
 
+    def test_fidelity_curve_needs_a_size(self, capsys):
+        code, out, err = run_cli(capsys, "fidelity-curve", "--t-max", "1")
+        assert code == 1 and out == ""
+        assert err == "dipolink: specify --n or --geometry-file\n"
+
     def test_empty_size_range(self, capsys):
         code, out, _ = run_cli(
             capsys, "spectrum-sweep", "--n-min", "5", "--n-max", "4"
@@ -469,6 +475,17 @@ class TestInputErrors:
         """Windows that a float cannot hold and subnormal coupling constants
         end in a one-line error before any scan."""
         _assert_one_line_error(_run_capped(*argv), message)
+
+    @pytest.mark.parametrize("warnings", ["error", "default"])
+    def test_bound_state_beat_past_float_max(self, warnings):
+        """pi / dl at C = 1e-307 overflows a float: one line and exit 1,
+        whether or not warnings are errors, not an overflow warning and an
+        infinite tau."""
+        proc = _run_capped(
+            "bound-state", "--c-const", "1e-307", "--format", "json",
+            warnings=warnings,
+        )
+        _assert_one_line_error(proc, "beat period 2 pi / 4.09e-311 overflows")
 
 
 def _assert_one_line_error(proc, message):

@@ -49,6 +49,10 @@ class TestGeometry:
             uniform_chain(1)
         with pytest.raises(InvalidGeometryError):
             ring(2)
+        with pytest.raises(InvalidGeometryError, match="at least 2 sites"):
+            Geometry(Topology.CHAIN, (0.0,))
+        with pytest.raises(InvalidGeometryError, match="a ring needs at least 3"):
+            Geometry(Topology.RING, (0, 1))
 
     def test_json_round_trip(self):
         g = Geometry(Topology.CHAIN, (0.0, 0.4, 1.0))
@@ -66,6 +70,7 @@ class TestGeometry:
         '{"topology": "ring", "positions": [0, 1, 2, 3, 10]}',
         '{"topology": "chain", "positions": [0, 1, NaN]}',
         '{"topology": "chain", "positions": [0, 1, Infinity]}',
+        '{"topology": "chain", "positions": [0]}',
     ])
     def test_malformed_json_rejected(self, text):
         with pytest.raises(InvalidGeometryError):

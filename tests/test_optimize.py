@@ -102,6 +102,12 @@ class TestOptimizePlacement:
         with pytest.raises(DomainError):
             optimize_placement(2)
 
+    def test_no_placement_above_the_gap_floor(self):
+        # uniform gaps of 1/21 sit below the 0.05 floor, and no start finds
+        # a placement above it
+        with pytest.raises(InfeasibleConstraintError, match="22-spin placement"):
+            optimize_placement(22)
+
     @pytest.mark.parametrize("k", [-60, -20, -10, 10, 20, 60])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_scale_covariance(self, n, k):

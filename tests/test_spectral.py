@@ -16,6 +16,7 @@ from dipolink import (
     DIPOLE,
     DisorderConfig,
     DomainError,
+    FidelityCurve,
     Geometry,
     NEAREST_NEIGHBOUR,
     NumericInputError,
@@ -441,6 +442,10 @@ class TestFidelityCurve:
         # levels 0 and 2: the fastest period is pi
         assert curve.samples_per_period == pytest.approx(499 * np.pi / 6.0)
         assert not curve.undersampled
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ShapeError, match="equal length"):
+            FidelityCurve(np.zeros(3), np.zeros(2), None)
 
     def test_flat_spectrum_has_no_sampling_rate(self):
         s = site_state(2, 1)

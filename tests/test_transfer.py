@@ -15,6 +15,7 @@ from dipolink import (
     DIPOLE,
     CouplingSpec,
     DomainError,
+    ExcitationHamiltonian,
     Geometry,
     NEAREST_NEIGHBOUR,
     SiteState,
@@ -134,6 +135,45 @@ class TestSummarizeTransfer:
         with pytest.raises(DomainError):
             find_peak(spec, site_state(3, 1), site_state(3, 3), t_max)
 
+    def test_window_the_search_cannot_prune(self):
+        """At t_max = 1e15 the 4-spin chain's roundoff slack
+        8 eps (1 + t_max e_max), 6.9, passes sum_m |w_m| <= 1, so every
+        interval would survive every round of the screen. It is refused
+        before any scan; the scan itself ran out of a 3 GB address space."""
+        src = str(Path(dipolink.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _UNPRUNABLE_WINDOW],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "roundoff slack" in proc.stdout
+        assert float(proc.stdout.split()[0]) < 1.0
+
+    def test_degenerate_dipole_chain_has_no_default_window(self):
+        # equal lowest levels do not beat, so one beat period is no window
+        h = ExcitationHamiltonian(np.eye(2), 0.0, uniform_chain(2), DIPOLE)
+        with pytest.raises(DomainError, match="degenerate lowest levels"):
+            default_window(h, decompose(h))
+
+
+# Runs the 4-spin chain's search over t_max = 1e15 in a 3 GB address space;
+# prints the seconds until DomainError and its message.
+_UNPRUNABLE_WINDOW = """
+import resource, time
+resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+from dipolink import DomainError, build_hamiltonian, end_to_end_summary, uniform_chain
+h = build_hamiltonian(uniform_chain(4))
+start = time.perf_counter()
+try:
+    end_to_end_summary(h, t_max=1e15)
+except DomainError as exc:
+    print(time.perf_counter() - start, exc)
+"""
+
 
 class TestWindowMaximum:
     """find_peak returns the maximum of |f| over its window.
@@ -218,8 +258,7 @@ class TestWindowMaximum:
         "t_max, grid_points",
         [
             (5e4, None),
-            # every interval is kept, so the buffer outgrows a chunk and is
-            # subdivided mid-scan
+            # every coarse interval is kept, in ranges of one chunk each
             (1e5, 40_000),
         ],
     )
@@ -249,6 +288,16 @@ class TestWindowMaximum:
         assert t_peak == pytest.approx(np.pi / 2.0, abs=1e-8)
         assert not flag
         assert len(scans) <= 2
+
+    def test_subdivided_sample_at_the_cap_stops_the_scan(self, monkeypatch):
+        # criterion 01's N = 3 row: no coarse sample of the 2.08M-point
+        # window reaches the cap, but a subdivided one in the first chunk,
+        # near t = 5144.82, does, so the second chunk is never sampled
+        scans = _counting(monkeypatch)
+        s = end_to_end_summary(build_hamiltonian(uniform_chain(3)), 1e6)
+        assert sum(scans) <= 2**20 + 1
+        assert s.f_max == float.fromhex("0x1.fffffffd06b3cp-1")
+        assert s.t_peak == float.fromhex("0x1.418d1ed3e8a7ep+12")
 
     def test_closed_form_nn_chain(self):
         # N = 1024 from the nn chain's closed-form eigenpairs, no eigensolve:
@@ -649,8 +698,11 @@ class TestBeatEnvelope:
             ([1.0 - 1e-12, 1e-12], [0.0, 1.0]),
             # a beat period past float max / 8, the longest window taken
             ([0.35, -0.35j, 0.1, 0.2], [0.0, 1e-310, 1.0, 2.5]),
+            # one level: |f| = 1 throughout, first reached at t = 0
+            ([1.0], [0.0]),
         ],
-        ids=["degenerate-pair", "single-weight", "negligible-partner", "slow-beat"],
+        ids=["degenerate-pair", "single-weight", "negligible-partner", "slow-beat",
+             "one-level"],
     )
     def test_no_beat_samples_the_whole_window(self, monkeypatch, w, e):
         # with one weight |f| is the cap sum |w_m| at every t, so the first

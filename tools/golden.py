@@ -51,6 +51,8 @@ INVOCATIONS = (
         ["ring-sweep", "--c-const", "1e-300", "--format", "json"],
         ["bound-state", "--format", "csv"],
         ["bound-state", "--format", "json"],
+        # pi / dl overflows a float: refused with one line
+        ["bound-state", "--c-const", "1e-307", "--format", "json"],
         ["fidelity-curve", "--n", "10", "--t-max", "4000", "--steps", "2000"],
         ["onsite-energies"],
     ]
