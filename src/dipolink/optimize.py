@@ -68,10 +68,12 @@ class SearchConfig:
     np.random.default_rng(seed).uniform would draw them (without loading
     numpy.random); both must be non-negative integers, not bools. Gaps below
     0.05 are rejected. Nelder-Mead stops at xatol 1e-7 and fatol 1e-12 or
-    after 400 iterations. The starts run in lockstep, each round one stacked
-    build and one batched eigensolve of its points above the floor (none if
-    it has none), in blocks whose stacked matrices hold at most 4096
-    elements, so memory does not grow with ``restarts``. The fidelity
+    after 400 iterations, and a start whose iteration leaves its simplex bit
+    for bit unchanged stops there, counting the iterations it would repeat
+    up to the cap as evaluated. The starts run in lockstep, each round one
+    stacked build and one batched eigensolve of its points above the floor
+    (none if it has none), in blocks whose stacked matrices hold at most
+    4096 elements, so memory does not grow with ``restarts``. The fidelity
     constraint ``min_fidelity``, a real number (not a bool), finite and at
     most 1, is checked at each converged candidate by a peak search over 20
     beat periods 2 pi / dl.
@@ -166,8 +168,8 @@ def _tau(gaps: np.ndarray, coupling: CouplingSpec) -> np.ndarray:
     path; each dl is the one ``decompose`` returns for that chain alone, bit
     for bit. Their pair distances lie between the 0.05 floor and the unit
     length, so every coupling is finite and the eigensolve scans no entry.
-    A stack with no feasible chain (about 30 % of the rounds of an N = 6
-    search) is all inf without a build or an eigensolve.
+    A stack with no feasible chain (about 13 % of the rounds of N = 6
+    searches, over 40 seeds) is all inf without a build or an eigensolve.
     """
     tau = np.full(len(gaps), np.inf)
     feasible = ~(gaps < _GAP_MIN).any(axis=-1)
@@ -188,10 +190,15 @@ def _sort_simplex(sim: list, fsim: list):
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
+def _bits(sim: list, fsim: list) -> bytes:
+    """The simplex and its values as raw doubles, so that -0.0 != 0.0."""
+    return np.array(sim).tobytes() + np.array(fsim).tobytes()
+
+
 def _nelder_mead(x0):
     """Minimize from x0 as a generator: yields each list of k points it needs,
     each point a list of floats, is sent their k values as floats, and
-    returns (lowest value, its vertex as an array).
+    returns (lowest value, its vertex as an array, evaluations).
 
     Repeats scipy 1.17's unbounded, non-adaptive Nelder-Mead (``minimize``
     with xatol 1e-7, fatol 1e-12, maxiter 400) operation for operation, so
@@ -204,16 +211,23 @@ def _nelder_mead(x0):
     written out below as their products; the centroid adds the vertices in
     order, as numpy's reduction over the simplex's first axis does. A start
     with no free parameter is its own minimum.
+
+    An iteration that leaves the sorted simplex and its values bit for bit
+    as they were is a fixed point: with an objective that gives the same
+    bits for the same point, scipy repeats it up to the cap. The run stops
+    there and counts those repeats' points as evaluations, as ``nfev`` does.
     """
     n = len(x0)
     x0 = [float(v) for v in x0]
     sim = [x0] + [x0[:k] + [1.05 * v if v != 0 else 0.00025] + x0[k + 1 :]
                   for k, v in enumerate(x0)]
     fsim = list((yield sim))
+    evaluations = len(sim)
     # sorted twice, as scipy does: argsort need not keep ties in place
     sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))
     iterations = 1
     while n and iterations < _MAXITER:
+        before = sim[:], fsim[:]
         best, last = sim[0], sim[-1]
         if (all(abs(v - b) <= _XATOL for x in sim[1:] for v, b in zip(x, best))
                 and all(abs(fsim[0] - f) <= _FATOL for f in fsim[1:])):
@@ -224,9 +238,11 @@ def _nelder_mead(x0):
         xbar = [a / n for a in xbar]
         xr = [2 * a - v for a, v in zip(xbar, last)]
         (fxr,) = yield [xr]
+        asked = 1
         if fxr < fsim[0]:
             xe = [3 * a - 2 * v for a, v in zip(xbar, last)]
             (fxe,) = yield [xe]
+            asked += 1
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
@@ -239,15 +255,22 @@ def _nelder_mead(x0):
                 xc = [0.5 * a + 0.5 * v for a, v in zip(xbar, last)]
                 (fxc,) = yield [xc]
                 shrink = not fxc < fsim[-1]
+            asked += 1
             if shrink:
                 sim[1:] = [[b + 0.5 * (v - b) for b, v in zip(best, x)]
                            for x in sim[1:]]
                 fsim[1:] = yield sim[1:]
+                asked += n
             else:
                 sim[-1], fsim[-1] = xc, fxc
         iterations += 1
+        evaluations += asked
         sim, fsim = _sort_simplex(sim, fsim)
-    return min(fsim), np.array(sim[0])
+        # `==` screens cheaply; the bits then tell -0.0 from 0.0
+        if (sim, fsim) == before and _bits(sim, fsim) == _bits(*before):
+            evaluations += (_MAXITER - iterations) * asked
+            break
+    return min(fsim), np.array(sim[0]), evaluations
 
 
 def _lockstep(func, starts) -> list:
@@ -256,11 +279,12 @@ def _lockstep(func, starts) -> list:
 
     Each round stacks the points every unfinished start asks for and
     evaluates them in one call of func, which maps a (k, n) array of points
-    to k values, so every start takes the steps it would take alone.
+    to k values, so every start takes the steps it would take alone. func
+    must give the same bits for the same point whatever else the call
+    holds, since a start stops at its first fixed point.
     """
     runs = [_nelder_mead(x0) for x0 in starts]
     asks = {i: next(run) for i, run in enumerate(runs)}  # unfinished starts
-    calls = [0] * len(runs)
     ends = [None] * len(runs)
     while asks:
         values = func(np.array([x for points in asks.values() for x in points]))
@@ -268,12 +292,11 @@ def _lockstep(func, starts) -> list:
         lo = 0
         for i, points in list(asks.items()):
             hi = lo + len(points)
-            calls[i] += len(points)
             try:
                 asks[i] = runs[i].send(values[lo:hi])
             except StopIteration as stop:
                 del asks[i]
-                ends[i] = (*stop.value, calls[i])
+                ends[i] = stop.value
             lo = hi
     return ends
 
@@ -303,14 +326,16 @@ def optimize_placement(
     starts run in lockstep, each taking the steps it would take alone: a
     round is one stacked build and one batched eigensolve of every point
     they ask for that clears the gap floor, and a round whose points all
-    lie below it costs neither. Starts run in blocks whose stacked matrices
-    hold at most 4096 elements, so memory stays flat for any number of
-    restarts.
+    lie below it costs neither. A start stops at its first fixed point,
+    where the objective, which gives the same bits for the same point,
+    would repeat one iteration until the cap; ``evaluations`` counts those
+    iterations as run. Starts run in blocks whose stacked matrices hold at
+    most 4096 elements, so memory stays flat for any number of restarts.
     Converged candidates are screened in ascending-objective order against
     the fidelity constraint; only exactly equal objectives tie, and a tie
     is broken toward the point closest to uniform. Raises
-    InfeasibleConstraintError, naming the best fidelity reached, if no
-    candidate passes.
+    InfeasibleConstraintError, naming the best fidelity reached, unrounded,
+    if no candidate passes.
     """
     if n < 3:
         raise DomainError(f"need at least 3 spins to optimize, got {n}")
@@ -357,7 +382,7 @@ def optimize_placement(
         best_f = max(best_f, result.f_max)
     raise InfeasibleConstraintError(
         f"no candidate reached f_max >= {config.min_fidelity} within "
-        f"{_VERIFY_BEATS} beats (best {best_f:.6f})"
+        f"{_VERIFY_BEATS} beats (best {best_f!r})"
     )
 
 

@@ -180,7 +180,8 @@ def propagator_abs_grid(
     2 sqrt(K) N exponentials instead of K N. Energies are measured from E_0
     to keep the phases small; the product is formed a row block at a time,
     so no temporary grows with K. A grid that deviates from uniform by more
-    than 1e-12 of max |t| raises DomainError.
+    than 1e-12 of max |t|, or whose largest phase max |t| (E_max - E_0)
+    overflows a float, raises DomainError.
     """
     w, e = transfer_terms(spec, input_state, output_state)
     times = np.asarray(times, dtype=float)
@@ -188,7 +189,10 @@ def propagator_abs_grid(
     if k == 0:
         return np.empty(0)
     dt = (times[-1] - times[0]) / (k - 1) if k > 1 else 0.0
-    tol = _UNIFORM_RTOL * max(abs(times[0]), abs(times[-1]))
+    t_abs = float(max(abs(times[0]), abs(times[-1])))
+    if not np.isfinite(t_abs * float(e[-1])):
+        raise DomainError(f"phases up to {t_abs:.3g} x {e[-1]:.3g} overflow a float")
+    tol = _UNIFORM_RTOL * t_abs
     for lo in range(0, k, _BLOCK_ELEMENTS):
         ts = times[lo : lo + _BLOCK_ELEMENTS]
         if np.max(np.abs(ts - (times[0] + dt * np.arange(lo, lo + len(ts))))) > tol:

@@ -487,6 +487,16 @@ class TestInputErrors:
         )
         _assert_one_line_error(proc, "beat period 2 pi / 4.09e-311 overflows")
 
+    @pytest.mark.parametrize("warnings", ["error", "default"])
+    def test_fidelity_curve_phase_past_float_max(self, warnings):
+        """The grid's largest phase, 1e308 (E_max - E_0), overflows a float:
+        one line and exit 1, not overflow warnings and an F of NaN."""
+        proc = _run_capped(
+            "fidelity-curve", "--n", "4", "--t-max", "1e308", "--steps", "3",
+            "--format", "json", warnings=warnings,
+        )
+        _assert_one_line_error(proc, "phases up to 1e+308 x 3.87 overflow a float")
+
 
 def _assert_one_line_error(proc, message):
     assert proc.returncode == 1 and proc.stdout == ""

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,14 @@ class TestOptimizePlacement:
         with pytest.raises(DomainError):
             optimize_placement(2)
 
+    def test_failure_names_the_best_fidelity_unrounded(self):
+        # the best candidate's F is 0.99999999918, which six places would
+        # round up to the bar
+        with pytest.raises(InfeasibleConstraintError) as info:
+            optimize_placement(4, config=SearchConfig(min_fidelity=1.0))
+        best = float(re.search(r"\(best (.+)\)", str(info.value)).group(1))
+        assert best < 1.0
+
     def test_no_placement_above_the_gap_floor(self):
         # uniform gaps of 1/21 sit below the 0.05 floor, and no start finds
         # a placement above it
@@ -152,10 +161,16 @@ def _assert_same_run(func, starts):
     """Run scipy's Nelder-Mead from each start on func, a batched objective
     called one point at a time, and ``_lockstep`` from all starts together;
     require per start the same number of evaluations and the same bits.
-    Returns the (fun, x) of each start."""
+    Returns the (fun, x, evaluations) of each start and the number of points
+    ``_lockstep`` evaluated."""
     from scipy.optimize import minimize
 
     calls = [0]
+    points = [0]
+
+    def counted(x):
+        points[0] += len(x)
+        return func(x)
 
     def one_point(x):
         calls[0] += 1
@@ -169,13 +184,13 @@ def _assert_same_run(func, starts):
                            options={"xatol": 1e-7, "fatol": 1e-12, "maxiter": 400})
             assert calls[0] == ref.nfev
             refs.append(ref)
-        ends = optimize._lockstep(func, [np.asarray(x0, dtype=float) for x0 in starts])
+        ends = optimize._lockstep(counted, [np.asarray(x0, dtype=float) for x0 in starts])
     assert len(ends) == len(starts)
     for (fun, x, nfev), ref in zip(ends, refs):
         assert nfev == ref.nfev
         assert np.array_equal(fun, ref.fun)
         assert np.array_equal(x, ref.x)
-    return [(fun, x) for fun, x, _ in ends]
+    return ends, points[0]
 
 
 class TestNelderMeadMatchesScipy:
@@ -226,15 +241,49 @@ class TestNelderMeadMatchesScipy:
             return float(np.sum((x - np.array([1.0, 2.0])) ** 2))
 
         # the second start begins past the wall
-        ((fun, x), _) = _assert_same_run(_batched(walled), [[0.5, 0.5], [0.9, 0.5]])
+        ends, _ = _assert_same_run(_batched(walled), [[0.5, 0.5], [0.9, 0.5]])
+        ((fun, x, _), _) = ends
         assert x[0] == pytest.approx(0.8, abs=1e-6) and np.isfinite(fun)
+        # scipy repeats that start's last iteration unchanged up to the cap;
+        # the run stops at its first repeat and counts the rest as asked
+        (((fun, x, nfev),), points) = _assert_same_run(_batched(walled), [[0.9, 0.5]])
+        assert nfev == 1599 and points < nfev / 4
+
+    @pytest.mark.parametrize("n, seed, rounds, evaluations", [
+        # one start of seed 16 collapses to a point below the gap floor (all
+        # values inf); N = 5's uniform start ends with both vertices on the
+        # floor, 1e-15 apart and their values 6e-12 apart
+        (6, 16, 300, 3664), (5, 0, 200, 2253),
+    ])
+    def test_fixed_points_of_the_placement_objective(
+        self, monkeypatch, n, seed, rounds, evaluations
+    ):
+        runs, calls = [], []
+        own = optimize._lockstep
+
+        def recording(func, starts):
+            runs.append((func, [np.array(x0) for x0 in starts]))
+
+            def counted(points):
+                calls.append(len(points))
+                return func(points)
+
+            return own(counted, starts)
+
+        monkeypatch.setattr(optimize, "_lockstep", recording)
+        result = optimize_placement(n, config=SearchConfig(seed=seed))
+        monkeypatch.undo()
+        assert result.evaluations == evaluations
+        assert len(calls) <= rounds and sum(calls) < evaluations
+        for func, block in runs:
+            _assert_same_run(func, block)
 
 
 class TestLockstepBlocks:
     """Blocks of starts bound memory without changing any result."""
 
     @pytest.mark.parametrize("n, seed", [
-        # seed 16 spends 961 of its 1198 rounds with every point below the
+        # seed 16 has a start that stops at an all-inf fixed point below the
         # gap floor
         (4, 0), (5, 0), (6, 0), (7, 0), (8, 0), (6, 9), (6, 12), (6, 16),
     ])

@@ -309,6 +309,15 @@ class TestGridKernel:
             assert np.allclose(fa, _direct_abs(spec, np.array(times)), atol=1e-12)
         assert propagator_abs_grid(spec, a, b, np.array([])).shape == (0,)
 
+    @pytest.mark.parametrize("ends", [(0.0, 1e308), (-1e308, 0.0)])
+    def test_phase_overflow_rejected(self, ends):
+        # max |t| (E_max - E_0) passes float max: refused before any phase
+        # is formed, not NaN with overflow warnings
+        spec = decompose(build_hamiltonian(uniform_chain(4)))
+        a, b = site_state(4, 1), site_state(4, 4)
+        with pytest.raises(DomainError, match="overflow a float"):
+            propagator_abs_grid(spec, a, b, np.linspace(*ends, 3))
+
     def test_non_uniform_grid_rejected(self):
         spec = decompose(build_hamiltonian(uniform_chain(5)))
         a, b = site_state(5, 1), site_state(5, 5)

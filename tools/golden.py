@@ -54,6 +54,9 @@ INVOCATIONS = (
         # pi / dl overflows a float: refused with one line
         ["bound-state", "--c-const", "1e-307", "--format", "json"],
         ["fidelity-curve", "--n", "10", "--t-max", "4000", "--steps", "2000"],
+        # the grid's largest phase overflows a float: refused with one line
+        ["fidelity-curve", "--n", "4", "--t-max", "1e308", "--steps", "3",
+         "--format", "json"],
         ["onsite-energies"],
     ]
     + [["optimize-placement", "--n", str(n)] for n in (3, 4, 5, 7, 8)]
