@@ -73,7 +73,10 @@ class SearchConfig:
     up to the cap as evaluated. The starts run in lockstep, each round one
     stacked build and one batched eigensolve of its points above the floor
     (none if it has none), in blocks whose stacked matrices hold at most
-    4096 elements, so memory does not grow with ``restarts``. The fidelity
+    4096 elements. The blocks bound each round's build and eigensolve and
+    the starts that run at once; every start vector and every start's end
+    point is kept, so memory grows linearly with ``restarts`` (2.0 MiB of
+    start vectors at N = 6 and 10^4 restarts). The fidelity
     constraint ``min_fidelity``, a real number (not a bool), finite and at
     most 1, is checked at each converged candidate by a peak search over 20
     beat periods 2 pi / dl.
@@ -330,7 +333,10 @@ def optimize_placement(
     where the objective, which gives the same bits for the same point,
     would repeat one iteration until the cap; ``evaluations`` counts those
     iterations as run. Starts run in blocks whose stacked matrices hold at
-    most 4096 elements, so memory stays flat for any number of restarts.
+    most 4096 elements, which bound each round's build and eigensolve and
+    the starts that run at once; the start vectors, drawn up front, and
+    each start's end point are kept, so memory grows linearly with the
+    number of restarts.
     Converged candidates are screened in ascending-objective order against
     the fidelity constraint; only exactly equal objectives tie, and a tie
     is broken toward the point closest to uniform. Raises

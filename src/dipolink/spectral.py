@@ -201,6 +201,19 @@ def propagator_abs_grid(
     return abs_runs(w, e, times[::block], dt, block).ravel()[:k]
 
 
+def grid_step(t_max: float, points: int) -> float:
+    """t_max / (points - 1), the step of a uniform grid of ``points`` over
+    [0, t_max]; DomainError if it is below the smallest normal float, where
+    the grid's times would lose bits or coincide."""
+    step = t_max / (points - 1)
+    if step < np.finfo(float).tiny:
+        raise DomainError(
+            f"grid step {step:.3g} = t_max / {points - 1} is below the "
+            f"smallest normal float {np.finfo(float).tiny:.3g}"
+        )
+    return step
+
+
 def curvature_bound(w: np.ndarray, e: np.ndarray) -> float:
     """M = sum_m |w_m| (e_m - c)^2, with c the |w|-weighted mean energy.
 
@@ -260,13 +273,27 @@ def fidelity_curve(
     t_max: float,
     n_steps: int,
 ) -> FidelityCurve:
-    """F(t) on a uniform grid t_k = k * t_max / (n_steps - 1)."""
+    """F(t) on a uniform grid t_k = k * t_max / (n_steps - 1).
+
+    A step below the smallest normal float, and a spectrum so narrow against
+    the window that the samples per period overflow a float, raise
+    DomainError.
+    """
     if not 0 < t_max < np.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max}")
     if n_steps < 2:
         raise DomainError(f"need at least 2 steps, got {n_steps}")
+    grid_step(t_max, n_steps)
     times = np.linspace(0.0, t_max, n_steps)
     f_abs = propagator_abs_grid(spec, input_state, output_state, times)
-    cycles = t_max * (spec.eigenvalues[-1] - spec.eigenvalues[0]) / (2.0 * np.pi)
-    per_period = float((n_steps - 1) / cycles) if cycles > 0 else None
+    spread = float(spec.eigenvalues[-1] - spec.eigenvalues[0])
+    per_period = None
+    if spread > 0:
+        cycles = float(t_max) * spread / (2.0 * np.pi)
+        per_period = (n_steps - 1) / cycles if cycles > 0 else np.inf
+        if not np.isfinite(per_period):
+            raise DomainError(
+                f"samples per period overflow a float: t_max {t_max:.3g} spans "
+                f"{cycles:.3g} periods of E_max - E_min = {spread:.3g}"
+            )
     return FidelityCurve(times, fidelity(f_abs), per_period)

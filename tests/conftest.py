@@ -7,13 +7,23 @@ equation or taken from the matrix exponential of ``scipy.linalg.expm``. Two
 models have closed-form spectra that need no eigensolver at any N: the
 uniform nearest-neighbour chain (a path Laplacian up to a gauge) and the
 ring (a circulant matrix).
+
+``run_fresh`` runs a script in a fresh interpreter, and the session fixtures
+serve the reference sweeps that several modules check.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+
+from dipolink import NEAREST_NEIGHBOUR, chain_sweep
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]]) / 2.0
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]]) / 2.0
@@ -190,3 +200,41 @@ def direct_abs(w, e, times) -> np.ndarray:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260825)
+
+
+# The checkout's package directory, and the line every fresh script starts
+# with: a 3 GB address space, set before anything else is imported.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ADDRESS_SPACE_CAP = """\
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+"""
+
+
+def run_fresh(code: str, *argv: str, warnings: str = "error"):
+    """Run ``code`` with ``sys.argv[1:] = argv`` in a fresh interpreter.
+
+    The interpreter imports ``dipolink`` from this checkout, runs under a
+    3 GB address space and the ``-W`` action ``warnings``, and is stopped
+    after two minutes. Returns the ``CompletedProcess``, text output
+    captured.
+    """
+    path = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", warnings, "-c", _ADDRESS_SPACE_CAP + code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.fixture(scope="session")
+def dipole_rows():
+    """chain_sweep(2, 23); rows are frozen, so modules share them."""
+    return chain_sweep(2, 23)
+
+
+@pytest.fixture(scope="session")
+def nn_rows():
+    return chain_sweep(2, 23, NEAREST_NEIGHBOUR)

@@ -8,7 +8,6 @@ summarizes which ones and why.
 """
 
 import numpy as np
-import pytest
 
 from dipolink import (
     DIPOLE,
@@ -16,7 +15,6 @@ from dipolink import (
     NEAREST_NEIGHBOUR,
     NoiseModel,
     build_hamiltonian,
-    chain_sweep,
     decompose,
     encoded_end_states,
     end_to_end_summary,
@@ -37,16 +35,6 @@ from conftest import (
     one_flip_block,
     rk4_evolve,
 )
-
-
-@pytest.fixture(scope="module")
-def dipole_rows():
-    return chain_sweep(2, 23)
-
-
-@pytest.fixture(scope="module")
-def nn_rows():
-    return chain_sweep(2, 23, NEAREST_NEIGHBOUR)
 
 
 def verdict(capfd, cid: str, ok: bool, detail: str):

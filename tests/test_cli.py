@@ -3,18 +3,16 @@ test reads what a user's terminal would show)."""
 
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dipolink
 from dipolink import Geometry, Topology, build_hamiltonian, decompose, uniform_chain
 from dipolink import disorder, optimize
 from dipolink.cli import build_parser, main
+
+from conftest import run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -86,37 +84,20 @@ class TestSweeps:
         is no beat, as the degenerate floor and the 10 N window are in units
         of J = C / 2: the sweep runs in a 3 GB address space, where a floor
         and window in absolute units asked for gigabytes."""
-        proc = _run_capped(
-            "ring-sweep", "--n-min", "3", "--n-max", "6", "--c-const", c_const
+        proc = run_fresh(
+            _CLI, "ring-sweep", "--n-min", "3", "--n-max", "6", "--c-const", c_const
         )
         assert proc.returncode == 0, proc.stderr
         assert [line.split(",")[0] for line in proc.stdout.splitlines()[1:]] == [
             "3", "4", "5", "6"]
 
 
-# Runs the CLI on argv[1:] with the process's address space capped at 3 GB,
-# set before numpy is imported.
-_ADDRESS_SPACE_LIMITED_CLI = """
-import resource, sys
-resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+# Runs the CLI on argv[1:].
+_CLI = """
+import sys
 from dipolink.cli import main
 sys.exit(main(sys.argv[1:]))
 """
-
-
-def _run_capped(*argv, warnings="error"):
-    """The CLI on ``argv`` in a fresh process with every warning an error
-    (or the ``-W`` action ``warnings``), a 3 GB address space and a
-    two-minute timeout."""
-    src = str(Path(dipolink.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-W", warnings, "-c", _ADDRESS_SPACE_LIMITED_CLI, *argv],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
 
 
 class TestCurvesAndSpectra:
@@ -461,7 +442,7 @@ class TestInputErrors:
     def test_huge_coupling_constant(self, argv, message):
         """Terms that overflow the Hamiltonian build end in a one-line error,
         not in numpy warnings and a traceback."""
-        _assert_one_line_error(_run_capped(*argv), message)
+        _assert_one_line_error(run_fresh(_CLI, *argv), message)
 
     @pytest.mark.parametrize("argv, message", [
         # the longer chains' default windows, their beats, pass float max / 8
@@ -474,15 +455,15 @@ class TestInputErrors:
     def test_tiny_coupling_constant(self, argv, message):
         """Windows that a float cannot hold and subnormal coupling constants
         end in a one-line error before any scan."""
-        _assert_one_line_error(_run_capped(*argv), message)
+        _assert_one_line_error(run_fresh(_CLI, *argv), message)
 
     @pytest.mark.parametrize("warnings", ["error", "default"])
     def test_bound_state_beat_past_float_max(self, warnings):
         """pi / dl at C = 1e-307 overflows a float: one line and exit 1,
         whether or not warnings are errors, not an overflow warning and an
         infinite tau."""
-        proc = _run_capped(
-            "bound-state", "--c-const", "1e-307", "--format", "json",
+        proc = run_fresh(
+            _CLI, "bound-state", "--c-const", "1e-307", "--format", "json",
             warnings=warnings,
         )
         _assert_one_line_error(proc, "beat period 2 pi / 4.09e-311 overflows")
@@ -491,11 +472,30 @@ class TestInputErrors:
     def test_fidelity_curve_phase_past_float_max(self, warnings):
         """The grid's largest phase, 1e308 (E_max - E_0), overflows a float:
         one line and exit 1, not overflow warnings and an F of NaN."""
-        proc = _run_capped(
-            "fidelity-curve", "--n", "4", "--t-max", "1e308", "--steps", "3",
+        proc = run_fresh(
+            _CLI, "fidelity-curve", "--n", "4", "--t-max", "1e308", "--steps", "3",
             "--format", "json", warnings=warnings,
         )
         _assert_one_line_error(proc, "phases up to 1e+308 x 3.87 overflow a float")
+
+    @pytest.mark.parametrize("warnings", ["error", "default"])
+    @pytest.mark.parametrize("argv, message", [
+        (["--t-max", "1e-310"], "dipolink: grid step 5e-311 = t_max / 2 is below"),
+        (["--t-max", "5e-324"], "dipolink: grid step 0 = t_max / 2 is below"),
+        (["--c-const", "1e-300", "--t-max", "1e-10"],
+         "dipolink: samples per period overflow a float"),
+        (["--c-const", "1e-300", "--t-max", "1e-30"],
+         "dipolink: samples per period overflow a float"),
+    ], ids=["step-1e-310", "step-5e-324", "count-1e-10", "count-1e-30"])
+    def test_fidelity_curve_grid_past_float_range(self, argv, message, warnings):
+        """A subnormal grid step, or samples per period past float max: one
+        line and exit 1, not an overflow warning and an Infinity in the JSON,
+        a null that reads as a flat spectrum, or a misnamed grid error."""
+        proc = run_fresh(
+            _CLI, "fidelity-curve", "--n", "4", *argv, "--steps", "3",
+            "--format", "json", warnings=warnings,
+        )
+        _assert_one_line_error(proc, message)
 
 
 def _assert_one_line_error(proc, message):
@@ -519,7 +519,7 @@ class TestExtremeCouplingConstant:
     def test_sweep(self, capsys, command, c_const):
         assert main([command, "--format", "json"]) == 0
         base = json.loads(capsys.readouterr().out)
-        proc = _run_capped(command, "--c-const", c_const, "--format", "json")
+        proc = run_fresh(_CLI, command, "--c-const", c_const, "--format", "json")
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         rows = json.loads(proc.stdout)
         assert [r["n"] for r in rows] == [b["n"] for b in base]
@@ -534,7 +534,7 @@ class TestExtremeCouplingConstant:
     def test_placement(self, capsys, c_const):
         assert main(["optimize-placement", "--n", "4"]) == 0
         base = json.loads(capsys.readouterr().out)
-        proc = _run_capped("optimize-placement", "--n", "4", "--c-const", c_const)
+        proc = run_fresh(_CLI, "optimize-placement", "--n", "4", "--c-const", c_const)
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr
         gaps = json.loads(proc.stdout)["best_gaps"]
         assert np.allclose(gaps, base["best_gaps"], rtol=0.0, atol=1e-6)

@@ -3,15 +3,10 @@ the full 10^4-sample paper configuration)."""
 
 import dataclasses
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import dipolink
 from dipolink import (
     CLASSICAL_THRESHOLD,
     DIPOLE,
@@ -33,6 +28,8 @@ from dipolink import (
 )
 from dipolink import disorder, spectral
 from dipolink.cli import main
+
+from conftest import run_fresh
 
 
 def reference_draw(geometry, config, k):
@@ -277,15 +274,8 @@ class TestSeeding:
             assert got == want
 
     def test_cli_import_leaves_numpy_random_unloaded(self):
-        src = str(Path(dipolink.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, dipolink.cli; print('numpy.random' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
+        proc = run_fresh(
+            "import sys, dipolink.cli; print('numpy.random' in sys.modules)"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"

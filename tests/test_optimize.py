@@ -2,11 +2,7 @@
 
 import dataclasses
 import functools
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +24,8 @@ from dipolink import (
     summarize_transfer,
     uniform_chain,
 )
+
+from conftest import run_fresh
 
 
 @pytest.fixture(scope="module")
@@ -413,15 +411,7 @@ print("numpy.random" in sys.modules, code)
 
 @pytest.fixture(scope="module")
 def placement_modules():
-    src = str(Path(dipolink.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _MODULES_HARNESS],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_fresh(_MODULES_HARNESS)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-2:]
 

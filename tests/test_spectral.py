@@ -1,18 +1,13 @@
 """Eigensolver, time-grid kernel and fidelity tests, including independent oracles."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dipolink
 from dipolink import (
     ConvergenceError,
+    CouplingSpec,
     DIPOLE,
     DisorderConfig,
     DomainError,
@@ -41,7 +36,7 @@ from dipolink import disorder, spectral
 from dipolink.cli import main
 from dipolink.optimize import optimize_placement
 
-from conftest import direct_abs, nn_chain_eigenpairs, rk4_evolve
+from conftest import direct_abs, nn_chain_eigenpairs, rk4_evolve, run_fresh
 
 
 def _random_symmetric(rng, n):
@@ -383,15 +378,7 @@ def test_chain_sweep_keeps_blas_on_one_thread():
     """Every grid product of the chain sweep stays below BLAS's threading
     threshold, so no worker thread wakes and spins (0.2-0.5 s of CPU when
     they did)."""
-    src = str(Path(dipolink.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", _THREAD_HARNESS],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_fresh(_THREAD_HARNESS)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 0.02
 
@@ -491,3 +478,17 @@ class TestFidelityCurve:
             fidelity_curve(spec, s, s, t_max=0.0, n_steps=5)
         with pytest.raises(DomainError):
             fidelity_curve(spec, s, s, t_max=1.0, n_steps=1)
+
+    @pytest.mark.parametrize("c_const, t_max, message", [
+        # the step t_max / 2 is subnormal, or rounds to 0
+        (2.0, 1e-310, "grid step 5e-311 = t_max / 2 is below"),
+        (2.0, 5e-324, "grid step 0 = t_max / 2 is below"),
+        # t_max (E_max - E_min) is subnormal, or underflows to 0 on a
+        # spectrum that is not flat
+        (1e-300, 1e-10, "samples per period overflow a float"),
+        (1e-300, 1e-30, "samples per period overflow a float"),
+    ], ids=["step-1e-310", "step-5e-324", "count-1e-10", "count-1e-30"])
+    def test_grid_past_float_range(self, c_const, t_max, message):
+        h = build_hamiltonian(uniform_chain(4), CouplingSpec("dipole", c_const))
+        with pytest.raises(DomainError, match=message):
+            fidelity_curve(decompose(h), site_state(4, 1), site_state(4, 4), t_max, 3)

@@ -1,15 +1,9 @@
 """Peak extraction, sweeps and timing-metric tests."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-import dipolink
 
 from dipolink import (
     DIPOLE,
@@ -42,12 +36,8 @@ from conftest import (
     expm_transfer_abs,
     nn_chain_eigenpairs,
     ring_transfer_terms,
+    run_fresh,
 )
-
-
-@pytest.fixture(scope="module")
-def dipole_rows():
-    return chain_sweep(2, 23)
 
 
 def _counting(monkeypatch):
@@ -135,20 +125,23 @@ class TestSummarizeTransfer:
         with pytest.raises(DomainError):
             find_peak(spec, site_state(3, 1), site_state(3, 3), t_max)
 
+    @pytest.mark.parametrize("t_max", [1e-320, 5e-324])
+    def test_window_whose_step_underflows(self, t_max):
+        # t_max / 4999 rounds to 0: refused before any scan
+        h = build_hamiltonian(uniform_chain(4))
+        with pytest.raises(DomainError, match="below the smallest normal float"):
+            end_to_end_summary(h, t_max=t_max)
+
+    def test_tiny_window_with_a_normal_step(self):
+        s = end_to_end_summary(build_hamiltonian(uniform_chain(4)), t_max=1e-300)
+        assert (s.f_max, s.t_peak, s.boundary_peak) == (0.5, 0.0, True)
+
     def test_window_the_search_cannot_prune(self):
         """At t_max = 1e15 the 4-spin chain's roundoff slack
         8 eps (1 + t_max e_max), 6.9, passes sum_m |w_m| <= 1, so every
         interval would survive every round of the screen. It is refused
         before any scan; the scan itself ran out of a 3 GB address space."""
-        src = str(Path(dipolink.__file__).resolve().parents[1])
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", _UNPRUNABLE_WINDOW],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_fresh(_UNPRUNABLE_WINDOW)
         assert proc.returncode == 0, proc.stderr
         assert "roundoff slack" in proc.stdout
         assert float(proc.stdout.split()[0]) < 1.0
@@ -163,8 +156,7 @@ class TestSummarizeTransfer:
 # Runs the 4-spin chain's search over t_max = 1e15 in a 3 GB address space;
 # prints the seconds until DomainError and its message.
 _UNPRUNABLE_WINDOW = """
-import resource, time
-resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+import time
 from dipolink import DomainError, build_hamiltonian, end_to_end_summary, uniform_chain
 h = build_hamiltonian(uniform_chain(4))
 start = time.perf_counter()
@@ -329,17 +321,9 @@ def large_chains():
 
     The timeout turns a search that stalls into a failure instead of a hang.
     """
-    src = str(Path(dipolink.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     runs = {}
     for n in (64, 128):
-        proc = subprocess.run(
-            [sys.executable, "-c", _LARGE_N_HARNESS, str(n)],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
+        proc = run_fresh(_LARGE_N_HARNESS, str(n))
         assert proc.returncode == 0, proc.stderr
         runs[n] = json.loads(proc.stdout)
     return runs

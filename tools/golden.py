@@ -57,6 +57,13 @@ INVOCATIONS = (
         # the grid's largest phase overflows a float: refused with one line
         ["fidelity-curve", "--n", "4", "--t-max", "1e308", "--steps", "3",
          "--format", "json"],
+        # a subnormal grid step, and samples per period that overflow a
+        # float as t_max (E_max - E_min) underflows to 0: each refused with
+        # one line
+        ["fidelity-curve", "--n", "4", "--t-max", "1e-310", "--steps", "3",
+         "--format", "json"],
+        ["fidelity-curve", "--n", "4", "--c-const", "1e-300", "--t-max", "1e-30",
+         "--steps", "3", "--format", "json"],
         ["onsite-energies"],
     ]
     + [["optimize-placement", "--n", str(n)] for n in (3, 4, 5, 7, 8)]
