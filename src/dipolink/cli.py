@@ -163,9 +163,7 @@ def _cmd_bound_state(args):
 
 
 def _cmd_optimize_placement(args):
-    config = SearchConfig(
-        min_fidelity=args.min_fidelity, seed=args.seed, restarts=args.restarts
-    )
+    config = SearchConfig(min_fidelity=args.min_fidelity, seed=args.seed)
     _emit(args, optimize_placement(args.n, _coupling(args), config).report)
 
 
@@ -218,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-max", type=int, default=n_max)
 
     def geometry(p):
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--geometry-file", default=None)
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--n", type=int, default=None)
+        group.add_argument("--geometry-file", default=None)
 
     def seed(p):
         p.add_argument("--seed", type=int, default=0)
@@ -245,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("optimize-placement", _cmd_optimize_placement, table=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--min-fidelity", type=float, default=0.99)
-    p.add_argument("--restarts", type=int, default=10)
     seed(p)
 
     p = add("encoded-transfer", _cmd_encoded_transfer, table=False)

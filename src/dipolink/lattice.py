@@ -77,6 +77,15 @@ def _to_real(obj, name: str, error):
         raise error(f"{name} {value!r} overflows a float") from None
 
 
+def _to_position(value) -> float:
+    """A position, a real number (not a bool), as a float. A value that
+    float() refuses raises float()'s own error; any other raises TypeError."""
+    position = float(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is a {type(value).__name__}, not a real number")
+    return position
+
+
 def _read_only(obj, *names: str, dtype=float):
     """Set each field in ``names`` to a read-only array of ``dtype``."""
     for name in names:
@@ -115,7 +124,8 @@ NEAREST_NEIGHBOUR = CouplingSpec(CouplingModel.NEAREST_NEIGHBOUR)
 class Geometry:
     """Spatial description of the spin array.
 
-    For a chain, ``positions`` are arbitrary strictly increasing coordinates.
+    ``positions`` are real numbers (not bools), kept as floats. For a chain
+    they are arbitrary strictly increasing coordinates.
     For a ring, sites are the integers 0..N-1 on a circle of circumference N
     and distances are minimal-image arc lengths.
     """
@@ -126,7 +136,7 @@ class Geometry:
     def __post_init__(self):
         _to_member(self, "topology", Topology, InvalidGeometryError)
         try:
-            pos = tuple(float(p) for p in self.positions)
+            pos = tuple(_to_position(p) for p in self.positions)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidGeometryError(
                 f"positions must be real numbers ({type(exc).__name__}: {exc})"
@@ -179,7 +189,7 @@ class Geometry:
         try:
             data = json.loads(text)
             topology = Topology(data["topology"])
-            positions = tuple(float(p) for p in data["positions"])
+            positions = tuple(_to_position(p) for p in data["positions"])
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise InvalidGeometryError(
                 f"malformed geometry JSON ({type(exc).__name__}: {exc})"

@@ -38,20 +38,14 @@ from .lattice import (
     _to_real,
     build_hamiltonian,
 )
-from .spectral import (
-    SiteState,
-    _eigh,
-    _eigh_stack_size,
-    decompose,
-    fidelity,
-    site_state,
-)
+from .spectral import SiteState, _eigh, decompose, fidelity, site_state
 from .transfer import find_peak
 
-# Smallest allowed gap of a unit chain; restart spread, in units of the
-# uniform gap; verification window, in beat periods; Nelder-Mead stopping
-# (simplex spread, value spread, iteration cap).
+# Smallest allowed gap of a unit chain; perturbed starts and their spread,
+# in units of the uniform gap; verification window, in beat periods;
+# Nelder-Mead stopping (simplex spread, value spread, iteration cap).
 _GAP_MIN = 0.05
+_RESTARTS = 10
 _PERTURBATION = 0.25
 _VERIFY_BEATS = 20.0
 _XATOL = 1e-7
@@ -63,31 +57,25 @@ _MAXITER = 400
 class SearchConfig:
     """Controls the mirror-symmetric placement search.
 
-    Each of the ``restarts`` extra starts perturbs every free gap of the
-    uniform chain by up to a quarter of the uniform gap, drawn as
+    Each of the 10 perturbed starts moves every free gap of the uniform
+    chain by up to a quarter of the uniform gap, drawn as
     np.random.default_rng(seed).uniform would draw them (without loading
-    numpy.random); both must be non-negative integers, not bools. Gaps below
-    0.05 are rejected. Nelder-Mead stops at xatol 1e-7 and fatol 1e-12 or
-    after 400 iterations, and a start whose iteration leaves its simplex bit
-    for bit unchanged stops there, counting the iterations it would repeat
-    up to the cap as evaluated. The starts run in lockstep, each round one
-    stacked build and one batched eigensolve of its points above the floor
-    (none if it has none), in blocks whose stacked matrices hold at most
-    4096 elements. The blocks bound each round's build and eigensolve and
-    the starts that run at once; every start vector and every start's end
-    point is kept, so memory grows linearly with ``restarts`` (2.0 MiB of
-    start vectors at N = 6 and 10^4 restarts). The fidelity
-    constraint ``min_fidelity``, a real number (not a bool), finite and at
-    most 1, is checked at each converged candidate by a peak search over 20
-    beat periods 2 pi / dl.
+    numpy.random); ``seed`` must be a non-negative integer, not a bool. Gaps
+    below 0.05 are rejected. Nelder-Mead stops at xatol 1e-7 and fatol 1e-12
+    or after 400 iterations, and a start whose iteration leaves its simplex
+    bit for bit unchanged stops there, counting the iterations it would
+    repeat up to the cap as evaluated. The 11 starts run in one lockstep,
+    each round one stacked build and one batched eigensolve of its points
+    above the floor (none if it has none). The fidelity constraint
+    ``min_fidelity``, a real number (not a bool), finite and at most 1, is
+    checked at each converged candidate by a peak search over 20 beat
+    periods 2 pi / dl.
     """
 
     min_fidelity: float = 0.99
-    restarts: int = 10
     seed: int = 0
 
     def __post_init__(self):
-        _to_count(self, "restarts", DomainError)
         _to_count(self, "seed", DomainError)
         _to_real(self, "min_fidelity", DomainError)
         if not (np.isfinite(self.min_fidelity) and self.min_fidelity <= 1.0):
@@ -304,17 +292,17 @@ def _lockstep(func, starts) -> list:
     return ends
 
 
-def _starts(n: int, config: SearchConfig) -> list[np.ndarray]:
-    """The uniform free-gap vector, then ``config.restarts`` perturbations of
-    it: each adds nfree draws of np.random.default_rng(config.seed)'s
-    uniform(-s, s), s a quarter of the uniform gap, to the uniform vector,
-    drawn in turn from one stream."""
+def _starts(n: int, seed: int) -> list[np.ndarray]:
+    """The uniform free-gap vector, then 10 perturbations of it: each adds
+    nfree draws of np.random.default_rng(seed)'s uniform(-s, s), s a quarter
+    of the uniform gap, to the uniform vector, drawn in turn from one
+    stream."""
     nfree = n_free_gaps(n)
     uniform_free = np.full(nfree, 1.0 / (n - 1))
     scale = _PERTURBATION / (n - 1)
-    draws = _uniform_stream(config.seed, -scale, scale, config.restarts * nfree)
+    draws = _uniform_stream(seed, -scale, scale, _RESTARTS * nfree)
     return [uniform_free] + [uniform_free + draws[k * nfree : (k + 1) * nfree]
-                             for k in range(config.restarts)]
+                             for k in range(_RESTARTS)]
 
 
 def optimize_placement(
@@ -324,19 +312,18 @@ def optimize_placement(
 ) -> PlacementResult:
     """Minimize tau over mirror-symmetric unit chains of n spins.
 
-    Runs Nelder-Mead from the uniform gap vector and ``config.restarts``
-    seeded perturbations of it; gaps below 0.05 are rejected outright. The
-    starts run in lockstep, each taking the steps it would take alone: a
-    round is one stacked build and one batched eigensolve of every point
+    Runs Nelder-Mead from the uniform gap vector and 10 seeded
+    perturbations of it; gaps below 0.05 are rejected outright. The 11
+    starts run in one lockstep, each taking the steps it would take alone:
+    a round is one stacked build and one batched eigensolve of every point
     they ask for that clears the gap floor, and a round whose points all
     lie below it costs neither. A start stops at its first fixed point,
     where the objective, which gives the same bits for the same point,
     would repeat one iteration until the cap; ``evaluations`` counts those
-    iterations as run. Starts run in blocks whose stacked matrices hold at
-    most 4096 elements, which bound each round's build and eigensolve and
-    the starts that run at once; the start vectors, drawn up front, and
-    each start's end point are kept, so memory grows linearly with the
-    number of restarts.
+    iterations as run. From n = 21 on, n - 1 gaps of 0.05 fill the unit
+    length, and the search is refused before any start is drawn; below
+    that, the uniform start clears the floor, so a round stacks at most
+    11 x 10 chains of at most 20 spins.
     Converged candidates are screened in ascending-objective order against
     the fidelity constraint; only exactly equal objectives tie, and a tie
     is broken toward the point closest to uniform. Raises
@@ -345,26 +332,21 @@ def optimize_placement(
     """
     if n < 3:
         raise DomainError(f"need at least 3 spins to optimize, got {n}")
-    nfree = n_free_gaps(n)
-    starts = _starts(n, config)
+    if n - 1 >= 1.0 / _GAP_MIN:
+        raise InfeasibleConstraintError(
+            f"no mirror-symmetric {n}-spin placement found with gaps above "
+            f"{_GAP_MIN}"
+        )
+    starts = _starts(n, config.seed)
     uniform_free = starts[0]
 
     def objective(x: np.ndarray) -> np.ndarray:
         return _tau(_gaps_from_free(x, n), coupling)  # tau at unit length
 
-    # a round evaluates at most nfree + 1 points per start
-    block = _eigh_stack_size((nfree + 1) * n * n)
-    ends = []
-    for lo in range(0, len(starts), block):
-        ends += _lockstep(objective, starts[lo : lo + block])
+    ends = _lockstep(objective, starts)
     evaluations = sum(calls for _, _, calls in ends)
+    # the uniform start's value is finite, and no start ends above its own
     candidates = [(float(value), x) for value, x, _ in ends if np.isfinite(value)]
-
-    if not candidates:
-        raise InfeasibleConstraintError(
-            f"no mirror-symmetric {n}-spin placement found with gaps above "
-            f"{_GAP_MIN}"
-        )
     candidates.sort(
         key=lambda c: (c[0], float(np.linalg.norm(c[1] - uniform_free)))
     )
@@ -379,7 +361,7 @@ def optimize_placement(
         window = _VERIFY_BEATS * 2.0 * np.pi / float(spec.splitting)
         f_abs, t_best, _ = find_peak(spec, site_state(n, 1), site_state(n, n), window)
         result = PlacementResult(
-            n, tuple(start_gaps), start_tau, evaluations, config.restarts,
+            n, tuple(start_gaps), start_tau, evaluations, _RESTARTS,
             config.seed, tuple(gaps), np.pi / spec.splitting, spec.splitting,
             fidelity(f_abs), t_best,
         )

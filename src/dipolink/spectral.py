@@ -28,9 +28,9 @@ _BLOCK_ELEMENTS = 1 << 16
 _THREADED_PRODUCT = 1 << 16
 # Largest deviation, relative to max |t|, of a grid from exact uniformity.
 _UNIFORM_RTOL = 1e-12
-# Matrix elements per stacked `_eigh` call (256 matrices at N = 4), so that
-# the eigensolve's temporaries keep one size however many matrices a caller
-# solves.
+# Matrix elements per stacked `_eigh` call of a disorder block (256 matrices
+# at N = 4), so that the eigensolve's temporaries keep one size however many
+# samples a run draws.
 _EIGH_BLOCK_ELEMENTS = 1 << 12
 
 

@@ -395,7 +395,6 @@ def find_peak(
     # Each range's grid points are sampled by one call, and the (start,
     # left, right) of its kept intervals, in time order and screened against
     # the best sample so far, are subdivided at once.
-    stopped = False
     for lo, hi in ranges():
         times = np.arange(lo, hi + 1, dtype=float)
         times *= step
@@ -407,15 +406,14 @@ def find_peak(
         reach_cap(fa, lambda i: (lo + i) * step)
         keep = np.flatnonzero(survivors(fa[:-1], fa[1:], step))
         subdivide(np.stack(((lo + keep) * step, fa[keep], fa[keep + 1])))
-        stopped = best >= cap - tol
-        if stopped:
+        if cut < np.inf:  # a sample came within tolerance of the cap
             break
     at, top = heads[:, np.argsort(heads[0], kind="stable")]
 
     # Runs are refined a batch at a time, in time order (see the docstring);
     # a run whose refined point falls below its head keeps the head.
     later = np.maximum.accumulate((top + excess)[::-1])[::-1]
-    later = np.append(later[1:], cap if stopped else -np.inf)
+    later = np.append(later[1:], cap if cut < np.inf else -np.inf)
     terms = np.stack((w, -1j * u * w, -u * u * w), axis=1)
     t_ref, f_ref = at.copy(), top.copy()
     for lo in range(0, len(at), _NEWTON_BATCH):

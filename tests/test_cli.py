@@ -186,12 +186,17 @@ class TestModelCommands:
             assert row["beat_tau_exact"] == beat / (row["n"] - 1.0) ** 3
 
     def test_optimize_placement(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "optimize-placement", "--n", "4", "--restarts", "2"
-        )
+        code, out, _ = run_cli(capsys, "optimize-placement", "--n", "4")
         assert code == 0
         report = json.loads(out)
         assert report["tau"] == pytest.approx(0.512, abs=0.01)
+
+    def test_optimize_placement_has_no_restarts_flag(self, capsys):
+        code, out, err = run_cli(
+            capsys, "optimize-placement", "--n", "4", "--restarts", "5"
+        )
+        assert code == 1 and out == ""
+        assert err.endswith("unrecognized arguments: --restarts 5\n")
 
     def test_optimize_placement_prints_the_report(self, capsys):
         code, out, _ = run_cli(capsys, "optimize-placement", "--n", "4")
@@ -234,7 +239,7 @@ TABLE_COMMANDS = {
     "bound-state": ["--n-min", "10", "--n-max", "11"],
 }
 DOCUMENT_COMMANDS = {
-    "optimize-placement": ["--n", "4", "--restarts", "0"],
+    "optimize-placement": ["--n", "4"],
     "encoded-transfer": ["--n", "6"],
     "disorder": ["--n", "4", "--samples", "3"],
 }
@@ -359,6 +364,36 @@ class TestInputErrors:
         assert code == 1 and out == ""
         assert err == "dipolink: positions must be finite\n"
 
+    def test_positions_not_real_numbers(self, capsys, tmp_path):
+        # a string of digits is not a list of positions
+        geo = tmp_path / "geo.json"
+        geo.write_text('{"topology": "chain", "positions": "0123"}')
+        code, out, err = run_cli(
+            capsys, "onsite-energies", "--geometry-file", str(geo)
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "dipolink: malformed geometry JSON "
+            "(TypeError: '0' is a str, not a real number)\n"
+        )
+
+    @pytest.mark.parametrize("command", [
+        ["fidelity-curve", "--t-max", "1"],
+        ["onsite-energies"],
+        ["encoded-transfer"],
+        ["disorder", "--samples", "3"],
+    ], ids=lambda command: command[0])
+    def test_size_and_geometry_file_exclusive(self, capsys, tmp_path, command):
+        geo = tmp_path / "geo.json"
+        geo.write_text('{"topology": "chain", "positions": [0, 1, 2]}')
+        code, out, err = run_cli(
+            capsys, *command, "--n", "7", "--geometry-file", str(geo)
+        )
+        assert code == 1 and out == ""
+        assert err.endswith(
+            "error: argument --geometry-file: not allowed with argument --n\n"
+        )
+
     def test_bound_state_nn_model(self, capsys):
         code, out, err = run_cli(capsys, "bound-state", "--model", "nn")
         assert code == 1 and out == ""
@@ -398,7 +433,6 @@ class TestInputErrors:
         assert "error fraction must be finite" in err
 
     @pytest.mark.parametrize("flags, message", [
-        (["--restarts", "-3"], "restarts must be non-negative"),
         (["--min-fidelity", "nan"], "min fidelity must be finite"),
         (["--min-fidelity", "inf"], "min fidelity must be finite"),
         (["--min-fidelity", "1.5"], "at most 1"),

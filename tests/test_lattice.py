@@ -71,10 +71,28 @@ class TestGeometry:
         '{"topology": "chain", "positions": [0, 1, NaN]}',
         '{"topology": "chain", "positions": [0, 1, Infinity]}',
         '{"topology": "chain", "positions": [0]}',
+        # positions that float() converts but that are not real numbers
+        '{"topology": "chain", "positions": "0123"}',
+        '{"topology": "chain", "positions": {"0": 5, "2": 7}}',
+        '{"topology": "chain", "positions": [0, "1.5", 3]}',
+        '{"topology": "chain", "positions": [0, true, 2]}',
     ])
     def test_malformed_json_rejected(self, text):
         with pytest.raises(InvalidGeometryError):
             Geometry.from_json(text)
+
+    @pytest.mark.parametrize("positions, value", [
+        ("0123", "'0' is a str"),
+        ({"0": 5, "2": 7}, "'0' is a str"),
+        ([0, "1.5", 3], "'1.5' is a str"),
+        ([0, True, 2], "True is a bool"),
+    ])
+    def test_non_real_positions_rejected(self, positions, value):
+        with pytest.raises(InvalidGeometryError) as built:
+            Geometry(Topology.CHAIN, positions)
+        assert str(built.value) == (
+            f"positions must be real numbers (TypeError: {value}, not a real number)"
+        )
 
     @pytest.mark.parametrize("position, text", [
         (10**400, "1" + "0" * 400), ("x", '"x"'), (None, "null"),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import dipolink
-from dipolink import optimize, spectral
+from dipolink import optimize
 from dipolink import (
     DomainError,
     Geometry,
@@ -92,8 +92,8 @@ class TestOptimizePlacement:
         assert all(report[k] == getattr(four_spin_result, k) for k in names)
 
     def test_deterministic(self):
-        a = optimize_placement(4, config=SearchConfig(restarts=2, seed=7))
-        b = optimize_placement(4, config=SearchConfig(restarts=2, seed=7))
+        a = optimize_placement(4, config=SearchConfig(seed=7))
+        b = optimize_placement(4, config=SearchConfig(seed=7))
         assert a.best_gaps == b.best_gaps
         assert a.tau == b.tau
 
@@ -110,10 +110,39 @@ class TestOptimizePlacement:
         assert best < 1.0
 
     def test_no_placement_above_the_gap_floor(self):
-        # uniform gaps of 1/21 sit below the 0.05 floor, and no start finds
-        # a placement above it
+        # 21 gaps of 0.05 exceed the unit length, so no placement clears the
+        # floor and the search is refused before it starts
         with pytest.raises(InfeasibleConstraintError, match="22-spin placement"):
             optimize_placement(22)
+
+    @pytest.mark.parametrize("n", [21, 22, 1000, 10**6])
+    def test_refused_before_any_round(self, monkeypatch, n):
+        # from N = 21 on, (N - 1) * 0.05 >= 1: no start is drawn or run
+        monkeypatch.setattr(optimize, "_starts", None)
+        monkeypatch.setattr(optimize, "_lockstep", None)
+        monkeypatch.setattr(optimize, "_tau", None)
+        with pytest.raises(InfeasibleConstraintError) as info:
+            optimize_placement(n)
+        assert str(info.value) == (
+            f"no mirror-symmetric {n}-spin placement found with gaps above 0.05"
+        )
+
+    def test_rounds_stack_at_most_110_chains(self, monkeypatch):
+        # N = 20: 11 starts of 9 free gaps ask at most 10 points each a round
+        sizes = []
+        own = optimize._tau
+
+        def counted(gaps, coupling):
+            sizes.append(len(gaps))
+            return own(gaps, coupling)
+
+        monkeypatch.setattr(optimize, "_tau", counted)
+        # no candidate verifies at 0.99 (the best reaches 0.98919)
+        with pytest.raises(InfeasibleConstraintError, match="no candidate reached"):
+            optimize_placement(20)
+        assert max(sizes) <= 110
+        # the starts share rounds
+        assert max(sizes) > 10
 
     @pytest.mark.parametrize("k", [-60, -20, -10, 10, 20, 60])
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -128,14 +157,12 @@ class TestOptimizePlacement:
         for field in ("start_tau", "tau", "t_best"):
             assert getattr(scaled, field) * 2.0**k == getattr(base, field), field
 
-    @pytest.mark.parametrize("field, value", [("restarts", -1), ("seed", -1)])
+    @pytest.mark.parametrize("field, value", [("seed", -1)])
     def test_negative_config_rejected(self, field, value):
         with pytest.raises(DomainError, match=f"{field} must be non-negative"):
             SearchConfig(**{field: value})
 
-    @pytest.mark.parametrize("field, value", [
-        ("restarts", 1.5), ("restarts", True), ("seed", 1.5), ("seed", False),
-    ])
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", False)])
     def test_non_integer_config_rejected(self, field, value):
         with pytest.raises(DomainError, match=f"{field} must be an integer"):
             SearchConfig(**{field: value})
@@ -196,7 +223,8 @@ class TestNelderMeadMatchesScipy:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_placement_objective(self, monkeypatch, n):
-        # record the batched objective and the four starts the search hands over
+        # record the batched objective and the 11 starts the search hands
+        # over; the first four are checked against scipy
         runs = []
         own = optimize._lockstep
 
@@ -206,15 +234,14 @@ class TestNelderMeadMatchesScipy:
 
         monkeypatch.setattr(optimize, "_lockstep", recording)
         try:
-            optimize_placement(n, config=SearchConfig(restarts=3))
+            optimize_placement(n)
         except InfeasibleConstraintError:
             pass
         monkeypatch.undo()
-        starts = [x0 for _, block in runs for x0 in block]
-        assert len(starts) == 4
+        ((func, starts),) = runs
+        assert len(starts) == 11
         assert np.array_equal(starts[0], np.full(n_free_gaps(n), 1.0 / (n - 1)))
-        for func, block in runs:
-            _assert_same_run(func, block)
+        _assert_same_run(func, starts[:4])
 
     @pytest.mark.parametrize("x0", [[-1.2, 1.0], [0.0, 0.7, 1.3]])
     def test_rosenbrock(self, x0):
@@ -277,21 +304,25 @@ class TestNelderMeadMatchesScipy:
             _assert_same_run(func, block)
 
 
-class TestLockstepBlocks:
-    """Blocks of starts bound memory without changing any result."""
+class TestLockstep:
+    """Running the starts together changes no result."""
 
     @pytest.mark.parametrize("n, seed", [
         # seed 16 has a start that stops at an all-inf fixed point below the
         # gap floor
         (4, 0), (5, 0), (6, 0), (7, 0), (8, 0), (6, 9), (6, 12), (6, 16),
     ])
-    def test_one_start_per_block_gives_the_same_run(self, monkeypatch, n, seed):
-        blocks = []
+    def test_each_start_alone_gives_the_same_run(self, monkeypatch, n, seed):
+        calls = []
         own = optimize._lockstep
 
         def recording(func, starts):
-            blocks.append(len(starts))
+            calls.append(len(starts))
             return own(func, starts)
+
+        def alone(func, starts):
+            calls.append(len(starts))
+            return [own(func, [x0])[0] for x0 in starts]
 
         def run():
             try:
@@ -300,16 +331,14 @@ class TestLockstepBlocks:
                 return str(exc)
 
         monkeypatch.setattr(optimize, "_lockstep", recording)
-        default = run()
-        assert blocks == [11]
-        blocks.clear()
-        # one start per block: the starts run one after another
-        monkeypatch.setattr(spectral, "_EIGH_BLOCK_ELEMENTS", 1)
+        together = run()
+        # the starts run one after another
+        monkeypatch.setattr(optimize, "_lockstep", alone)
         sequential = run()
-        assert blocks == [1] * 11
-        assert sequential == default
+        assert calls == [11, 11]
+        assert sequential == together
         if seed == 12:
-            assert default.startswith("no candidate reached f_max >= 0.99")
+            assert together.startswith("no candidate reached f_max >= 0.99")
 
 
 class TestStackedObjective:
@@ -384,14 +413,15 @@ class TestRestartStarts:
     @pytest.mark.parametrize(
         "seed", [0, 5, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 12345]
     )
-    @pytest.mark.parametrize("restarts", [0, 1, 40])
-    @pytest.mark.parametrize("n", [6, 8])
-    def test_starts_match_default_rng(self, seed, restarts, n):
-        starts = optimize._starts(n, SearchConfig(restarts=restarts, seed=seed))
+    # 0, 1, 2, 3, 5 and 9 free gaps; N = 20's 90 draws are the longest
+    # stream the search asks for
+    @pytest.mark.parametrize("n", [3, 4, 6, 8, 12, 20])
+    def test_starts_match_default_rng(self, seed, n):
+        starts = optimize._starts(n, seed)
         uniform = np.full(n_free_gaps(n), 1.0 / (n - 1))
         scale = 0.25 / (n - 1)
         rng = np.random.default_rng(seed)
-        assert len(starts) == restarts + 1
+        assert len(starts) == 11
         assert np.array_equal(starts[0], uniform)
         for start in starts[1:]:
             want = uniform + rng.uniform(-scale, scale, n_free_gaps(n))

@@ -70,10 +70,14 @@ INVOCATIONS = (
     + [["optimize-placement", "--n", "4", "--c-const", "1e300"]]
     + [["optimize-placement", "--n", "6", "--seed", str(s)] for s in range(43)]
     + [
-        # two lockstep blocks of starts (37 + 4), and a seed of two uint32
-        # words for the restart draws
-        ["optimize-placement", "--n", "6", "--restarts", "40", "--seed", "7"],
+        # a seed of two uint32 words for the perturbed starts' draws
         ["optimize-placement", "--n", "6", "--seed", "4294967296"],
+        # sizes whose 11 starts run in one lockstep, each round stacking up
+        # to 11 x 6 and 11 x 8 chains
+        ["optimize-placement", "--n", "12"],
+        ["optimize-placement", "--n", "16"],
+        # 99 gaps of 0.05 exceed the unit length: refused with one line
+        ["optimize-placement", "--n", "100"],
     ]
     + [
         ["encoded-transfer", "--n", "10"],
