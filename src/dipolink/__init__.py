@@ -9,6 +9,8 @@ mirror-symmetric spin placements, and estimates robustness to placement
 disorder by Monte Carlo.
 """
 
+from types import ModuleType as _ModuleType
+
 from .boundstate import (
     BoundStateModel,
     fit_bound_state,
@@ -73,52 +75,8 @@ from .transfer import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundStateModel",
-    "CLASSICAL_THRESHOLD",
-    "ConvergenceError",
-    "CouplingModel",
-    "CouplingSpec",
-    "DIPOLE",
-    "DipolinkError",
-    "DisorderConfig",
-    "DisorderReport",
-    "DomainError",
-    "ExcitationHamiltonian",
-    "ExpansionInvalidError",
-    "FidelityCurve",
-    "Geometry",
-    "InfeasibleConstraintError",
-    "InvalidGeometryError",
-    "NEAREST_NEIGHBOUR",
-    "NoiseModel",
-    "NumericInputError",
-    "PlacementResult",
-    "SearchConfig",
-    "ShapeError",
-    "SiteState",
-    "SpectralDecomposition",
-    "Topology",
-    "TransferSummary",
-    "antipodal_site",
-    "build_hamiltonian",
-    "chain_sweep",
-    "decompose",
-    "default_window",
-    "encoded_end_states",
-    "end_to_end_summary",
-    "fidelity",
-    "fidelity_curve",
-    "find_peak",
-    "fit_bound_state",
-    "n_free_gaps",
-    "optimize_placement",
-    "predict_splitting",
-    "propagator_abs_grid",
-    "ring",
-    "ring_sweep",
-    "run_disorder",
-    "site_state",
-    "summarize_transfer",
-    "uniform_chain",
-]
+# Every public name imported above; the submodules stay out of ``import *``.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

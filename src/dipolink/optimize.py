@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .disorder import _uniform_stream
-from .errors import DomainError, InfeasibleConstraintError
+from .errors import DomainError, InfeasibleConstraintError, InvalidGeometryError
 from .lattice import (
     CouplingSpec,
     DIPOLE,
@@ -381,8 +381,11 @@ def encoded_end_states(
 
     Amplitudes are the first ``width`` components of the lowest-eigenvalue
     eigenvector of the Hamiltonian, renormalized; the output state is their
-    mirror image on the last sites.
+    mirror image on the last sites. Chains only: on a ring the two blocks
+    are neighbours.
     """
+    if h.geometry.topology is not Topology.CHAIN:
+        raise InvalidGeometryError("encoded end states are defined for chains")
     n = h.n
     if not 1 <= width <= n // 2:
         raise DomainError(f"width {width} outside 1..{n // 2}")

@@ -6,7 +6,8 @@ evolution is integrated with a classic RK4 stepper on the Schrodinger
 equation or taken from the matrix exponential of ``scipy.linalg.expm``. Two
 models have closed-form spectra that need no eigensolver at any N: the
 uniform nearest-neighbour chain (a path Laplacian up to a gauge) and the
-ring (a circulant matrix).
+ring (a circulant matrix). The Krawtchouk chain has a closed-form
+end-to-end amplitude at any N, |sin t|^(N-1).
 
 ``run_fresh`` runs a script in a fresh interpreter, and the session fixtures
 serve the reference sweeps that several modules check.
@@ -151,6 +152,17 @@ def nn_chain_eigenpairs(n: int, j: float = 1.0) -> tuple[np.ndarray, np.ndarray]
     vectors = np.cos(np.pi * np.outer(sites - 0.5, m) / n)
     vectors *= (-1.0) ** sites[:, None] * np.sqrt(np.where(m == 0, 1.0, 2.0) / n)
     return energies, vectors
+
+
+def krawtchouk_matrix(n: int) -> np.ndarray:
+    """The perfect-transfer chain of Christandl et al. (PRL 92, 187902, 2004).
+
+    Zero diagonal and nn couplings sqrt(i (n - i)), i = 1..n-1: twice the
+    x component of a spin (n - 1) / 2, so e^{-iHt} is a rotation by 2t and
+    |<n| e^{-iHt} |1>| = |sin t|^(n - 1), exactly 1 at t = pi / 2.
+    """
+    couplings = np.sqrt(np.arange(1.0, n) * np.arange(n - 1.0, 0.0, -1.0))
+    return np.diag(couplings, 1) + np.diag(couplings, -1)
 
 
 def ring_bloch_energies(

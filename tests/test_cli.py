@@ -354,6 +354,15 @@ class TestInputErrors:
         assert code == 1 and out == ""
         assert "ring positions must be 0, 1, ..., N-1" in err
 
+    def test_encoded_transfer_refuses_ring(self, capsys, tmp_path):
+        geo = tmp_path / "ring6.json"
+        geo.write_text('{"topology": "ring", "positions": [0, 1, 2, 3, 4, 5]}')
+        code, out, err = run_cli(
+            capsys, "encoded-transfer", "--geometry-file", str(geo)
+        )
+        assert code == 1 and out == ""
+        assert err == "dipolink: encoded end states are defined for chains\n"
+
     @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
     def test_non_finite_positions(self, capsys, tmp_path, bad):
         geo = tmp_path / "geo.json"

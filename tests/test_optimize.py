@@ -13,6 +13,7 @@ from dipolink import (
     DomainError,
     Geometry,
     InfeasibleConstraintError,
+    InvalidGeometryError,
     PlacementResult,
     SearchConfig,
     Topology,
@@ -20,6 +21,7 @@ from dipolink import (
     n_free_gaps,
     encoded_end_states,
     optimize_placement,
+    ring,
     site_state,
     summarize_transfer,
     uniform_chain,
@@ -489,6 +491,12 @@ class TestEncodedEndStates:
             encoded_end_states(h, 0)
         with pytest.raises(DomainError):
             encoded_end_states(h, 4)
+
+    def test_ring_refused(self):
+        # on a ring, sites 1..k and N-k+1..N are neighbours across the seam
+        h = build_hamiltonian(ring(6))
+        with pytest.raises(InvalidGeometryError, match="defined for chains"):
+            encoded_end_states(h, 1)
 
 
 class TestOffEndTransfer:

@@ -34,6 +34,7 @@ from dipolink import transfer
 from conftest import (
     direct_abs,
     expm_transfer_abs,
+    krawtchouk_matrix,
     nn_chain_eigenpairs,
     ring_transfer_terms,
     run_fresh,
@@ -302,6 +303,35 @@ class TestWindowMaximum:
         assert direct_abs(w, e, [t_peak])[0] == pytest.approx(f_abs, abs=1e-12)
         times = np.linspace(0.0, t_max, 4001)
         assert direct_abs(w, e, times).max() <= f_abs + 1e-9
+
+
+class TestKrawtchoukChain:
+    """|f_1N(t)| = |sin t|^(N-1) in closed form: the peak is exactly 1, at
+    t = pi / 2, for every N."""
+
+    @pytest.mark.parametrize("t_max", [np.pi, 10.0, 1e5])
+    @pytest.mark.parametrize("n", [3, 10, 64, 256])
+    def test_peak_is_certified_in_the_first_range(self, monkeypatch, n, t_max):
+        # the first range holds a sample at the cap, so the scan stops there;
+        # at N = 256 and t_max = 1e5 that range is 2^20 of 3.2e7 grid points
+        scans = _counting(monkeypatch)
+        spec = decompose(krawtchouk_matrix(n))
+        f_abs, t_peak, flag = find_peak(
+            spec, site_state(n, 1), site_state(n, n), t_max
+        )
+        assert abs(f_abs - 1.0) <= 1e-12
+        assert abs(t_peak - np.pi / 2.0) <= 1e-12
+        assert not flag
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize("n", [3, 10, 64, 256])
+    def test_grid_kernel(self, n):
+        times = np.linspace(0.0, np.pi, 20001)
+        got = propagator_abs_grid(
+            decompose(krawtchouk_matrix(n)), site_state(n, 1), site_state(n, n),
+            times,
+        )
+        assert np.abs(got - np.abs(np.sin(times)) ** (n - 1)).max() <= 1e-12
 
 
 # Runs end_to_end_summary on the uniform dipole chain of argv[1] spins and
