@@ -64,7 +64,6 @@ from .spectral import (
 )
 from .transfer import (
     TransferSummary,
-    antipodal_site,
     chain_sweep,
     default_window,
     end_to_end_summary,

@@ -29,7 +29,13 @@ from .lattice import (
 )
 from .optimize import SearchConfig, encoded_end_states, optimize_placement
 from .spectral import decompose, fidelity_curve, site_state
-from .transfer import _period, chain_sweep, ring_sweep, summarize_transfer
+from .transfer import (
+    _period,
+    chain_sweep,
+    end_to_end_summary,
+    ring_sweep,
+    summarize_transfer,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,7 +118,7 @@ def _cmd_fidelity_curve(args):
     h = build_hamiltonian(_geometry(args), _coupling(args))
     n = h.n
     in_site = 1 if args.input_site is None else args.input_site
-    out_site = n if args.output_site is None else args.output_site
+    out_site = h.geometry.far_site if args.output_site is None else args.output_site
     curve = fidelity_curve(
         decompose(h), site_state(n, in_site), site_state(n, out_site),
         args.t_max, args.steps,
@@ -169,11 +175,9 @@ def _cmd_optimize_placement(args):
 
 def _cmd_encoded_transfer(args):
     h = build_hamiltonian(_geometry(args, default_n=10), _coupling(args))
-    n = h.n
-    single = summarize_transfer(h, site_state(n, 1), site_state(n, n))
     encoded = summarize_transfer(h, *encoded_end_states(h, args.width))
-    _emit(args, {"n": n, "width": args.width, "single": asdict(single),
-                 "encoded": asdict(encoded)})
+    _emit(args, {"n": h.n, "width": args.width,
+                 "single": asdict(end_to_end_summary(h)), "encoded": asdict(encoded)})
 
 
 def _cmd_disorder(args):

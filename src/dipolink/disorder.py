@@ -35,11 +35,15 @@ from .lattice import (
     _to_real,
     build_hamiltonian,
 )
-from .spectral import _eigh, _eigh_stack_size, fidelity
+from .spectral import _eigh, fidelity
 from .transfer import end_to_end_summary
 
 CLASSICAL_THRESHOLD = 2.0 / 3.0
 _MAX_REDRAWS = 100
+# Matrix elements per stacked `_eigh` call of a disorder block (256 matrices
+# at N = 4), so that the eigensolve's temporaries keep one size however many
+# samples a run draws.
+_EIGH_BLOCK_ELEMENTS = 1 << 12
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
 # PCG64's 128-bit LCG multiplier.
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -277,7 +281,7 @@ def run_disorder(
         return chains, np.any(np.diff(chains) <= 0, axis=-1)
 
     values = np.empty(config.samples)
-    block = _eigh_stack_size(n * n)
+    block = max(_EIGH_BLOCK_ELEMENTS // (n * n), 1)
     draws = np.zeros((min(block, config.samples), n))
     rejected = 0
     # one generator, loaded with each sample's state before its draws
@@ -304,12 +308,12 @@ def run_disorder(
                     "error fraction too large for this geometry"
                 )
 
-        # f = sum_m v[N-1, m] v[0, m] e^{-i (E_m - E_0) t}, independent of the
+        # f = sum_m v[far, m] v[0, m] e^{-i (E_m - E_0) t}, independent of the
         # eigenvector signs; |f| by hypot, which is how abs() of a complex
         # scalar computes it, so each sample matches its one-chain evaluation.
         h, _ = _hamiltonian_matrices(chains, Topology.CHAIN, coupling)
         energies, vectors = _eigh(h)
-        w = vectors[:, n - 1, :] * vectors[:, 0, :]
+        w = vectors[:, geometry.far_site - 1, :] * vectors[:, 0, :]
         e = energies - energies[:, :1]
         f = np.sum(w * np.exp(-1j * e * t_nominal), axis=-1)
         values[lo : lo + len(rows)] = fidelity(np.hypot(f.real, f.imag))

@@ -87,9 +87,9 @@ def _to_position(value) -> float:
 
 
 def _read_only(obj, *names: str, dtype=float):
-    """Set each field in ``names`` to a read-only array of ``dtype``."""
+    """Set each field in ``names`` to a read-only copy, an array of ``dtype``."""
     for name in names:
-        arr = np.asarray(getattr(obj, name), dtype=dtype)
+        arr = np.array(getattr(obj, name), dtype=dtype)
         arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
 
@@ -159,6 +159,13 @@ class Geometry:
     @property
     def n(self) -> int:
         return len(self.positions)
+
+    @property
+    def far_site(self) -> int:
+        """Site farthest from site 1 (1-based), where a site-1 transfer ends:
+        N on a chain, N // 2 + 1 on a ring. An odd ring has two sites
+        (N - 1) / 2 bonds away; this is the first of them."""
+        return self.n if self.topology is Topology.CHAIN else self.n // 2 + 1
 
     @property
     def length(self) -> float:

@@ -356,10 +356,12 @@ def optimize_placement(
     best_f = -np.inf
     for _, x_best in candidates:
         gaps = _gaps_from_free(np.asarray(x_best, dtype=float), n)
-        spec = decompose(build_hamiltonian(_geometry_from_gaps(gaps), coupling))
+        geometry = _geometry_from_gaps(gaps)
+        spec = decompose(build_hamiltonian(geometry, coupling))
         # a Python float: past float max it is inf, which find_peak refuses
         window = _VERIFY_BEATS * 2.0 * np.pi / float(spec.splitting)
-        f_abs, t_best, _ = find_peak(spec, site_state(n, 1), site_state(n, n), window)
+        states = site_state(n, 1), site_state(n, geometry.far_site)
+        f_abs, t_best, _ = find_peak(spec, *states, window)
         result = PlacementResult(
             n, tuple(start_gaps), start_tau, evaluations, _RESTARTS,
             config.seed, tuple(gaps), np.pi / spec.splitting, spec.splitting,

@@ -28,10 +28,6 @@ _BLOCK_ELEMENTS = 1 << 16
 _THREADED_PRODUCT = 1 << 16
 # Largest deviation, relative to max |t|, of a grid from exact uniformity.
 _UNIFORM_RTOL = 1e-12
-# Matrix elements per stacked `_eigh` call of a disorder block (256 matrices
-# at N = 4), so that the eigensolve's temporaries keep one size however many
-# samples a run draws.
-_EIGH_BLOCK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -92,11 +88,6 @@ def _eigh(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(matrices)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-
-
-def _eigh_stack_size(elements: int) -> int:
-    """Items per stacked `_eigh` call when each item holds ``elements`` entries."""
-    return max(_EIGH_BLOCK_ELEMENTS // elements, 1)
 
 
 def decompose(h: ExcitationHamiltonian | np.ndarray) -> SpectralDecomposition:

@@ -468,7 +468,9 @@ def summarize_transfer(
 def end_to_end_summary(
     h: ExcitationHamiltonian, t_max: float | None = None
 ) -> TransferSummary:
-    return summarize_transfer(h, site_state(h.n, 1), site_state(h.n, h.n), t_max)
+    """``summarize_transfer`` from site 1 to ``h.geometry.far_site``, any geometry."""
+    far = h.geometry.far_site
+    return summarize_transfer(h, site_state(h.n, 1), site_state(h.n, far), t_max)
 
 
 def chain_sweep(
@@ -485,33 +487,15 @@ def chain_sweep(
     ]
 
 
-def antipodal_site(n: int) -> int:
-    """Output site farthest from site 1 on an n-ring (1-based): n // 2 + 1.
-
-    For even n it is diametrically opposite site 1. An odd ring has no such
-    site; (n + 1) / 2 is the first of the two sites at the largest arc
-    distance, (n - 1) / 2 bonds.
-    """
-    return n // 2 + 1
-
-
 def ring_sweep(
     n_min: int,
     n_max: int,
     coupling: CouplingSpec = DIPOLE,
 ) -> list[TransferSummary]:
-    """Site-1 to ``antipodal_site(n)`` summaries for rings of n_min..n_max spins.
-
-    On odd rings the output is site (n + 1) / 2, one of the two sites
-    (n - 1) / 2 bonds from site 1.
-    """
+    """``end_to_end_summary`` (site 1 to ``far_site``) of n_min..n_max-spin rings."""
     if not 3 <= n_min <= n_max:
         raise DomainError(f"need 3 <= n_min <= n_max, got ({n_min}, {n_max})")
     return [
-        summarize_transfer(
-            build_hamiltonian(ring(n), coupling),
-            site_state(n, 1),
-            site_state(n, antipodal_site(n)),
-        )
+        end_to_end_summary(build_hamiltonian(ring(n), coupling))
         for n in range(n_min, n_max + 1)
     ]

@@ -137,6 +137,25 @@ class TestCurvesAndSpectra:
         assert code == 0
         assert len(out.strip().split("\n")) == 7
 
+    def test_fidelity_curve_ring_defaults_to_far_site(self, capsys, tmp_path):
+        # a ring's site-1 transfer ends at its antipode (site 4 of 6), as in
+        # ring-sweep; site 6 is one bond from site 1
+        geo = tmp_path / "ring6.json"
+        geo.write_text('{"topology": "ring", "positions": [0, 1, 2, 3, 4, 5]}')
+        docs = {}
+        for site in (None, "4", "6"):
+            flag = () if site is None else ("--output-site", site)
+            code, out, _ = run_cli(
+                capsys, "fidelity-curve", "--geometry-file", str(geo),
+                "--t-max", "20", "--steps", "41", "--format", "json", *flag,
+            )
+            assert code == 0
+            docs[site] = json.loads(out)
+        assert docs[None]["metadata"]["output"] == 4
+        assert docs[None] == docs["4"]
+        assert docs["6"]["metadata"]["output"] == 6
+        assert docs["6"]["rows"] != docs[None]["rows"]
+
     def test_fidelity_curve_extreme_geometry_file(self, capsys, tmp_path):
         # the pair's 1/r^3 overflows; a flat F = 0.5 curve must not pass as
         # a result
@@ -609,6 +628,18 @@ class TestGoldenInvocations:
         golden = _golden_tool()
         names = [golden._name(argv) for argv in golden.INVOCATIONS]
         assert len(set(names)) == len(names)
+
+    def test_geometry_files_are_fixtures_next_to_the_tool(self):
+        # records name a fixture, not its path, so a record's name and text
+        # do not depend on the checkout's place or the working directory
+        golden = _golden_tool()
+        here = Path(golden.__file__).parent
+        for argv in golden.INVOCATIONS:
+            assert "/" not in golden._name(argv) and "\\" not in golden._name(argv)
+            for flag, value in zip(argv, golden._resolve(argv)[1:]):
+                if flag == "--geometry-file":
+                    assert Path(value).parent == here
+                    Geometry.from_json(Path(value).read_bytes())
 
 
 class TestGoldenCompare:

@@ -293,7 +293,7 @@ class TestBatchedEnsemble:
     ):
         # 7 samples per block at N = 4 and 4 at N = 5: 150 samples end in a
         # partial block either way
-        monkeypatch.setattr(spectral, "_EIGH_BLOCK_ELEMENTS", 112)
+        monkeypatch.setattr(disorder, "_EIGH_BLOCK_ELEMENTS", 112)
         geometry = Geometry(Topology.CHAIN, positions)
         config = DisorderConfig(0.3, 150, seed=9, noise_model=model)
         rep = run_disorder(geometry, coupling, config)
@@ -331,7 +331,7 @@ class TestBatchedEnsemble:
         # 5, 50, 65, 73, 82 (twice), 87 and 106 per site and 38 and 50 per
         # gap, so rejected rows sit on both sides of a block boundary; the
         # shorter runs end inside a block, the last one on a rejected row.
-        monkeypatch.setattr(spectral, "_EIGH_BLOCK_ELEMENTS", 44 * 25)
+        monkeypatch.setattr(disorder, "_EIGH_BLOCK_ELEMENTS", 44 * 25)
         geometry = Geometry(Topology.CHAIN, (0.0, 0.9, 2.1, 3.0, 4.2))
         config = DisorderConfig(0.3, 150, seed=9, noise_model=model)
         full = run_disorder(geometry, config=config)
@@ -347,8 +347,8 @@ class TestBatchedEnsemble:
             0.05, 100, seed=4, noise_model=NoiseModel.GAUSSIAN_PER_GAP
         )
         reports = []
-        for budget in (1, 37 * n * n, spectral._EIGH_BLOCK_ELEMENTS):
-            monkeypatch.setattr(spectral, "_EIGH_BLOCK_ELEMENTS", budget)
+        for budget in (1, 37 * n * n, disorder._EIGH_BLOCK_ELEMENTS):
+            monkeypatch.setattr(disorder, "_EIGH_BLOCK_ELEMENTS", budget)
             reports.append(run_disorder(uniform_chain(n), config=config))
         for rep in reports[1:]:
             assert rep.as_dict() == reports[0].as_dict()

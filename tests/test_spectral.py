@@ -208,6 +208,20 @@ class TestSiteState:
             SiteState(np.array([1.0, 1.0]))
 
 
+def test_construction_leaves_callers_arrays_writeable():
+    # the objects hold read-only copies: the caller may reuse its arrays,
+    # and editing them changes no object built from them
+    e, v = np.array([0.0, 2.0]), np.eye(2)
+    a = np.array([1.0, 0.0], dtype=complex)
+    spec, state = SpectralDecomposition(e, v), SiteState(a)
+    assert e.flags.writeable and v.flags.writeable and a.flags.writeable
+    e[0], v[0, 0], a[:] = 5.0, 7.0, [0.0, 1.0]
+    assert list(spec.eigenvalues) == [0.0, 2.0]
+    assert np.array_equal(spec.eigenvectors, np.eye(2))
+    assert list(state.amplitudes) == [1.0, 0.0]
+    assert not (spec.eigenvalues.flags.writeable or state.amplitudes.flags.writeable)
+
+
 class TestPropagator:
     def test_t_zero_identity(self):
         spec = decompose(build_hamiltonian(uniform_chain(5)))

@@ -15,7 +15,6 @@ from dipolink import (
     SiteState,
     SpectralDecomposition,
     Topology,
-    antipodal_site,
     build_hamiltonian,
     chain_sweep,
     decompose,
@@ -483,10 +482,23 @@ class TestChainSweep:
 
 
 class TestRingSweep:
-    def test_antipodal_site(self):
-        assert antipodal_site(6) == 4
-        assert antipodal_site(7) == 4
-        assert antipodal_site(4) == 3
+    def test_far_site(self):
+        # where every site-1 transfer ends: the chain's last site, the ring's
+        # antipode (on odd rings the first of the two farthest sites)
+        for n in range(2, 31):
+            assert uniform_chain(n).far_site == n
+        assert Geometry(Topology.CHAIN, (0.0, 0.3, 2.0, 2.1, 5.0)).far_site == 5
+        for n in range(3, 31):
+            assert ring(n).far_site == n // 2 + 1
+
+    @pytest.mark.parametrize(
+        "coupling", [DIPOLE, NEAREST_NEIGHBOUR], ids=["dipole", "nn"]
+    )
+    def test_rows_are_end_to_end_summaries(self, coupling):
+        # one far-end rule: a ring's end-to-end summary is its ring_sweep row
+        for n in range(3, 31):
+            h = build_hamiltonian(ring(n), coupling)
+            assert end_to_end_summary(h) == ring_sweep(n, n, coupling)[0], f"N={n}"
 
     def test_triangle_models_agree(self):
         d = ring_sweep(3, 3, DIPOLE)[0]
@@ -552,7 +564,7 @@ class TestRingSweep:
         # window, against the plane-wave sum of the circulant ring (no
         # eigensolve in the oracle)
         spec = decompose(build_hamiltonian(ring(n), coupling))
-        target = antipodal_site(n)
+        target = ring(n).far_site
         times = np.linspace(0.0, 10.0 * n, 2001)
         fa = propagator_abs_grid(spec, site_state(n, 1), site_state(n, target), times)
         w, e = ring_transfer_terms(n, 1, target, model=model)
@@ -690,7 +702,7 @@ class TestBeatEnvelope:
         geometry = uniform_chain(n) if topology == "chain" else ring(n)
         h = build_hamiltonian(geometry, coupling)
         spec = decompose(h)
-        output = n if topology == "chain" else antipodal_site(n)
+        output = geometry.far_site
         states = site_state(n, 1), site_state(n, output)
         t_max = default_window(h, spec)
         scans = _counting(monkeypatch)
@@ -786,7 +798,7 @@ def _nn_chain_case(n, t_max):
 
 
 def _ring_case(n):
-    w, e = ring_transfer_terms(n, 1, antipodal_site(n))
+    w, e = ring_transfer_terms(n, 1, ring(n).far_site)
     order = np.argsort(e, kind="stable")
     w, e = w[order], e[order] - e[order][0]
     return _complex_terms_spec(w, e), w, e, 10.0 * n

@@ -8,9 +8,12 @@ Usage:
 Runs every invocation in ``INVOCATIONS`` in-process through
 ``dipolink.cli.main``, imported from the ``src`` directory next to this
 script, and writes ``<name>.stdout``, ``<name>.stderr`` and ``<name>.code``
-(the exit code) under OUTDIR. Run it in two checkouts and compare with
-``diff -r OUTDIR_A OUTDIR_B``: no output means every invocation printed the
-same bytes and exited with the same code.
+(the exit code) under OUTDIR. A ``--geometry-file`` value names a fixture
+next to this script (``ring6.json``, ``chain5.json``); it is passed on as
+that file's path, and the record name keeps the bare fixture name. Run it
+in two checkouts and compare with ``diff -r OUTDIR_A OUTDIR_B``: no output
+means every invocation printed the same bytes and exited with the same
+code.
 
 ``--compare`` checks two such records for a change that may move numbers
 in their last digits but nothing else. For every file whose bytes differ it
@@ -28,6 +31,7 @@ import re
 import sys
 import warnings
 
+_HERE = os.path.dirname(os.path.abspath(__file__))
 _SWEEPS = ["chain-sweep", "ring-sweep", "spectrum-sweep"]
 
 INVOCATIONS = (
@@ -99,6 +103,24 @@ INVOCATIONS = (
         ["disorder", "--seed", "1267650600228229401496703205376", "--noise-model",
          "gaussian", "--error-fraction", "0.45", "--n", "6"],
     ]
+    + [
+        # geometry files: a 6-ring, whose site-1 transfer ends at its far
+        # site 4 by default, and a non-uniform 5-spin chain
+        ["fidelity-curve", "--geometry-file", "ring6.json", "--t-max", "50",
+         "--steps", "501", "--format", "json"],
+        ["fidelity-curve", "--geometry-file", "ring6.json", "--t-max", "50",
+         "--steps", "501", "--format", "json", "--output-site", "6"],
+        ["fidelity-curve", "--geometry-file", "chain5.json", "--t-max", "50",
+         "--steps", "501", "--format", "json"],
+        ["onsite-energies", "--geometry-file", "ring6.json"],
+        ["onsite-energies", "--geometry-file", "chain5.json"],
+        # encoded-transfer and disorder are defined for chains: the ring is
+        # refused with one line
+        ["encoded-transfer", "--geometry-file", "ring6.json"],
+        ["disorder", "--geometry-file", "ring6.json"],
+        ["encoded-transfer", "--geometry-file", "chain5.json"],
+        ["disorder", "--geometry-file", "chain5.json", "--samples", "200"],
+    ]
 )
 
 
@@ -106,9 +128,14 @@ def _name(argv) -> str:
     return "_".join(a.lstrip("-") for a in argv)
 
 
+def _resolve(argv) -> list:
+    """``argv`` with each ``--geometry-file`` fixture name made its path."""
+    return [os.path.join(_HERE, a) if flag == "--geometry-file" else a
+            for flag, a in zip([None, *argv], argv)]
+
+
 def main(outdir: str) -> int:
-    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                    os.pardir, "src"))
+    sys.path.insert(0, os.path.join(_HERE, os.pardir, "src"))
     from dipolink.cli import main as cli_main
 
     os.makedirs(outdir, exist_ok=True)
@@ -118,7 +145,7 @@ def main(outdir: str) -> int:
         # a new process would.
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
-            code = cli_main(argv)
+            code = cli_main(_resolve(argv))
         base = os.path.join(outdir, _name(argv))
         for suffix, text in ((".stdout", out.getvalue()), (".stderr", err.getvalue()),
                              (".code", f"{code}\n")):
