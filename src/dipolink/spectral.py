@@ -10,6 +10,7 @@ and the averaged transfer fidelity is F = |f|/3 + |f|^2/6 + 1/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,24 +138,25 @@ def abs_runs(w, e, starts, step: float, count: int) -> np.ndarray:
     element has the bits it has in one product of all the rows.
     """
     starts = np.asarray(starts, dtype=float)
-    out = np.empty((len(starts), count))
-    inner = np.exp(-1j * np.outer(e, step * np.arange(count)))
+    n, k = len(e), len(starts)
+    out = np.empty((k, count))
+    inner = np.exp(e[:, None] * (step * np.arange(count)) * -1j)
     rows = max(_BLOCK_ELEMENTS // max(count, 1), 1)
-    group = min((_THREADED_PRODUCT - 1) // max(len(e) * count, 1), len(starts))
-    group = max(group, 1)
+    group = max(min((_THREADED_PRODUCT - 1) // max(n * count, 1), k), 1)
     rows -= rows % group
-    whole = len(starts) - len(starts) % group
+    whole = k - k % group
     if whole % rows == 1 and whole > 1:
         whole -= 1  # the last row goes with the one before it
     for lo in range(0, whole, rows):
         hi = min(lo + rows, whole)
-        outer = np.exp(-1j * np.outer(starts[lo:hi], e)) * w
+        outer = np.exp(starts[lo:hi, None] * e * -1j) * w
         if group > 1:
-            outer = outer.reshape(-1, group, len(e))
-        out[lo:hi] = np.abs(outer @ inner).reshape(hi - lo, count)
-    if whole < len(starts):
-        lo = min(whole, len(starts) - 2)
-        out[lo:] = np.abs((np.exp(-1j * np.outer(starts[lo:], e)) * w) @ inner)
+            outer = outer.reshape(-1, group, n)
+        product = outer @ inner
+        np.abs(product, out=out[lo:hi].reshape(product.shape))
+    if whole < k:
+        lo = min(whole, k - 2)
+        np.abs((np.exp(starts[lo:, None] * e * -1j) * w) @ inner, out=out[lo:])
     return out
 
 
@@ -179,16 +181,21 @@ def propagator_abs_grid(
     k = len(times)
     if k == 0:
         return np.empty(0)
-    dt = (times[-1] - times[0]) / (k - 1) if k > 1 else 0.0
-    t_abs = float(max(abs(times[0]), abs(times[-1])))
-    if not np.isfinite(t_abs * float(e[-1])):
+    t0, t1 = float(times[0]), float(times[-1])
+    dt = (t1 - t0) / (k - 1) if k > 1 else 0.0
+    t_abs = max(abs(t0), abs(t1))
+    if not math.isfinite(t_abs * float(e[-1])):
         raise DomainError(f"phases up to {t_abs:.3g} x {e[-1]:.3g} overflow a float")
     tol = _UNIFORM_RTOL * t_abs
     for lo in range(0, k, _BLOCK_ELEMENTS):
         ts = times[lo : lo + _BLOCK_ELEMENTS]
-        if np.max(np.abs(ts - (times[0] + dt * np.arange(lo, lo + len(ts))))) > tol:
+        gap = np.arange(lo, lo + len(ts), dtype=float)  # t0 + i dt - t_i, in place
+        gap *= dt
+        gap += t0
+        gap -= ts
+        if np.abs(gap, out=gap).max() > tol:
             raise DomainError("time grid is not uniform")
-    block = int(np.ceil(np.sqrt(k)))
+    block = math.ceil(math.sqrt(k))
     return abs_runs(w, e, times[::block], dt, block).ravel()[:k]
 
 

@@ -15,6 +15,7 @@ each surviving run land on its peak to float resolution in t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,23 +47,26 @@ from .spectral import (
 # Most parts a kept interval is cut into per round of the bounded screen,
 # and how many of a range's kept intervals are subdivided together. Each
 # range is subdivided on its own, so batches no longer bound memory: the
-# 2-spin chain's 5e6 window peaks at 71 MiB RSS with or without them. They
+# 2-spin chain's 5e6 window peaks at 72 MiB RSS with or without them. They
 # save time, as the batches that start past the cap cut are skipped whole:
-# criterion 01's N = 3 row over [0, 1e6] takes 19 ms (48.6 MiB) in batches
-# and 33 ms (53.0 MiB) in one batch per range, medians of 10 fresh processes.
+# criterion 01's N = 3 row over [0, 1e6] takes 33 ms in batches and 48 ms
+# in one batch per range (48.9 MiB either way), medians of 10 fresh
+# processes, slower in one batch in all 10 pairs.
 _SUBDIVIDE = 8
 _BATCH = 1 << 14
 # Coarse-grid points per kernel call. The kernel factorizes a call of K
-# points into sqrt(K)-wide rows, so shorter chunks are slower: 2^18 costs
-# the chain sweep 15-20 % wall, while 2^20 holds every chain-sweep grid
-# (at most 387k points) in one call.
+# points into sqrt(K)-wide rows, so shorter chunks are slower where ranges
+# fill them: at 2^18 the N = 64 chain's default window takes 91-98 ms
+# against 66 ms, best of 7. The chain sweeps' ranges hold at most 96k
+# points, so 2^18 leaves their calls as they are.
 _CHUNK = 1 << 20
 # Ranges of grid points closer than this are sampled by one call, so a
 # window of short beats (nn chains, rings) takes one call per chunk, not one
 # per beat. A window whose beat is shorter than this is sampled whole, so
-# it stays near what one kernel call costs in points (50-100 us a call, 30
-# ns a point): at 2^16 the N = 6 placement of seed 35, whose 20-beat window
-# beats every 65.3k steps, sampled all 1.3M points, against 524 at 2^12.
+# it stays near what one kernel call costs in points (40-45 us a call,
+# 25-40 ns a point at N = 6..23): at 2^16 the N = 6 placement of seed 35,
+# whose 20-beat window beats every 65.3k steps, sampled all 1.3M points,
+# against 524 at 2^12.
 _MERGE = 1 << 12
 # Candidate peaks refined together, and the Newton steps each batch takes
 # from within one final subinterval of its peaks.
@@ -161,13 +165,13 @@ def _beat_pair(w: np.ndarray, e: np.ndarray):
     mag = np.abs(w)
     if len(w) < 2:
         return None
-    b, a = np.argsort(mag, kind="stable")[-2:]
-    beat = e[b] - e[a]
-    if mag[b] <= 1e-9 * mag[a] or not abs(beat) > 2.0 * np.pi / _MAX_WINDOW:
+    b, a = mag.argsort(kind="stable")[-2:]
+    big, small, beat = float(mag[a]), float(mag[b]), float(e[b] - e[a])
+    if small <= 1e-9 * big or not abs(beat) > 2.0 * np.pi / _MAX_WINDOW:
         return None
     period = 2.0 * np.pi / abs(beat)
-    top = ((np.angle(w[b]) - np.angle(w[a])) / beat) % period
-    return mag[a], mag[b], max(mag.sum() - mag[a] - mag[b], 0.0), top, period
+    top = float((np.angle(w[b]) - np.angle(w[a])) / beat % period)
+    return big, small, max(float(mag.sum()) - big - small, 0.0), top, period
 
 
 def _envelope_ranges(pair, level: float, c0: int, step: float, npts: int):
@@ -179,40 +183,43 @@ def _envelope_ranges(pair, level: float, c0: int, step: float, npts: int):
     1 + s^2 + 2 s cos(2 pi d / T) = ((level - R) / |w_a|)^2, s = |w_b| / |w_a|;
     the cosine is lowered by far more than its roundoff, and each range
     reaches two grid points past the set. Ranges fewer than _MERGE points
-    apart are merged. Returns a (2, k) int array of ascending, disjoint
-    ranges.
+    apart are merged. Returns a list of ascending, disjoint (lo, hi) pairs.
     """
     c1 = min(c0 + _CHUNK - 1, npts - 1)
     if pair is None:
-        return np.array([[c0], [c1]])
+        return [(c0, c1)]
     big, small, rest, top, period = pair
     p, s = (level - rest) / big, small / big
     cos_half = (p * p - 1.0 - s * s) / (2.0 * s) - 1e-9 * (1.0 + (1.0 + s * s) / s)
     if p <= 0.0 or cos_half <= -1.0:
-        return np.array([[c0], [c1]])
-    ranges = np.empty((2, 0))
+        return [(c0, c1)]
+    ranges = []
     if cos_half <= 1.0:
-        half = period * np.arccos(cos_half) / (2.0 * np.pi)
-        first = np.floor((c0 * step - half - top) / period)
-        tops = top + period * np.arange(first, (c1 * step + half - top) / period + 1)
-        lo = np.maximum(np.floor((tops - half) / step) - 2.0, c0)
-        hi = np.minimum(np.ceil((tops + half) / step) + 2.0, c1)
-        lo, hi = lo[lo < hi], hi[lo < hi]
-        if len(lo):
-            new = np.concatenate(([True], lo[1:] - hi[:-1] >= _MERGE))
-            ranges = np.stack((lo[new], hi[np.concatenate((new[1:], [True]))]))
-    return ranges.astype(np.int64)
+        half = period * float(np.arccos(cos_half)) / (2.0 * np.pi)
+        first = math.floor((c0 * step - half - top) / period)
+        beats = math.ceil((c1 * step + half - top) / period + 1 - first)
+        for k in range(first, first + beats):
+            t_k = top + period * k
+            lo = max(math.floor((t_k - half) / step) - 2, c0)
+            hi = min(math.ceil((t_k + half) / step) + 2, c1)
+            if lo >= hi:
+                continue
+            if ranges and lo - ranges[-1][1] < _MERGE:
+                ranges[-1] = (ranges[-1][0], hi)
+            else:
+                ranges.append((lo, hi))
+    return ranges
 
 
-def _subtract(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+def _subtract(outer: list, inner: list) -> list:
     """The parts of ranges ``outer`` not in ``inner``, sharing end points.
 
     Each range of ``inner`` lies inside one range of ``outer``, so the sorted
     starts and ends of the parts pair up in order.
     """
-    lo = np.sort(np.concatenate((outer[0], inner[1])))
-    hi = np.sort(np.concatenate((inner[0], outer[1])))
-    return np.stack((lo, hi))[:, lo < hi]
+    lo = sorted([a for a, _ in outer] + [b for _, b in inner])
+    hi = sorted([a for a, _ in inner] + [b for _, b in outer])
+    return [(a, b) for a, b in zip(lo, hi) if a < b]
 
 
 def find_peak(
@@ -286,8 +293,8 @@ def find_peak(
         raise DomainError(f"search window {t_max:.3g} outside (0, {_MAX_WINDOW:.3g}]")
 
     w, e = transfer_terms(spec, input_state, output_state)
-    bandwidth = e[-1]
-    scale = np.ldexp(0.5, np.frexp(bandwidth)[1])
+    bandwidth = float(e[-1])
+    scale = math.ldexp(0.5, math.frexp(bandwidth)[1])
     u = e / scale
     npts = _grid_size(t_max, bandwidth)
     step = grid_step(t_max, npts)
@@ -301,22 +308,24 @@ def find_peak(
     tol = _TOLERANCE
     curvature = curvature_bound(w, u)
     slack = 8.0 * np.finfo(float).eps * (1.0 + t_max * bandwidth)
-    cap = np.abs(w).sum()
+    cap = float(np.abs(w).sum())
     if slack >= cap > 0.0:
         raise DomainError(
             f"search window {t_max:.3g}: roundoff slack {slack:.3g} reaches "
             f"sum |w_m| = {cap:.3g}, so no interval could be pruned"
         )
-    best = -np.inf
+    best = -math.inf
 
-    def survivors(left, right, width):
+    def survivors(vals, width):
+        """Which intervals between adjacent samples of ``vals`` are kept."""
         floor = best - tol - slack - curvature * (width * scale) ** 2 / 8.0
-        return np.maximum(left, right) >= floor
+        high = vals >= floor
+        return high[..., :-1] | high[..., 1:]
 
     subs, width = [], step
     while curvature * (width * scale) ** 2 / 8.0 > tol:
-        needed = np.sqrt(curvature * (width * scale) ** 2 / (8.0 * tol))
-        subs.append(int(min(_SUBDIVIDE, np.ceil(needed))))
+        needed = math.sqrt(curvature * (width * scale) ** 2 / (8.0 * tol))
+        subs.append(min(_SUBDIVIDE, math.ceil(needed)))
         width /= subs[-1]
     excess = curvature * (width * scale) ** 2 / 8.0
 
@@ -332,38 +341,45 @@ def find_peak(
     # intervals that start before t_cap + step / 2 are subdivided: those up
     # to the one holding it, and the one starting at it, whatever the
     # roundoff in a subdivided sample's time.
-    cut = np.inf
+    cut = math.inf
 
-    def reach_cap(vals, time_of):
-        """Lower the cut for samples ``vals``; ``time_of`` maps flat indices
-        of them to times."""
-        nonlocal cut
-        if vals.max(initial=-np.inf) >= cap - tol:
+    def record(vals, time_of):
+        """Raise the best sample to the largest of ``vals``, and lower the cut
+        if one reaches the cap; ``time_of`` maps flat indices of ``vals`` to
+        times."""
+        nonlocal best, cut
+        high = float(vals.max())
+        best = max(best, high)
+        if high >= cap - tol:
             first = time_of(np.flatnonzero(vals >= cap - tol)).min()
             cut = min(cut, first + step / 2.0)
 
     def subdivide(kept):
-        nonlocal best, heads
+        nonlocal heads
         found = [heads]
         for lo in range(0, kept.shape[1], _BATCH):
+            # intervals come in time order, so those starting before the cut lead
             batch = kept[:, lo : lo + _BATCH]
-            starts, left, right = batch[:, batch[0] < cut]
+            starts, left, right = batch[:, : batch[0].searchsorted(cut)]
             if not len(starts):
                 break
             h = step
             for sub in subs:
                 h /= sub
                 vals = abs_runs(w, e, starts, h, sub + 1)
-                best = vals.max(initial=best)
-                reach_cap(vals, lambda i: starts[i // (sub + 1)] + h * (i % (sub + 1)))
-                rows, cols = np.nonzero(survivors(vals[:, :-1], vals[:, 1:], h))
+                record(vals, lambda i: starts[i // (sub + 1)] + h * (i % (sub + 1)))
+                rows, cols = survivors(vals, h).nonzero()
+                if not len(rows):  # no interval of the batch survives
+                    break
                 starts = starts[rows] + h * cols
                 left, right = vals[rows, cols], vals[rows, cols + 1]
-            peak = np.maximum(left, right)
-            run = np.cumsum(np.diff(starts, prepend=-np.inf) > 1.5 * width)
-            order = np.lexsort((-peak, run))
-            first = order[np.diff(run[order], prepend=0) != 0]
-            found.append((starts[first] + width * (right > left)[first], peak[first]))
+            else:  # every level kept some interval
+                peak = np.maximum(left, right)
+                new = np.ones(len(starts), dtype=bool)  # where a run starts
+                np.greater(starts[1:] - starts[:-1], 1.5 * width, out=new[1:])
+                first = np.lexsort((-peak, new.cumsum()))[new.nonzero()[0]]
+                t_head = starts[first] + width * (right > left)[first]
+                found.append((t_head, peak[first]))
         heads = np.concatenate(found, axis=1)
         heads = heads[:, heads[1] + excess >= best - tol]
 
@@ -390,7 +406,7 @@ def find_peak(
                     level = min(band, best - tol - 2.0 * slack)
                     rest = _envelope_ranges(pair, level, c0, step, npts)
                     todo = _subtract(rest, todo)
-                yield from todo.T
+                yield from todo
 
     # Each range's grid points are sampled by one call, and the (start,
     # left, right) of its kept intervals, in time order and screened against
@@ -402,18 +418,19 @@ def find_peak(
             times[-1] = t_max
         fa = propagator_abs_grid(spec, input_state, output_state, times)
         del times
-        best = max(best, fa.max())
-        reach_cap(fa, lambda i: (lo + i) * step)
-        keep = np.flatnonzero(survivors(fa[:-1], fa[1:], step))
-        subdivide(np.stack(((lo + keep) * step, fa[keep], fa[keep + 1])))
-        if cut < np.inf:  # a sample came within tolerance of the cap
+        record(fa, lambda i: (lo + i) * step)
+        keep = survivors(fa, step).nonzero()[0]
+        subdivide(np.array(((lo + keep) * step, fa[keep], fa[keep + 1])))
+        if cut < math.inf:  # a sample came within tolerance of the cap
             break
-    at, top = heads[:, np.argsort(heads[0], kind="stable")]
+    at, top = heads[:, heads[0].argsort(kind="stable")]
 
     # Runs are refined a batch at a time, in time order (see the docstring);
-    # a run whose refined point falls below its head keeps the head.
+    # a run whose refined point falls below its head keeps the head. The
+    # step -g' / g'' is formed from g' / 2 and g'' / 2, which changes no bit
+    # of it.
     later = np.maximum.accumulate((top + excess)[::-1])[::-1]
-    later = np.append(later[1:], cap if cut < np.inf else -np.inf)
+    later = np.append(later[1:], cap if cut < math.inf else -math.inf)
     terms = np.stack((w, -1j * u * w, -u * u * w), axis=1)
     t_ref, f_ref = at.copy(), top.copy()
     for lo in range(0, len(at), _NEWTON_BATCH):
@@ -421,15 +438,16 @@ def find_peak(
         t = at[lo:hi]
         t_lo, t_hi = np.maximum(t - width, 0.0), np.minimum(t + width, t_max)
         for _ in range(_NEWTON_STEPS):
-            f, df, ddf = (np.exp(-1j * np.outer(t, e)) @ terms).T
-            slope = 2.0 * np.real(np.conj(f) * df)
-            bend = 2.0 * (np.abs(df) ** 2 + np.real(np.conj(f) * ddf))
-            move = np.divide(-slope, bend, out=np.zeros_like(t), where=bend < 0.0)
-            t = np.clip(t + np.clip(move / scale, -width, width), t_lo, t_hi)
-        f = np.abs(np.exp(-1j * np.outer(t, e)) @ w)
+            f, df, ddf = (np.exp(t[:, None] * e * -1j) @ terms).T
+            f_bar = f.conj()
+            slope, bend = (f_bar * df).real, np.abs(df) ** 2 + (f_bar * ddf).real
+            move = np.divide(slope, bend, out=np.zeros(len(t)), where=bend < 0.0)
+            move = np.minimum(np.maximum(move / scale, -width), width)
+            t = np.minimum(np.maximum(t - move, t_lo), t_hi)
+        f = np.abs(np.exp(t[:, None] * e * -1j) @ w)
         rose = f >= top[lo:hi]
         t_ref[lo:hi][rose], f_ref[lo:hi][rose] = t[rose], f[rose]
-        pick = int(np.argmax(f_ref[:hi] >= f_ref[:hi].max() - tol))
+        pick = int((f_ref[:hi] >= f_ref[:hi].max() - tol).argmax())
         if f_ref[pick] >= later[hi - 1] - tol:
             break
     t_peak = t_ref[pick]

@@ -986,3 +986,17 @@ class TestGridDensity:
         chain_sweep(2, 23)
         assert sum(coarse) <= 685_000
         assert sum(subdivided) <= 3_400
+
+    def test_no_kernel_call_without_rows(self, monkeypatch):
+        # a subdivision level whose intervals were all screened out ends its
+        # batch; the sweep once made 6 such calls among 93
+        rows = []
+        runs = transfer.abs_runs
+
+        def counted_runs(w, e, starts, step, count):
+            rows.append(len(starts))
+            return runs(w, e, starts, step, count)
+
+        monkeypatch.setattr(transfer, "abs_runs", counted_runs)
+        chain_sweep(2, 23)
+        assert len(rows) > 0 and min(rows) >= 1
