@@ -267,7 +267,8 @@ def _apart_mask(n: int, topology: Topology, model: CouplingModel) -> np.ndarray:
 def _hamiltonian_matrices(
     positions: np.ndarray, topology: Topology, coupling: CouplingSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices and ground energies for a (..., N) stack of site positions.
+    """Matrices and ground energies for a (..., N) stack of site positions,
+    an array or nested sequences.
 
     Every geometry in the stack shares the topology and coupling; sums run
     over the last axes, so each matrix is the same to the bit whether it is
@@ -282,6 +283,7 @@ def _hamiltonian_matrices(
     coupling; those pairs are then zeroed, and the on-site terms are written
     through a strided view of the diagonal.
     """
+    positions = np.asarray(positions)
     n = positions.shape[-1]
     inv3 = _pair_distances(positions, topology)
     apart = _apart_mask(n, topology, coupling.model)
@@ -318,7 +320,5 @@ def build_hamiltonian(
     geometry: Geometry, coupling: CouplingSpec = DIPOLE
 ) -> ExcitationHamiltonian:
     """Single-excitation Hamiltonian for any geometry and coupling model."""
-    h, ground = _hamiltonian_matrices(
-        np.asarray(geometry.positions), geometry.topology, coupling
-    )
+    h, ground = _hamiltonian_matrices(geometry.positions, geometry.topology, coupling)
     return ExcitationHamiltonian(h, ground, geometry, coupling)

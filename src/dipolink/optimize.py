@@ -12,7 +12,9 @@ between ripple peaks as the geometry deforms) and is evaluated from the
 spectrum alone. The fidelity constraint is verified at each converged
 candidate by an explicit multi-beat peak search: mirror-symmetric chains
 revisit near-perfect transfer within a few beats even when the first beat
-maximum falls short.
+maximum falls short. That search is screened at the |f| the constraint
+needs, so a candidate that cannot reach it is rejected after a few kernel
+calls, and one that can is certified as by the unscreened search.
 
 Encoded end states spread the input over the first few sites with amplitudes
 taken from the chain's ground-state eigenvector, which couples them cleanly
@@ -21,7 +23,9 @@ to the end-localized bound states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .lattice import (
     build_hamiltonian,
 )
 from .spectral import SiteState, _eigh, decompose, fidelity, site_state
-from .transfer import find_peak
+from .transfer import _TOLERANCE, find_peak
 
 # Smallest allowed gap of a unit chain; perturbed starts and their spread,
 # in units of the uniform gap; verification window, in beat periods;
@@ -69,7 +73,7 @@ class SearchConfig:
     above the floor (none if it has none). The fidelity constraint
     ``min_fidelity``, a real number (not a bool), finite and at most 1, is
     checked at each converged candidate by a peak search over 20 beat
-    periods 2 pi / dl.
+    periods 2 pi / dl, screened at the |f| it needs (``optimize_placement``).
     """
 
     min_fidelity: float = 0.99
@@ -108,7 +112,7 @@ class PlacementResult:
 
     @property
     def geometry(self) -> Geometry:
-        return _geometry_from_gaps(np.asarray(self.best_gaps))
+        return _geometry_from_gaps(self.best_gaps)
 
     @property
     def report(self) -> dict:
@@ -127,52 +131,58 @@ def n_free_gaps(n: int) -> int:
     return (n - 1 + 1) // 2 - 1
 
 
-def _gaps_from_free(x: np.ndarray, n: int) -> np.ndarray:
-    """All n-1 gaps of the mirror-symmetric unit chain from a (..., nfree) stack
-    of free vectors."""
-    k = (n - 1 + 1) // 2  # independent gaps
-    g = np.empty(x.shape[:-1] + (n - 1,))
-    g[..., : k - 1] = x
+def _gaps_from_free(x: list, n: int) -> list:
+    """All n-1 gaps of the mirror-symmetric unit chain from a free vector,
+    a list of Python floats.
+
+    The free gaps are summed as numpy's ``x.sum()`` sums up to 15 values
+    (N = 20 has 9), bit for bit: in order below 8, and from 8 (N = 18..20)
+    the first 8 pairwise, then the rest in order.
+    """
+    total, rest = 0.0, x
+    if len(x) >= 8:
+        total = ((x[0] + x[1]) + (x[2] + x[3])) + ((x[4] + x[5]) + (x[6] + x[7]))
+        rest = x[8:]
+    for v in rest:
+        total += v
     if (n - 1) % 2 == 1:
         # odd gap count: the middle gap is unpaired and absorbs the length
-        g[..., k - 1] = 1.0 - 2.0 * x.sum(axis=-1)
-    else:
-        g[..., k - 1] = 0.5 - x.sum(axis=-1)
-    g[..., k:] = g[..., : n - 1 - k][..., ::-1]
-    return g
+        return x + [1.0 - 2.0 * total] + x[::-1]
+    return x + [0.5 - total] * 2 + x[::-1]
 
 
-def _geometry_from_gaps(gaps: np.ndarray) -> Geometry:
-    pos = np.concatenate([[0.0], np.cumsum(gaps)])
-    return Geometry(Topology.CHAIN, tuple(pos))
+def _geometry_from_gaps(gaps) -> Geometry:
+    return Geometry(Topology.CHAIN, tuple(accumulate(gaps, initial=0.0)))
 
 
-def _tau(gaps: np.ndarray, coupling: CouplingSpec) -> np.ndarray:
-    """pi / dl in units of 2 / C (as it is at C = 2) of each chain in a
-    (k, n-1) stack of gaps; inf for a chain with a gap below the floor or
-    with dl <= 0. In that unit the value does not depend on C, up to
-    roundoff, so Nelder-Mead's absolute tolerances mean the same at every
-    C and no quotient overflows.
+def _tau(gaps: list, coupling: CouplingSpec) -> list:
+    """pi / dl in units of 2 / C (as it is at C = 2) of each chain in a list
+    of gap vectors, each a list of Python floats; inf for a chain with a gap
+    below the floor or with dl <= 0. In that unit the value does not depend
+    on C, up to roundoff, so Nelder-Mead's absolute tolerances mean the same
+    at every C and no quotient overflows.
 
+    The floor check, the positions and pi / dl are formed on Python floats.
     The feasible chains are built in one stack and solved in one batched
-    eigensolve, without the Geometry and ExcitationHamiltonian of the public
-    path; each dl is the one ``decompose`` returns for that chain alone, bit
-    for bit. Their pair distances lie between the 0.05 floor and the unit
-    length, so every coupling is finite and the eigensolve scans no entry.
-    A stack with no feasible chain (about 13 % of the rounds of N = 6
-    searches, over 40 seeds) is all inf without a build or an eigensolve.
+    eigensolve, the only numpy calls, without the Geometry and
+    ExcitationHamiltonian of the public path; each dl is the one
+    ``decompose`` returns for that chain alone, bit for bit. Their pair
+    distances lie between the 0.05 floor and the unit length, so every
+    coupling is finite and the eigensolve scans no entry. A list with no
+    feasible chain (about 13 % of the rounds of N = 6 searches, over 40
+    seeds) is all inf without a build or an eigensolve.
     """
-    tau = np.full(len(gaps), np.inf)
-    feasible = ~(gaps < _GAP_MIN).any(axis=-1)
-    count = np.count_nonzero(feasible)
-    if not count:
+    tau = [math.inf] * len(gaps)
+    feasible = [i for i, g in enumerate(gaps) if min(g) >= _GAP_MIN]
+    if not feasible:
         return tau
-    positions = np.zeros((count, gaps.shape[-1] + 1))
-    np.cumsum(gaps[feasible], axis=-1, out=positions[:, 1:])
+    positions = [list(accumulate(gaps[i], initial=0.0)) for i in feasible]
     h, _ = _hamiltonian_matrices(positions, Topology.CHAIN, coupling)
     vals, _ = _eigh(h)
-    dl = (vals[:, 1] - vals[:, 0]) * (2.0 / coupling.c_const)
-    tau[feasible] = np.divide(np.pi, dl, out=np.full_like(dl, np.inf), where=dl > 0)
+    unit = 2.0 / coupling.c_const
+    for i, (low, high) in zip(feasible, vals[:, :2].tolist()):
+        dl = (high - low) * unit
+        tau[i] = math.pi / dl if dl > 0 else math.inf
     return tau
 
 
@@ -269,17 +279,17 @@ def _lockstep(func, starts) -> list:
     evaluations) per start.
 
     Each round stacks the points every unfinished start asks for and
-    evaluates them in one call of func, which maps a (k, n) array of points
-    to k values, so every start takes the steps it would take alone. func
-    must give the same bits for the same point whatever else the call
-    holds, since a start stops at its first fixed point.
+    evaluates them in one call of func, which maps a list of k points, each
+    a list of floats, to a list of their k values, so every start takes the
+    steps it would take alone. func must give the same bits for the same
+    point whatever else the call holds, since a start stops at its first
+    fixed point.
     """
     runs = [_nelder_mead(x0) for x0 in starts]
     asks = {i: next(run) for i, run in enumerate(runs)}  # unfinished starts
     ends = [None] * len(runs)
     while asks:
-        values = func(np.array([x for points in asks.values() for x in points]))
-        values = values.tolist()
+        values = func([x for points in asks.values() for x in points])
         lo = 0
         for i, points in list(asks.items()):
             hi = lo + len(points)
@@ -326,9 +336,12 @@ def optimize_placement(
     11 x 10 chains of at most 20 spins.
     Converged candidates are screened in ascending-objective order against
     the fidelity constraint; only exactly equal objectives tie, and a tie
-    is broken toward the point closest to uniform. Raises
-    InfeasibleConstraintError, naming the best fidelity reached, unrounded,
-    if no candidate passes.
+    is broken toward the point closest to uniform. Each screen is
+    ``find_peak`` over 20 beats at the ``level`` where F = min_fidelity, less
+    1e-9: a window whose maximum reaches it gives the level-free result, and
+    one that does not is rejected below it, often after a few kernel calls.
+    If no candidate passes, each is searched again without the level, and
+    InfeasibleConstraintError names the best fidelity, unrounded.
     """
     if n < 3:
         raise DomainError(f"need at least 3 spins to optimize, got {n}")
@@ -340,8 +353,8 @@ def optimize_placement(
     starts = _starts(n, config.seed)
     uniform_free = starts[0]
 
-    def objective(x: np.ndarray) -> np.ndarray:
-        return _tau(_gaps_from_free(x, n), coupling)  # tau at unit length
+    def objective(points: list) -> list:
+        return _tau([_gaps_from_free(x, n) for x in points], coupling)
 
     ends = _lockstep(objective, starts)
     evaluations = sum(calls for _, _, calls in ends)
@@ -351,25 +364,32 @@ def optimize_placement(
         key=lambda c: (c[0], float(np.linalg.norm(c[1] - uniform_free)))
     )
 
-    start_gaps = _gaps_from_free(uniform_free, n)
-    start_tau = float(_tau(start_gaps[None], coupling)[0]) / (coupling.c_const / 2.0)
-    best_f = -np.inf
-    for _, x_best in candidates:
-        gaps = _gaps_from_free(np.asarray(x_best, dtype=float), n)
+    start_gaps = _gaps_from_free(uniform_free.tolist(), n)
+    start_tau = _tau([start_gaps], coupling)[0] / (coupling.c_const / 2.0)
+
+    def verify(x, level):
+        gaps = _gaps_from_free(x.tolist(), n)
         geometry = _geometry_from_gaps(gaps)
         spec = decompose(build_hamiltonian(geometry, coupling))
         # a Python float: past float max it is inf, which find_peak refuses
         window = _VERIFY_BEATS * 2.0 * np.pi / float(spec.splitting)
         states = site_state(n, 1), site_state(n, geometry.far_site)
-        f_abs, t_best, _ = find_peak(spec, *states, window)
-        result = PlacementResult(
+        f_abs, t_best, _ = find_peak(spec, *states, window, level=level)
+        return PlacementResult(
             n, tuple(start_gaps), start_tau, evaluations, _RESTARTS,
             config.seed, tuple(gaps), np.pi / spec.splitting, spec.splitting,
             fidelity(f_abs), t_best,
         )
+
+    # the |f| at which F = |f| / 3 + |f|^2 / 6 + 1 / 2 reaches min_fidelity,
+    # less the search tolerance
+    level = math.sqrt(max(6.0 * config.min_fidelity - 2.0, 0.0)) - 1.0 - _TOLERANCE
+    for _, x_best in candidates:
+        result = verify(x_best, level)
         if result.f_max >= config.min_fidelity:
             return result
-        best_f = max(best_f, result.f_max)
+    # the screen stops short of a failing candidate's maximum
+    best_f = max(verify(x_best, -math.inf).f_max for _, x_best in candidates)
     raise InfeasibleConstraintError(
         f"no candidate reached f_max >= {config.min_fidelity} within "
         f"{_VERIFY_BEATS} beats (best {best_f!r})"

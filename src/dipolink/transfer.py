@@ -65,8 +65,9 @@ _CHUNK = 1 << 20
 # per beat. A window whose beat is shorter than this is sampled whole, so
 # it stays near what one kernel call costs in points (40-45 us a call,
 # 25-40 ns a point at N = 6..23): at 2^16 the N = 6 placement of seed 35,
-# whose 20-beat window beats every 65.3k steps, sampled all 1.3M points,
-# against 524 at 2^12.
+# whose 20-beat window beats every 65.3k steps, samples all 1.3M coarse
+# points in 15-17 ms, against 520 in 3.1 ms at 2^12 (best of 7), with or
+# without the verification's level.
 _MERGE = 1 << 12
 # Candidate peaks refined together, and the Newton steps each batch takes
 # from within one final subinterval of its peaks.
@@ -227,6 +228,8 @@ def find_peak(
     input_state: SiteState,
     output_state: SiteState,
     t_max: float,
+    *,
+    level: float = -math.inf,
 ):
     """Locate the first global peak of |f(t)| over the window [0, t_max].
 
@@ -284,6 +287,14 @@ def find_peak(
     than that: the scan stops after that range, and kept intervals past
     that sample are no longer subdivided.
 
+    ``level`` starts the best sample there instead of at -inf, so from the
+    first range on only intervals and runs whose bound reaches it less the
+    tolerance are kept. A window whose maximum reaches ``level`` gives the
+    level-free result (bit for bit over the chain and ring sweeps and the
+    placement candidates). One whose maximum falls short by more than the
+    tolerance gives a height below ``level``: a refined peak within
+    tolerance of it, or else (|f(t_max)|, t_max, False).
+
     A window whose roundoff slack 8 eps (1 + t_max e_max) reaches
     sum_m |w_m| > 0 could prune no interval at any depth, and one whose grid
     step is below the smallest normal float has no uniform grid, so each
@@ -314,7 +325,7 @@ def find_peak(
             f"search window {t_max:.3g}: roundoff slack {slack:.3g} reaches "
             f"sum |w_m| = {cap:.3g}, so no interval could be pruned"
         )
-    best = -math.inf
+    best = level
 
     def survivors(vals, width):
         """Which intervals between adjacent samples of ``vals`` are kept."""
@@ -423,6 +434,9 @@ def find_peak(
         subdivide(np.array(((lo + keep) * step, fa[keep], fa[keep + 1])))
         if cut < math.inf:  # a sample came within tolerance of the cap
             break
+    if not heads.size:  # no run reaches the level, nor does |f(t_max)|
+        end = propagator_abs_grid(spec, input_state, output_state, np.array([t_max]))
+        return end[0], t_max, False
     at, top = heads[:, heads[0].argsort(kind="stable")]
 
     # Runs are refined a batch at a time, in time order (see the docstring);

@@ -2,6 +2,8 @@
 
 import dataclasses
 import functools
+import itertools
+import math
 import re
 
 import numpy as np
@@ -181,7 +183,7 @@ class TestOptimizePlacement:
 
 def _batched(func):
     """A batched objective that calls the one-point func row by row."""
-    return lambda points: np.array([func(x) for x in points], dtype=float)
+    return lambda points: [float(func(np.array(x))) for x in points]
 
 
 def _assert_same_run(func, starts):
@@ -201,7 +203,7 @@ def _assert_same_run(func, starts):
 
     def one_point(x):
         calls[0] += 1
-        return func(np.asarray(x)[None])[0]
+        return func([x.tolist()])[0]
 
     refs = []
     with np.errstate(invalid="ignore"):
@@ -349,13 +351,12 @@ class TestStackedObjective:
         rng = np.random.default_rng(3)
         # spread wide enough that some rows put a gap below the 0.05 floor
         free = 0.2 + rng.uniform(-0.17, 0.17, size=(40, n_free_gaps(n)))
-        gaps = optimize._gaps_from_free(free, n)
+        gaps = np.array([optimize._gaps_from_free(x, n) for x in free.tolist()])
         below = np.any(gaps < 0.05, axis=-1)
         assert 0 < below.sum() < len(free)
-        stacked = optimize._tau(gaps, dipolink.DIPOLE)
-        for x, g, tau in zip(free, gaps, stacked):
-            assert np.array_equal(optimize._gaps_from_free(x, n), g)
-            alone = optimize._tau(g[None], dipolink.DIPOLE)
+        stacked = np.array(optimize._tau(gaps.tolist(), dipolink.DIPOLE))
+        for g, tau in zip(gaps, stacked):
+            alone = optimize._tau([g.tolist()], dipolink.DIPOLE)
             assert np.array_equal(alone, [tau])
         assert np.all(np.isinf(stacked[below]))
         # each feasible tau is pi / dl of the public path's spectrum, bit for bit
@@ -370,10 +371,10 @@ class TestStackedObjective:
         monkeypatch.setattr(optimize, "_hamiltonian_matrices", unreachable)
         monkeypatch.setattr(optimize, "_eigh", unreachable)
         # each row puts one gap of a 6-spin chain at 0.04, below the floor
-        free = np.array([[0.04, 0.3], [0.3, 0.04], [0.04, 0.04]])
-        gaps = optimize._gaps_from_free(free, 6)
+        free = [[0.04, 0.3], [0.3, 0.04], [0.04, 0.04]]
+        gaps = [optimize._gaps_from_free(x, 6) for x in free]
         tau = optimize._tau(gaps, dipolink.DIPOLE)
-        assert tau.shape == (3,) and np.all(tau == np.inf)
+        assert tau == [np.inf] * 3
 
     def test_rounds_below_the_floor_cost_no_eigensolve(self, monkeypatch):
         # seed 16 runs the 1198-round cap plus the uniform chain's tau, 1199
@@ -396,17 +397,112 @@ class TestStackedObjective:
         n = 7
         rng = np.random.default_rng(4)
         free = 1 / 6 + rng.uniform(-0.14, 0.14, size=(30, n_free_gaps(n)))
-        gaps = optimize._gaps_from_free(free, n)
+        gaps = np.array([optimize._gaps_from_free(x, n) for x in free.tolist()])
         below = np.any(gaps < 0.05, axis=-1)
         assert 0 < below.sum() < len(free)
         nn = dipolink.NEAREST_NEIGHBOUR
-        stacked = optimize._tau(gaps, nn)
+        stacked = np.array(optimize._tau(gaps.tolist(), nn))
         assert np.all(np.isinf(stacked[below]))
         for g, tau in zip(gaps, stacked):
-            assert np.array_equal(optimize._tau(g[None], nn), [tau])
+            assert np.array_equal(optimize._tau([g.tolist()], nn), [tau])
         for g, tau in zip(gaps[~below], stacked[~below]):
             h = build_hamiltonian(optimize._geometry_from_gaps(g), nn)
             assert tau == np.pi / dipolink.decompose(h).splitting
+
+    @pytest.mark.parametrize(
+        "coupling", [dipolink.DIPOLE, dipolink.NEAREST_NEIGHBOUR], ids=["dipole", "nn"]
+    )
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_python_floats_match_numpy_and_decompose(self, n, coupling):
+        # free gaps within half their margin above the floor of the uniform
+        # chain's; the middle gap, which absorbs the length, falls below the
+        # floor in some rows of most sizes
+        rng = np.random.default_rng(n)
+        uniform = 1.0 / (n - 1)
+        spread = (uniform - 0.05) / 2.0
+        free = uniform + rng.uniform(-spread, spread, size=(40, n_free_gaps(n)))
+        gaps = [optimize._gaps_from_free(x, n) for x in free.tolist()]
+        want = _numpy_gaps(free, n)
+        assert np.array(gaps).tobytes() == want.tobytes()
+        solved = 0
+        for g, tau in zip(want, optimize._tau(gaps, coupling)):
+            if g.min() < 0.05:
+                assert tau == math.inf
+                continue
+            positions = tuple(np.concatenate([[0.0], np.cumsum(g)]))
+            h = build_hamiltonian(Geometry(Topology.CHAIN, positions), coupling)
+            assert tau == np.pi / dipolink.decompose(h).splitting
+            solved += 1
+        assert solved >= 20
+        if n >= 18:
+            # 8 or 9 free gaps: numpy sums the first 8 pairwise, and a
+            # left-to-right sum differs in some rows
+            in_order = [list(itertools.accumulate(x))[-1] for x in free.tolist()]
+            assert in_order != free.sum(axis=-1).tolist()
+
+
+def _numpy_gaps(free: np.ndarray, n: int) -> np.ndarray:
+    """The gaps of each free vector, a row of ``free``, with numpy's row sums."""
+    k = n // 2  # independent gaps
+    g = np.empty((len(free), n - 1))
+    g[:, : k - 1] = free
+    total = free.sum(axis=-1)
+    g[:, k - 1] = 1.0 - 2.0 * total if (n - 1) % 2 == 1 else 0.5 - total
+    g[:, k:] = g[:, : n - 1 - k][:, ::-1]
+    return g
+
+
+# The 40 seeds of the N = 6 panel at which the placement search passes its
+# fidelity check (no candidate passes at 12, 17 and 20)
+_PANEL = [s for s in range(43) if s not in (12, 17, 20)]
+
+
+class TestVerificationLevel:
+    """Each candidate's peak search starts its best sample at the |f| that
+    min_fidelity needs, less the 1e-9 tolerance."""
+
+    def test_panel_candidates(self, monkeypatch):
+        searches = []
+        own = optimize.find_peak
+
+        def recording(*args, level):
+            searches.append((args, level, own(*args, level=level)))
+            return searches[-1][2]
+
+        monkeypatch.setattr(optimize, "find_peak", recording)
+        for seed in _PANEL:
+            optimize_placement(6, config=SearchConfig(seed=seed))
+        monkeypatch.undo()
+        level = math.sqrt(6.0 * 0.99 - 2.0) - 1.0 - 1e-9
+        assert {lv for _, lv, _ in searches} == {level}
+        passed = 0
+        for args, _, screened in searches:
+            alone = own(*args)
+            if dipolink.fidelity(screened[0]) >= 0.99:
+                # the candidate the search returns: the level-free result
+                assert screened == alone
+                passed += 1
+            else:
+                # rejected below the level, as the level-free search is
+                assert screened[0] < level and alone[0] < level
+        assert passed == len(_PANEL)
+        # most candidates are end-dimer placements at F = 0.51
+        assert len(searches) > 300
+
+    @pytest.mark.parametrize("n, seed, best", [
+        (6, 12, "0.5099621840738117"),
+        (6, 17, "0.5099620401594478"),
+        (6, 20, "0.5099621000916675"),
+        (20, 0, "0.989193169935339"),
+    ])
+    def test_failure_names_the_certified_best(self, n, seed, best):
+        # every candidate is searched again without the level, so the message
+        # names the best window maximum, not a screened height
+        with pytest.raises(InfeasibleConstraintError) as info:
+            optimize_placement(n, config=SearchConfig(seed=seed))
+        assert str(info.value) == (
+            f"no candidate reached f_max >= 0.99 within 20.0 beats (best {best})"
+        )
 
 
 class TestRestartStarts:

@@ -1000,3 +1000,60 @@ class TestGridDensity:
         monkeypatch.setattr(transfer, "abs_runs", counted_runs)
         chain_sweep(2, 23)
         assert len(rows) > 0 and min(rows) >= 1
+
+
+def _sweep_searches():
+    """find_peak's arguments for every chain_sweep(2, 23) and
+    ring_sweep(3, 30) row of both models."""
+    searches = []
+    for coupling in (DIPOLE, NEAREST_NEIGHBOUR):
+        for geometry in [uniform_chain(n) for n in range(2, 24)] + [
+            ring(n) for n in range(3, 31)
+        ]:
+            h = build_hamiltonian(geometry, coupling)
+            spec = decompose(h)
+            states = site_state(h.n, 1), site_state(h.n, geometry.far_site)
+            searches.append((spec, *states, default_window(h, spec)))
+    return searches
+
+
+class TestLevel:
+    """find_peak(..., level=v) starts its best sample at v instead of -inf."""
+
+    @pytest.fixture(scope="class")
+    def searches(self):
+        return _sweep_searches()
+
+    def test_level_at_or_below_the_maximum_changes_nothing(self, searches):
+        for args in searches:
+            alone = find_peak(*args)
+            for level in (alone[0], alone[0] - 1e-9, alone[0] - 1e-3,
+                          0.5 * alone[0], 0.0, -1.0):
+                assert find_peak(*args, level=level) == alone, (args[3], level)
+
+    def test_level_above_the_maximum(self, monkeypatch, searches):
+        # counted as test_no_kernel_call_without_rows counts subdivided
+        # points, and the coarse grid's points with them
+        points = [0]
+        grid, runs = transfer.propagator_abs_grid, transfer.abs_runs
+
+        def counted_grid(spec, input_state, output_state, times):
+            points[0] += len(times)
+            return grid(spec, input_state, output_state, times)
+
+        def counted_runs(w, e, starts, step, count):
+            points[0] += len(starts) * count
+            return runs(w, e, starts, step, count)
+
+        monkeypatch.setattr(transfer, "propagator_abs_grid", counted_grid)
+        monkeypatch.setattr(transfer, "abs_runs", counted_runs)
+        for args in searches:
+            points[0] = 0
+            f_max = find_peak(*args)[0]
+            unscreened = points[0]
+            for rise in (1e-6, 1e-3, 0.1):
+                points[0] = 0
+                f_abs, _, flag = find_peak(*args, level=f_max + rise)
+                assert type(f_abs) in (float, np.float64) and not flag
+                assert 0.0 <= f_abs < f_max + rise and f_abs <= f_max + 1e-9
+                assert points[0] < unscreened, (args[3], rise)

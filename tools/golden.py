@@ -80,6 +80,11 @@ INVOCATIONS = (
         # to 11 x 6 and 11 x 8 chains
         ["optimize-placement", "--n", "12"],
         ["optimize-placement", "--n", "16"],
+        # 8, 8 and 9 free gaps, whose sum numpy forms pairwise from 8 on; no
+        # N = 20 candidate passes, so its message names the best of them
+        ["optimize-placement", "--n", "18"],
+        ["optimize-placement", "--n", "19"],
+        ["optimize-placement", "--n", "20"],
         # 99 gaps of 0.05 exceed the unit length: refused with one line
         ["optimize-placement", "--n", "100"],
     ]
