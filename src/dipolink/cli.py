@@ -1,7 +1,7 @@
 """Command-line front end: every analysis as a subcommand with CSV/JSON output.
 
-Exit codes: 0 success, 1 domain/configuration error, 2 numeric/convergence
-error. Results go to stdout or --output; warnings go to stderr.
+Exit codes: 0 success, 1 domain, configuration or memory error, 2 numeric or
+convergence error. Results go to stdout or --output; warnings go to stderr.
 """
 
 from __future__ import annotations
@@ -97,21 +97,12 @@ def _emit(args, records, head: dict | None = None):
     _write(args.output, _render(records, args.format, head))
 
 
-def _sweep_records(summaries, model: str, topology: str):
-    return [
-        {"n": s.n, "model": model, "topology": topology, **asdict(s)}
-        for s in summaries
-    ]
-
-
-def _cmd_chain_sweep(args):
-    rows = chain_sweep(args.n_min, args.n_max, _coupling(args))
-    _emit(args, _sweep_records(rows, args.model, "chain"))
-
-
-def _cmd_ring_sweep(args):
-    rows = ring_sweep(args.n_min, args.n_max, _coupling(args))
-    _emit(args, _sweep_records(rows, args.model, "ring"))
+def _cmd_sweep(args):
+    topology = args.command.split("-")[0]
+    sweep = chain_sweep if topology == "chain" else ring_sweep
+    rows = sweep(args.n_min, args.n_max, _coupling(args))
+    _emit(args, [{"n": s.n, "model": args.model, "topology": topology, **asdict(s)}
+                 for s in rows])
 
 
 def _cmd_fidelity_curve(args):
@@ -227,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     def seed(p):
         p.add_argument("--seed", type=int, default=0)
 
-    sizes(add("chain-sweep", _cmd_chain_sweep), 2, 23)
-    sizes(add("ring-sweep", _cmd_ring_sweep), 3, 30)
+    sizes(add("chain-sweep", _cmd_sweep), 2, 23)
+    sizes(add("ring-sweep", _cmd_sweep), 3, 30)
 
     p = add("fidelity-curve", _cmd_fidelity_curve)
     geometry(p)
@@ -282,6 +273,9 @@ def main(argv=None) -> int:
         return 2
     except (DipolinkError, OSError) as exc:
         print(f"dipolink: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"dipolink: out of memory: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -73,8 +73,8 @@ class DisorderConfig:
 
     ``error_fraction`` is the displacement half-width (uniform) or standard
     deviation (gaussian) in units of the mean spacing a, a finite,
-    non-negative real number (not a bool) kept as a float. ``samples`` (at
-    least 1) and ``seed`` (non-negative) must be integers; a bool is not one.
+    non-negative real number (not a bool) kept as a float. ``samples`` (1 to
+    2^32) and ``seed`` (non-negative) must be integers; a bool is not one.
     A sample whose draw breaks the site ordering is redrawn at most 100
     times before the run fails with DomainError.
     """
@@ -95,6 +95,8 @@ class DisorderConfig:
         _to_count(self, "samples", DomainError)
         if self.samples < 1:
             raise DomainError(f"need at least 1 sample, got {self.samples}")
+        if self.samples > 1 << 32:
+            raise DomainError(f"need at most 2^32 samples, got {self.samples}")
         _to_count(self, "seed", DomainError)
 
 
@@ -188,24 +190,13 @@ def _pcg64_states(seed: int, lo: int, hi: int) -> list[dict]:
     """Bit-generator states of np.random.default_rng((seed, k)), k = lo .. hi - 1.
 
     That generator is PCG64(SeedSequence((seed, k))), whose entropy is the
-    uint32 words of seed, then of k. k below 2^32 and k from 2^32 on are
-    seeded apart, the former having one entropy word fewer. k must stay
-    below 2^64.
+    uint32 words of seed, then k as one more word: k must stay below 2^32.
     """
-    states = []
-    for start, stop in ((lo, min(hi, 1 << 32)), (max(lo, 1 << 32), hi)):
-        if start >= stop:
-            continue
-        k = np.arange(start, stop, dtype=np.uint64)
-        words = [np.full(len(k), word, np.uint32) for word in _words(seed)]
-        words.append(k.astype(np.uint32))
-        if start >> 32:
-            words.append((k >> 32).astype(np.uint32))
-        states += [{"bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
-                   for state, inc in _seeded_pcg64(words)]
-    return states
+    k = np.arange(lo, hi, dtype=np.uint32)
+    words = [np.full(len(k), word, np.uint32) for word in _words(seed)] + [k]
+    return [{"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+             "has_uint32": 0, "uinteger": 0}
+            for state, inc in _seeded_pcg64(words)]
 
 
 def _uniform_stream(seed: int, low: float, high: float, size: int) -> list[float]:

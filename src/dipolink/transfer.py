@@ -434,9 +434,10 @@ def find_peak(
         subdivide(np.array(((lo + keep) * step, fa[keep], fa[keep + 1])))
         if cut < math.inf:  # a sample came within tolerance of the cap
             break
+    terms = np.stack((w, -1j * u * w, -u * u * w), axis=1)
+    f_end, df_end, _ = np.exp(-1j * t_max * e) @ terms
     if not heads.size:  # no run reaches the level, nor does |f(t_max)|
-        end = propagator_abs_grid(spec, input_state, output_state, np.array([t_max]))
-        return end[0], t_max, False
+        return abs(f_end), t_max, False
     at, top = heads[:, heads[0].argsort(kind="stable")]
 
     # Runs are refined a batch at a time, in time order (see the docstring);
@@ -445,7 +446,6 @@ def find_peak(
     # of it.
     later = np.maximum.accumulate((top + excess)[::-1])[::-1]
     later = np.append(later[1:], cap if cut < math.inf else -math.inf)
-    terms = np.stack((w, -1j * u * w, -u * u * w), axis=1)
     t_ref, f_ref = at.copy(), top.copy()
     for lo in range(0, len(at), _NEWTON_BATCH):
         hi = min(lo + _NEWTON_BATCH, len(at))
@@ -466,9 +466,8 @@ def find_peak(
             break
     t_peak = t_ref[pick]
     f_peak = propagator_abs_grid(spec, input_state, output_state, np.array([t_peak]))[0]
-    f, df, _ = np.exp(-1j * t_max * e) @ terms
-    boundary_flag = bool(abs(f) >= f_peak - tol and np.real(np.conj(f) * df) > 0.0)
-    return f_peak, t_peak, boundary_flag
+    boundary = abs(f_end) >= f_peak - tol and np.real(np.conj(f_end) * df_end) > 0.0
+    return f_peak, t_peak, bool(boundary)
 
 
 def summarize_transfer(
@@ -511,12 +510,7 @@ def chain_sweep(
     coupling: CouplingSpec = DIPOLE,
 ) -> list[TransferSummary]:
     """End-to-end transfer summaries for uniform chains of n_min..n_max spins."""
-    if not 2 <= n_min <= n_max:
-        raise DomainError(f"need 2 <= n_min <= n_max, got ({n_min}, {n_max})")
-    return [
-        end_to_end_summary(build_hamiltonian(uniform_chain(n), coupling))
-        for n in range(n_min, n_max + 1)
-    ]
+    return _sweep(uniform_chain, 2, n_min, n_max, coupling)
 
 
 def ring_sweep(
@@ -525,9 +519,12 @@ def ring_sweep(
     coupling: CouplingSpec = DIPOLE,
 ) -> list[TransferSummary]:
     """``end_to_end_summary`` (site 1 to ``far_site``) of n_min..n_max-spin rings."""
-    if not 3 <= n_min <= n_max:
-        raise DomainError(f"need 3 <= n_min <= n_max, got ({n_min}, {n_max})")
-    return [
-        end_to_end_summary(build_hamiltonian(ring(n), coupling))
-        for n in range(n_min, n_max + 1)
-    ]
+    return _sweep(ring, 3, n_min, n_max, coupling)
+
+
+def _sweep(family, smallest: int, n_min: int, n_max: int, coupling: CouplingSpec):
+    """``end_to_end_summary`` of ``family(n)``, n = n_min..n_max, n_min >= smallest."""
+    if not smallest <= n_min <= n_max:
+        raise DomainError(f"need {smallest} <= n_min <= n_max, got ({n_min}, {n_max})")
+    return [end_to_end_summary(build_hamiltonian(family(n), coupling))
+            for n in range(n_min, n_max + 1)]

@@ -560,6 +560,21 @@ class TestInputErrors:
         _assert_one_line_error(proc, message)
 
 
+    @pytest.mark.parametrize("argv, message", [
+        # per-sample fidelities and grid times of 8 GB, past the 3 GB cap
+        (["disorder", "--samples", "1000000000"], "dipolink: out of memory: "),
+        (["fidelity-curve", "--n", "4", "--t-max", "10", "--steps", "1000000000"],
+         "dipolink: out of memory: "),
+        # a sample index past one uint32 word: refused before any allocation
+        (["disorder", "--samples", "4294967297"],
+         "dipolink: need at most 2^32 samples, got 4294967297"),
+    ], ids=["disorder-1e9", "fidelity-curve-1e9", "disorder-2^32+1"])
+    def test_oversized_run(self, argv, message):
+        """An allocation past the address space, or a sample count past 2^32,
+        ends in one line and exit 1, not a MemoryError traceback."""
+        _assert_one_line_error(run_fresh(_CLI, *argv), message)
+
+
 def _assert_one_line_error(proc, message):
     assert proc.returncode == 1 and proc.stdout == ""
     assert message in proc.stderr

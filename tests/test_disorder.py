@@ -87,6 +87,16 @@ class TestConfig:
         with pytest.raises(DomainError):
             DisorderConfig(0.02, 0)
 
+    def test_sample_count_bound(self):
+        # each sample index must fit one uint32 entropy word; the configs
+        # are only constructed, never run
+        assert DisorderConfig(0.02, 2**32).samples == 2**32
+        with pytest.raises(DomainError, match="need at least 1 sample, got 0"):
+            DisorderConfig(0.02, 0)
+        with pytest.raises(DomainError,
+                           match=r"need at most 2\^32 samples, got 4294967297"):
+            DisorderConfig(0.02, 2**32 + 1)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
             DisorderConfig(0.02, 10, seed=-1)
@@ -265,9 +275,9 @@ class TestSeeding:
         2**100, 2**200 + 12345,  # four and seven: the extra pool mixing
     ])
     def test_states_match_numpy(self, seed):
-        # k = 0..300 in one block, and a block straddling k = 2^32, where
-        # the entropy grows by a word
-        for lo, hi in ((0, 301), (2**32 - 2, 2**32 + 2)):
+        # k = 0..300 in one block, and the last block below k = 2^32, the
+        # most samples a run takes, where k is still one entropy word
+        for lo, hi in ((0, 301), (2**32 - 3, 2**32)):
             got = disorder._pcg64_states(seed, lo, hi)
             want = [np.random.default_rng((seed, k)).bit_generator.state
                     for k in range(lo, hi)]

@@ -571,6 +571,18 @@ class TestRingSweep:
         assert np.max(np.abs(fa - direct_abs(w, e, times))) <= 1e-9
 
 
+@pytest.mark.parametrize("sweep, n_min, n_max, smallest", [
+    (chain_sweep, 1, 3, 2),
+    (chain_sweep, 5, 3, 2),
+    (ring_sweep, 2, 3, 3),
+], ids=["chain-too-small", "chain-empty", "ring-too-small"])
+def test_sweep_range_messages(sweep, n_min, n_max, smallest):
+    # the chain and ring sweeps share one range rule, each with its smallest size
+    with pytest.raises(DomainError) as info:
+        sweep(n_min, n_max)
+    assert str(info.value) == f"need {smallest} <= n_min <= n_max, got ({n_min}, {n_max})"
+
+
 class TestNormalizedTime:
     def test_minimum_at_four(self):
         pairs = [(r.n, r.tau) for r in chain_sweep(2, 8)]
@@ -769,6 +781,42 @@ class TestBeatEnvelope:
         assert len(scans) <= 2
         assert chunks == [0]
         assert 0 < len(screened) and max(screened) < np.pi / 2.0 + np.pi / 8.0
+
+    @pytest.mark.parametrize("c0", [0, transfer._CHUNK - 1], ids=["chunk0", "chunk1"])
+    @pytest.mark.parametrize("gap", [None, transfer._MERGE - 50, transfer._MERGE + 50],
+                             ids=["overlap", "under-merge", "over-merge"])
+    def test_ranges_merge_within_the_merge_span(self, gap, c0):
+        # a beat of 10^4 grid steps. A level just above the envelope's
+        # minimum (gap None) makes consecutive beats' ranges overlap; levels
+        # whose set U >= level leaves gap grid steps per beat put them just
+        # within and just past _MERGE points of each other
+        step, period = 0.01, 100.0
+        w = np.array([0.45, 0.35 * np.exp(0.7j), 0.2])
+        e = np.array([0.0, 2.0 * np.pi / period, 1.3])
+        if gap is None:
+            level = 0.3 + 1e-6 * 0.7  # U runs from 0.3 to 1
+        else:
+            half = (period - gap * step) / 2.0
+            level = 0.2 + abs(0.45 + 0.35 * np.exp(2j * np.pi * half / period))
+        c1 = c0 + transfer._CHUNK - 1
+        ranges = transfer._envelope_ranges(
+            transfer._beat_pair(w, e), level, c0, step, 2 * transfer._CHUNK - 1
+        )
+        t = np.arange(c0, c1 + 1) * step
+        u = np.abs(w[0] + w[1] * np.exp(-1j * e[1] * t)) + 0.2
+        covered = np.zeros(len(t), dtype=bool)
+        for lo, hi in ranges:
+            covered[lo - c0 : hi - c0 + 1] = True
+        # ascending, disjoint, and no two closer than _MERGE points
+        assert all(c0 <= lo < hi <= c1 for lo, hi in ranges)
+        assert all(b[0] - a[1] >= transfer._MERGE for a, b in zip(ranges, ranges[1:]))
+        assert covered[u >= level].all()
+        if gap is None or gap < transfer._MERGE:
+            # one range across the chunk's 105 beats, over the points between
+            # them where U < level
+            assert len(ranges) == 1 and (covered & (u < level)).any()
+        else:
+            assert len(ranges) > 100
 
 
 def _slope(w, e, t):

@@ -53,6 +53,11 @@ INVOCATIONS = (
         # search squares them in a power-of-two unit of the spread
         ["chain-sweep", "--c-const", "1e-200", "--format", "json"],
         ["ring-sweep", "--c-const", "1e-300", "--format", "json"],
+        # a size range that is empty and one that starts below the ring's
+        # smallest size, under the sweeps' one range rule: each refused with
+        # one line
+        ["chain-sweep", "--n-min", "5", "--n-max", "3"],
+        ["ring-sweep", "--n-min", "2", "--n-max", "3"],
         ["bound-state", "--format", "csv"],
         ["bound-state", "--format", "json"],
         # pi / dl overflows a float: refused with one line
