@@ -16,7 +16,6 @@ from .disorder import CLASSICAL_THRESHOLD, DisorderConfig, NoiseModel, run_disor
 from .errors import (
     ConvergenceError,
     DipolinkError,
-    DomainError,
     ExpansionInvalidError,
     NumericInputError,
 )
@@ -24,6 +23,8 @@ from .lattice import (
     CouplingModel,
     CouplingSpec,
     Geometry,
+    Topology,
+    _sizes,
     build_hamiltonian,
     uniform_chain,
 )
@@ -52,16 +53,14 @@ def _geometry(args, default_n=None) -> Geometry:
     if args.geometry_file:
         with open(args.geometry_file, "rb") as fh:
             return Geometry.from_json(fh.read())
-    n = default_n if args.n is None else args.n
-    if n is None:
-        raise DipolinkError("specify --n or --geometry-file")
-    return uniform_chain(n)
+    return uniform_chain(default_n if args.n is None else args.n)
 
 
-def _sizes(args) -> range:
-    if not args.n_min <= args.n_max:
-        raise DomainError(f"need n_min <= n_max, got ({args.n_min}, {args.n_max})")
-    return range(args.n_min, args.n_max + 1)
+def _chains(args, coupling: CouplingSpec):
+    """(n, h, spectrum) of each uniform chain of --n-min..--n-max spins."""
+    for n in _sizes(Topology.CHAIN, args.n_min, args.n_max):
+        h = build_hamiltonian(uniform_chain(n), coupling)
+        yield n, h, decompose(h)
 
 
 def _cell(value) -> str:
@@ -108,13 +107,12 @@ def _cmd_sweep(args):
 def _cmd_fidelity_curve(args):
     h = build_hamiltonian(_geometry(args), _coupling(args))
     n = h.n
-    in_site = 1 if args.input_site is None else args.input_site
     out_site = h.geometry.far_site if args.output_site is None else args.output_site
     curve = fidelity_curve(
-        decompose(h), site_state(n, in_site), site_state(n, out_site),
+        decompose(h), site_state(n, args.input_site), site_state(n, out_site),
         args.t_max, args.steps,
     )
-    head = {"metadata": {"n": n, "model": args.model, "input": in_site,
+    head = {"metadata": {"n": n, "model": args.model, "input": args.input_site,
                          "output": out_site,
                          "samples_per_period": curve.samples_per_period,
                          "undersampled": curve.undersampled}}
@@ -129,22 +127,16 @@ def _cmd_onsite_energies(args):
 
 
 def _cmd_spectrum_sweep(args):
-    coupling = _coupling(args)
-    records = []
-    for n in _sizes(args):
-        h = build_hamiltonian(uniform_chain(n), coupling)
-        for m, e in enumerate(decompose(h).eigenvalues):
-            records.append({"n": n, "m": m, "delta_e": e - h.ground_energy})
-    _emit(args, records)
+    _emit(args, [{"n": n, "m": m, "delta_e": e - h.ground_energy}
+                 for n, h, spec in _chains(args, _coupling(args))
+                 for m, e in enumerate(spec.eigenvalues)])
 
 
 def _cmd_bound_state(args):
     coupling = _coupling(args)
     model = fit_bound_state(args.q, args.source_n, coupling)
     records = []
-    for n in _sizes(args):
-        h = build_hamiltonian(uniform_chain(n), coupling)
-        spec = decompose(h)
+    for n, h, spec in _chains(args, coupling):
         length = h.geometry.length
         dl_pred = predict_splitting(model, length, coupling)
         records.append(
@@ -210,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-min", type=int, default=n_min)
         p.add_argument("--n-max", type=int, default=n_max)
 
-    def geometry(p):
-        group = p.add_mutually_exclusive_group()
+    def geometry(p, required=False):
+        group = p.add_mutually_exclusive_group(required=required)
         group.add_argument("--n", type=int, default=None)
         group.add_argument("--geometry-file", default=None)
 
@@ -222,10 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
     sizes(add("ring-sweep", _cmd_sweep), 3, 30)
 
     p = add("fidelity-curve", _cmd_fidelity_curve)
-    geometry(p)
+    geometry(p, required=True)
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--input-site", type=int, default=None)
+    p.add_argument("--input-site", type=int, default=1)
     p.add_argument("--output-site", type=int, default=None)
 
     geometry(add("onsite-energies", _cmd_onsite_energies))

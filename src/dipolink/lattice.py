@@ -132,6 +132,7 @@ class Geometry:
 
     topology: Topology
     positions: tuple = field(default_factory=tuple)
+    _FEWEST_SITES = {Topology.CHAIN: 2, Topology.RING: 3}
 
     def __post_init__(self):
         _to_member(self, "topology", Topology, InvalidGeometryError)
@@ -144,15 +145,16 @@ class Geometry:
         object.__setattr__(self, "positions", pos)
         if not np.all(np.isfinite(pos)):
             raise InvalidGeometryError("positions must be finite")
-        if len(pos) < 2:
-            raise InvalidGeometryError("need at least 2 sites")
+        fewest = self._FEWEST_SITES[self.topology]
+        if len(pos) < fewest:
+            raise InvalidGeometryError(
+                f"a {self.topology.value} needs at least {fewest} sites, got {len(pos)}"
+            )
         if self.topology is Topology.CHAIN:
             if any(b <= a for a, b in zip(pos, pos[1:])):
                 raise InvalidGeometryError(
                     "chain positions must be strictly increasing"
                 )
-        elif len(pos) < 3:
-            raise InvalidGeometryError("a ring needs at least 3 sites")
         elif pos != tuple(range(len(pos))):
             raise InvalidGeometryError("ring positions must be 0, 1, ..., N-1")
 
@@ -204,16 +206,20 @@ class Geometry:
         return cls(topology, positions)
 
 
+def _sizes(topology: Topology, n_min: int, n_max: int) -> range:
+    """n_min..n_max, refused unless topology's fewest sites <= n_min <= n_max."""
+    fewest = Geometry._FEWEST_SITES[topology]
+    if not fewest <= n_min <= n_max:
+        raise DomainError(f"need {fewest} <= n_min <= n_max, got ({n_min}, {n_max})")
+    return range(n_min, n_max + 1)
+
+
 def uniform_chain(n: int) -> Geometry:
     """Uniform chain of n spins at unit spacing."""
-    if n < 2:
-        raise InvalidGeometryError(f"need at least 2 sites, got {n}")
     return Geometry(Topology.CHAIN, tuple(np.arange(n, dtype=float)))
 
 
 def ring(n: int) -> Geometry:
-    if n < 3:
-        raise InvalidGeometryError(f"a ring needs at least 3 sites, got {n}")
     return Geometry(Topology.RING, tuple(range(n)))
 
 

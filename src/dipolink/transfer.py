@@ -27,6 +27,7 @@ from .lattice import (
     DIPOLE,
     ExcitationHamiltonian,
     Topology,
+    _sizes,
     build_hamiltonian,
     ring,
     uniform_chain,
@@ -510,7 +511,7 @@ def chain_sweep(
     coupling: CouplingSpec = DIPOLE,
 ) -> list[TransferSummary]:
     """End-to-end transfer summaries for uniform chains of n_min..n_max spins."""
-    return _sweep(uniform_chain, 2, n_min, n_max, coupling)
+    return _sweep(Topology.CHAIN, uniform_chain, n_min, n_max, coupling)
 
 
 def ring_sweep(
@@ -519,12 +520,10 @@ def ring_sweep(
     coupling: CouplingSpec = DIPOLE,
 ) -> list[TransferSummary]:
     """``end_to_end_summary`` (site 1 to ``far_site``) of n_min..n_max-spin rings."""
-    return _sweep(ring, 3, n_min, n_max, coupling)
+    return _sweep(Topology.RING, ring, n_min, n_max, coupling)
 
 
-def _sweep(family, smallest: int, n_min: int, n_max: int, coupling: CouplingSpec):
-    """``end_to_end_summary`` of ``family(n)``, n = n_min..n_max, n_min >= smallest."""
-    if not smallest <= n_min <= n_max:
-        raise DomainError(f"need {smallest} <= n_min <= n_max, got ({n_min}, {n_max})")
+def _sweep(topology: Topology, family, n_min: int, n_max: int, coupling: CouplingSpec):
+    """``end_to_end_summary`` of ``family(n)`` for n in ``_sizes(topology, ...)``."""
     return [end_to_end_summary(build_hamiltonian(family(n), coupling))
-            for n in range(n_min, n_max + 1)]
+            for n in _sizes(topology, n_min, n_max)]

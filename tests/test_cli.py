@@ -422,6 +422,23 @@ class TestInputErrors:
             "error: argument --geometry-file: not allowed with argument --n\n"
         )
 
+    @pytest.mark.parametrize("command, n", [
+        ("onsite-energies", "15"), ("encoded-transfer", "10"), ("disorder", "4"),
+    ])
+    def test_default_size_and_geometry_file_exclusive(
+        self, capsys, tmp_path, command, n
+    ):
+        # argparse sees an argument whose value is its default as not given,
+        # so the group refuses --n at the handler's default only while the
+        # default stays out of the parser
+        geo = tmp_path / "geo.json"
+        geo.write_text('{"topology": "chain", "positions": [0, 1, 2]}')
+        code, out, err = run_cli(capsys, command, "--n", n, "--geometry-file", str(geo))
+        assert code == 1 and out == ""
+        assert err.endswith(
+            "error: argument --geometry-file: not allowed with argument --n\n"
+        )
+
     def test_bound_state_nn_model(self, capsys):
         code, out, err = run_cli(capsys, "bound-state", "--model", "nn")
         assert code == 1 and out == ""
@@ -485,7 +502,26 @@ class TestInputErrors:
     def test_fidelity_curve_needs_a_size(self, capsys):
         code, out, err = run_cli(capsys, "fidelity-curve", "--t-max", "1")
         assert code == 1 and out == ""
-        assert err == "dipolink: specify --n or --geometry-file\n"
+        assert err.endswith(
+            "error: one of the arguments --n --geometry-file is required\n"
+        )
+
+    @pytest.mark.parametrize("command, fewest", [
+        ("chain-sweep", 2), ("ring-sweep", 3),
+        ("spectrum-sweep", 2), ("bound-state", 2),
+    ])
+    @pytest.mark.parametrize("offsets", [(3, 2), (-1, 0)],
+                             ids=["empty", "below-fewest"])
+    def test_size_range_rule(self, capsys, command, fewest, offsets):
+        # every size-range command refuses a range with the one message
+        n_min, n_max = (fewest + k for k in offsets)
+        code, out, err = run_cli(
+            capsys, command, "--n-min", str(n_min), "--n-max", str(n_max)
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            f"dipolink: need {fewest} <= n_min <= n_max, got ({n_min}, {n_max})\n"
+        )
 
     def test_empty_size_range(self, capsys):
         code, out, _ = run_cli(

@@ -54,6 +54,22 @@ class TestGeometry:
         with pytest.raises(InvalidGeometryError, match="a ring needs at least 3"):
             Geometry(Topology.RING, (0, 1))
 
+    @pytest.mark.parametrize("make, args, message", [
+        (Geometry, (Topology.RING, ()), "a ring needs at least 3 sites, got 0"),
+        (Geometry, (Topology.RING, (0,)), "a ring needs at least 3 sites, got 1"),
+        (Geometry, (Topology.RING, (0, 1)), "a ring needs at least 3 sites, got 2"),
+        (Geometry, (Topology.CHAIN, ()), "a chain needs at least 2 sites, got 0"),
+        (Geometry, (Topology.CHAIN, (0.0,)), "a chain needs at least 2 sites, got 1"),
+        # the families leave the count to Geometry
+        (uniform_chain, (1,), "a chain needs at least 2 sites, got 1"),
+        (ring, (2,), "a ring needs at least 3 sites, got 2"),
+    ], ids=["ring-0", "ring-1", "ring-2", "chain-0", "chain-1", "uniform_chain-1",
+            "ring-2-sites"])
+    def test_fewest_sites_per_topology(self, make, args, message):
+        with pytest.raises(InvalidGeometryError) as info:
+            make(*args)
+        assert str(info.value) == message
+
     def test_json_round_trip(self):
         g = Geometry(Topology.CHAIN, (0.0, 0.4, 1.0))
         back = Geometry.from_json(g.to_json())

@@ -53,11 +53,14 @@ INVOCATIONS = (
         # search squares them in a power-of-two unit of the spread
         ["chain-sweep", "--c-const", "1e-200", "--format", "json"],
         ["ring-sweep", "--c-const", "1e-300", "--format", "json"],
-        # a size range that is empty and one that starts below the ring's
-        # smallest size, under the sweeps' one range rule: each refused with
-        # one line
+        # size ranges that are empty or start below the array's fewest sites,
+        # under the one range rule of the four size-range commands: each
+        # refused with one line
         ["chain-sweep", "--n-min", "5", "--n-max", "3"],
         ["ring-sweep", "--n-min", "2", "--n-max", "3"],
+        ["spectrum-sweep", "--n-min", "5", "--n-max", "4"],
+        ["spectrum-sweep", "--n-min", "1", "--n-max", "2"],
+        ["bound-state", "--n-min", "1"],
         ["bound-state", "--format", "csv"],
         ["bound-state", "--format", "json"],
         # pi / dl overflows a float: refused with one line
@@ -74,6 +77,8 @@ INVOCATIONS = (
         ["fidelity-curve", "--n", "4", "--c-const", "1e-300", "--t-max", "1e-30",
          "--steps", "3", "--format", "json"],
         ["onsite-energies"],
+        # a chain below its fewest sites: refused with one line
+        ["onsite-energies", "--n", "1"],
     ]
     + [["optimize-placement", "--n", str(n)] for n in (3, 4, 5, 7, 8)]
     + [["optimize-placement", "--n", "4", "--c-const", "1e300"]]
