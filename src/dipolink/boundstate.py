@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ExpansionInvalidError
-from .lattice import CouplingSpec, DIPOLE, _read_only, build_hamiltonian, uniform_chain
+from .lattice import (CouplingSpec, DIPOLE, _count, _read_only, build_hamiltonian,
+                      uniform_chain)
 from .spectral import decompose
 
 
@@ -69,12 +70,8 @@ def fit_bound_state(
     end-to-end coupling, so any other coupling model raises DomainError.
     """
     _require_dipole(coupling)
-    if q < 1:
-        raise DomainError(f"truncation order must be >= 1, got {q}")
-    if q > source_n // 2:
-        raise DomainError(
-            f"truncation order {q} exceeds half the source chain ({source_n})"
-        )
+    source_n = _count(source_n, "source_n", 2)
+    q = _count(q, "q", 1, source_n // 2)
     h = build_hamiltonian(uniform_chain(source_n), coupling)
     corner = h.matrix[:q, :q]
     spec = decompose(corner)

@@ -28,9 +28,9 @@ from .lattice import (
     DIPOLE,
     Geometry,
     Topology,
+    _count,
     _hamiltonian_matrices,
     _read_only,
-    _to_count,
     _to_member,
     _to_real,
     build_hamiltonian,
@@ -86,18 +86,14 @@ class DisorderConfig:
 
     def __post_init__(self):
         _to_member(self, "noise_model", NoiseModel, DomainError)
-        _to_real(self, "error_fraction", DomainError)
+        _to_real(self, "error_fraction")
         if not 0 <= self.error_fraction < np.inf:
             raise DomainError(
                 "error fraction must be finite and non-negative, "
                 f"got {self.error_fraction}"
             )
-        _to_count(self, "samples", DomainError)
-        if self.samples < 1:
-            raise DomainError(f"need at least 1 sample, got {self.samples}")
-        if self.samples > 1 << 32:
-            raise DomainError(f"need at most 2^32 samples, got {self.samples}")
-        _to_count(self, "seed", DomainError)
+        object.__setattr__(self, "samples", _count(self.samples, "samples", 1, 1 << 32))
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
 
 
 @dataclass(frozen=True)

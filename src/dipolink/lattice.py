@@ -56,25 +56,26 @@ def _to_member(obj, name: str, enum_type, error):
         raise error(f"unknown {name} {value!r}; expected one of {choices}") from None
 
 
-def _to_count(obj, name: str, error):
-    """Set field ``name``, a non-negative integer (not a bool), to an int."""
-    value = getattr(obj, name)
+def _count(value, name: str, lo: int | None = 0, hi: int | None = None) -> int:
+    """``value``, an integer (not a bool), as an int. DomainError unless
+    lo <= value <= hi; hi=None is no upper bound, and lo=None no bound at all."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise error(f"{name} must be non-negative, got {value}")
-    object.__setattr__(obj, name, int(value))
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if lo is not None and not lo <= value <= (value if hi is None else hi):
+        high = "" if hi is None else f" <= {hi}"
+        raise DomainError(f"need {lo} <= {name}{high}, got {value}")
+    return int(value)
 
 
-def _to_real(obj, name: str, error):
+def _to_real(obj, name: str):
     """Set field ``name``, a real number (not a bool), to a float."""
     value = getattr(obj, name)
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise error(f"{name} must be a real number, got {value!r}")
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
         object.__setattr__(obj, name, float(value))
     except OverflowError:
-        raise error(f"{name} {value!r} overflows a float") from None
+        raise DomainError(f"{name} {value!r} overflows a float") from None
 
 
 def _to_position(value) -> float:
@@ -107,7 +108,7 @@ class CouplingSpec:
 
     def __post_init__(self):
         _to_member(self, "model", CouplingModel, DomainError)
-        _to_real(self, "c_const", DomainError)
+        _to_real(self, "c_const")
         if not np.finfo(float).tiny <= self.c_const < np.inf:
             raise DomainError(
                 "coupling constant must be positive and finite, and no smaller "
@@ -209,6 +210,7 @@ class Geometry:
 def _sizes(topology: Topology, n_min: int, n_max: int) -> range:
     """n_min..n_max, refused unless topology's fewest sites <= n_min <= n_max."""
     fewest = Geometry._FEWEST_SITES[topology]
+    n_min, n_max = _count(n_min, "n_min", None), _count(n_max, "n_max", None)
     if not fewest <= n_min <= n_max:
         raise DomainError(f"need {fewest} <= n_min <= n_max, got ({n_min}, {n_max})")
     return range(n_min, n_max + 1)
@@ -216,11 +218,11 @@ def _sizes(topology: Topology, n_min: int, n_max: int) -> range:
 
 def uniform_chain(n: int) -> Geometry:
     """Uniform chain of n spins at unit spacing."""
-    return Geometry(Topology.CHAIN, tuple(np.arange(n, dtype=float)))
+    return Geometry(Topology.CHAIN, tuple(np.arange(_count(n, "n"), dtype=float)))
 
 
 def ring(n: int) -> Geometry:
-    return Geometry(Topology.RING, tuple(range(n)))
+    return Geometry(Topology.RING, tuple(range(_count(n, "n"))))
 
 
 @dataclass(frozen=True)

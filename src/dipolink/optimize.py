@@ -37,8 +37,8 @@ from .lattice import (
     ExcitationHamiltonian,
     Geometry,
     Topology,
+    _count,
     _hamiltonian_matrices,
-    _to_count,
     _to_real,
     build_hamiltonian,
 )
@@ -80,8 +80,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _to_count(self, "seed", DomainError)
-        _to_real(self, "min_fidelity", DomainError)
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
+        _to_real(self, "min_fidelity")
         if not (np.isfinite(self.min_fidelity) and self.min_fidelity <= 1.0):
             raise DomainError(
                 f"min fidelity must be finite and at most 1, got {self.min_fidelity}"
@@ -128,7 +128,7 @@ def n_free_gaps(n: int) -> int:
     Of the ceil((n-1)/2) independent gaps, one is fixed by the unit-length
     constraint.
     """
-    return (n - 1 + 1) // 2 - 1
+    return (_count(n, "n", 2) - 1 + 1) // 2 - 1
 
 
 def _gaps_from_free(x: list, n: int) -> list:
@@ -343,8 +343,7 @@ def optimize_placement(
     If no candidate passes, each is searched again without the level, and
     InfeasibleConstraintError names the best fidelity, unrounded.
     """
-    if n < 3:
-        raise DomainError(f"need at least 3 spins to optimize, got {n}")
+    n = _count(n, "n", 3)
     if n - 1 >= 1.0 / _GAP_MIN:
         raise InfeasibleConstraintError(
             f"no mirror-symmetric {n}-spin placement found with gaps above "
@@ -409,8 +408,7 @@ def encoded_end_states(
     if h.geometry.topology is not Topology.CHAIN:
         raise InvalidGeometryError("encoded end states are defined for chains")
     n = h.n
-    if not 1 <= width <= n // 2:
-        raise DomainError(f"width {width} outside 1..{n // 2}")
+    width = _count(width, "width", 1, n // 2)
     ground = decompose(h).eigenvectors[:, 0]
     coeffs = ground[:width].copy()
     coeffs /= np.linalg.norm(coeffs)

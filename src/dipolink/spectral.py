@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericInputError, ShapeError
-from .lattice import ExcitationHamiltonian, _read_only
+from .lattice import ExcitationHamiltonian, _count, _read_only
 
 # Complex elements per row block of the grid kernel (1 MiB). A block of
 # grouped rows is cut to a whole number of groups.
@@ -70,10 +70,8 @@ class SiteState:
 
 def site_state(n: int, site: int) -> SiteState:
     """Basis state with the flip on the given site (1-based, matching |j>)."""
-    if not 1 <= site <= n:
-        raise DomainError(f"site {site} outside 1..{n}")
-    amp = np.zeros(n)
-    amp[site - 1] = 1.0
+    amp = np.zeros(_count(n, "n", 1))
+    amp[_count(site, "site", 1, n) - 1] = 1.0
     return SiteState(amp)
 
 
@@ -96,13 +94,16 @@ def decompose(h: ExcitationHamiltonian | np.ndarray) -> SpectralDecomposition:
 
     Eigenvector signs are LAPACK's. Every figure the package reports uses
     products of two components of one eigenvector, so none depends on them.
-    Repeated calls are bit-identical.
+    Repeated calls are bit-identical. ``eigh`` reads one triangle only, so a
+    matrix not exactly equal to its transpose raises DomainError.
     """
     matrix = h.matrix if isinstance(h, ExcitationHamiltonian) else np.asarray(h, float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {matrix.shape}")
     if not np.all(np.isfinite(matrix)):
         raise NumericInputError("matrix contains non-finite entries")
+    if not np.array_equal(matrix, matrix.T):
+        raise DomainError("matrix is not exactly symmetric")
     return SpectralDecomposition(*_eigh(matrix))
 
 
@@ -279,8 +280,7 @@ def fidelity_curve(
     """
     if not 0 < t_max < np.inf:
         raise DomainError(f"t_max must be positive and finite, got {t_max}")
-    if n_steps < 2:
-        raise DomainError(f"need at least 2 steps, got {n_steps}")
+    n_steps = _count(n_steps, "n_steps", 2)
     grid_step(t_max, n_steps)
     times = np.linspace(0.0, t_max, n_steps)
     f_abs = propagator_abs_grid(spec, input_state, output_state, times)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dipolink import boundstate
 from dipolink import (
     DomainError,
     NEAREST_NEIGHBOUR,
@@ -53,6 +54,17 @@ class TestFit:
             fit_bound_state(8, 14)
         with pytest.raises(DomainError):
             fit_bound_state(0, 14)
+
+    @pytest.mark.parametrize("q, source_n, message", [
+        (4, 0, "need 2 <= source_n, got 0"),
+        (0, 100_000, "need 1 <= q <= 50000, got 0"),
+    ])
+    def test_counts_refused_before_build(self, monkeypatch, q, source_n, message):
+        # the source chain, 80 GB at 100000 spins, is built only after both pass
+        monkeypatch.setattr(boundstate, "build_hamiltonian", None)
+        with pytest.raises(DomainError) as info:
+            fit_bound_state(q, source_n)
+        assert str(info.value) == message
 
     def test_non_dipole_coupling_rejected(self):
         with pytest.raises(DomainError, match="dipole chains only"):

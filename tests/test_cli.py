@@ -343,7 +343,7 @@ class TestInputErrors:
             capsys, "fidelity-curve", "--n", "4", "--t-max", "1", flag, "0"
         )
         assert code == 1 and out == ""
-        assert "site 0 outside 1..4" in err
+        assert "need 1 <= site <= 4, got 0" in err
 
     def test_zero_coupling_constant(self, capsys):
         code, out, err = run_cli(
@@ -481,7 +481,7 @@ class TestInputErrors:
         (["--min-fidelity", "nan"], "min fidelity must be finite"),
         (["--min-fidelity", "inf"], "min fidelity must be finite"),
         (["--min-fidelity", "1.5"], "at most 1"),
-        (["--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--seed", "-1"], "need 0 <= seed, got -1"),
     ])
     def test_bad_search_config(self, capsys, monkeypatch, flags, message):
         # rejected before the search spends a single eigensolve
@@ -497,7 +497,7 @@ class TestInputErrors:
         monkeypatch.setattr(disorder, "_eigh", None)
         code, out, err = run_cli(capsys, "disorder", "--n", "4", "--seed", "-1")
         assert code == 1 and out == ""
-        assert err == "dipolink: seed must be non-negative, got -1\n"
+        assert err == "dipolink: need 0 <= seed, got -1\n"
 
     def test_fidelity_curve_needs_a_size(self, capsys):
         code, out, err = run_cli(capsys, "fidelity-curve", "--t-max", "1")
@@ -603,7 +603,7 @@ class TestInputErrors:
          "dipolink: out of memory: "),
         # a sample index past one uint32 word: refused before any allocation
         (["disorder", "--samples", "4294967297"],
-         "dipolink: need at most 2^32 samples, got 4294967297"),
+         "dipolink: need 1 <= samples <= 4294967296, got 4294967297"),
     ], ids=["disorder-1e9", "fidelity-curve-1e9", "disorder-2^32+1"])
     def test_oversized_run(self, argv, message):
         """An allocation past the address space, or a sample count past 2^32,

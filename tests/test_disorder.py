@@ -91,14 +91,14 @@ class TestConfig:
         # each sample index must fit one uint32 entropy word; the configs
         # are only constructed, never run
         assert DisorderConfig(0.02, 2**32).samples == 2**32
-        with pytest.raises(DomainError, match="need at least 1 sample, got 0"):
+        with pytest.raises(DomainError, match="need 1 <= samples <= 4294967296, got 0"):
             DisorderConfig(0.02, 0)
         with pytest.raises(DomainError,
-                           match=r"need at most 2\^32 samples, got 4294967297"):
+                           match="need 1 <= samples <= 4294967296, got 4294967297"):
             DisorderConfig(0.02, 2**32 + 1)
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+        with pytest.raises(DomainError, match="need 0 <= seed, got -1"):
             DisorderConfig(0.02, 10, seed=-1)
 
     @pytest.mark.parametrize("field, value", [

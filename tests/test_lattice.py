@@ -198,6 +198,17 @@ class TestChainHamiltonian:
         ).matrix
         assert np.array_equal(h, h.T)
 
+    @pytest.mark.parametrize("coupling", [DIPOLE, NEAREST_NEIGHBOUR])
+    def test_every_build_exactly_symmetric(self, coupling):
+        # so that decompose, which refuses any other matrix, takes them all
+        rng = np.random.default_rng(0)
+        for n in range(2, 60):
+            geometries = [uniform_chain(n), Geometry(
+                Topology.CHAIN, tuple(np.cumsum(rng.uniform(0.5, 1.5, n))))]
+            for g in geometries + ([ring(n)] if n >= 3 else []):
+                h = build_hamiltonian(g, coupling).matrix
+                assert np.array_equal(h, h.T), (g, coupling)
+
     def test_mirror_symmetry(self):
         h = build_hamiltonian(
             Geometry(Topology.CHAIN, (0.0, 0.3, 0.7, 1.0))

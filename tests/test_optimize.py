@@ -163,7 +163,7 @@ class TestOptimizePlacement:
 
     @pytest.mark.parametrize("field, value", [("seed", -1)])
     def test_negative_config_rejected(self, field, value):
-        with pytest.raises(DomainError, match=f"{field} must be non-negative"):
+        with pytest.raises(DomainError, match=f"need 0 <= {field}, got {value}"):
             SearchConfig(**{field: value})
 
     @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", False)])

@@ -117,6 +117,13 @@ class TestDecompose:
         with pytest.raises(ShapeError):
             decompose(np.ones((2, 3)))
 
+    def test_non_symmetric_rejected(self):
+        # eigh reads one triangle: it would give -0.854 and 5.854, the
+        # eigenvalues of [[1, 3], [3, 4]], not this matrix's -0.372 and 5.372
+        with pytest.raises(DomainError) as info:
+            decompose(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert str(info.value) == "matrix is not exactly symmetric"
+
     def test_non_finite_rejected(self):
         with pytest.raises(NumericInputError):
             decompose(np.array([[1.0, np.nan], [np.nan, 1.0]]))

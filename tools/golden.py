@@ -79,6 +79,14 @@ INVOCATIONS = (
         ["onsite-energies"],
         # a chain below its fewest sites: refused with one line
         ["onsite-energies", "--n", "1"],
+        # counts outside their ranges, each refused with one line that names
+        # the value given
+        ["onsite-energies", "--n", "-3"],
+        ["bound-state", "--source-n", "0"],
+        ["encoded-transfer", "--width", "0"],
+        ["fidelity-curve", "--n", "4", "--t-max", "1", "--steps", "1"],
+        ["optimize-placement", "--n", "2"],
+        ["disorder", "--samples", "0"],
     ]
     + [["optimize-placement", "--n", str(n)] for n in (3, 4, 5, 7, 8)]
     + [["optimize-placement", "--n", "4", "--c-const", "1e300"]]
