@@ -9,7 +9,15 @@ mirror-symmetric spin placements, and estimates robustness to placement
 disorder by Monte Carlo.
 """
 
+import os as _os
 from types import ModuleType as _ModuleType
+
+# OpenBLAS starts a worker thread when numpy loads it, and the idle worker
+# spins on a second core through the import and after each product it
+# threads; no workload here gains from it. OpenBLAS reads this variable once,
+# at that load, and with 1 starts no worker. A value already set is kept, and
+# a numpy imported before this package is not affected.
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .boundstate import (
     BoundStateModel,

@@ -109,7 +109,8 @@ def _cmd_fidelity_curve(args):
     n = h.n
     out_site = h.geometry.far_site if args.output_site is None else args.output_site
     curve = fidelity_curve(
-        decompose(h), site_state(n, args.input_site), site_state(n, out_site),
+        decompose(h), site_state(n, args.input_site, "input_site"),
+        site_state(n, out_site, "output_site"),
         args.t_max, args.steps,
     )
     head = {"metadata": {"n": n, "model": args.model, "input": args.input_site,

@@ -18,15 +18,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, NumericInputError, ShapeError
 from .lattice import ExcitationHamiltonian, _count, _read_only
 
-# Complex elements per row block of the grid kernel (1 MiB). A block of
-# grouped rows is cut to a whole number of groups.
+# Complex elements per row block of the grid kernel (1 MiB).
 _BLOCK_ELEMENTS = 1 << 16
-# Smallest complex product m*n*k that OpenBLAS (0.3.31, measured with two
-# threads) hands to a second thread: 4 x 1024 x 15 (61,440) and 2 x 1024 x 31
-# stayed on the calling thread, 4 x 1024 x 16 and 2 x 1024 x 32 (65,536) did
-# not. After each threaded call the idle worker spins for about 0.13 s of CPU,
-# so the grid kernel keeps its products below this size where it can.
-_THREADED_PRODUCT = 1 << 16
 # Largest deviation, relative to max |t|, of a grid from exact uniformity.
 _UNIFORM_RTOL = 1e-12
 
@@ -68,10 +61,13 @@ class SiteState:
         return len(self.amplitudes)
 
 
-def site_state(n: int, site: int) -> SiteState:
-    """Basis state with the flip on the given site (1-based, matching |j>)."""
+def site_state(n: int, site: int, name: str = "site") -> SiteState:
+    """Basis state with the flip on the given site (1-based, matching |j>).
+
+    ``name`` is what a refused site is called in the error message.
+    """
     amp = np.zeros(_count(n, "n", 1))
-    amp[_count(site, "site", 1, n) - 1] = 1.0
+    amp[_count(site, name, 1, n) - 1] = 1.0
     return SiteState(amp)
 
 
@@ -128,36 +124,22 @@ def transfer_terms(
 def abs_runs(w, e, starts, step: float, count: int) -> np.ndarray:
     """|sum_m w_m e^{-i e_m (s + j step)}| for starts s (rows), j < count (columns).
 
-    f = (w e^{-ie s}) @ e^{-ie j step}, formed a row block at a time so that
-    no temporary outgrows the block budget. Each block is multiplied as a
-    stack of groups of g >= 2 rows, g the largest with g N count below
-    ``_THREADED_PRODUCT``, so that BLAS runs each product on the calling
-    thread. Rows too long to pair below it make one product per block. The
-    rows past the last whole group or block make one product of at least two
-    rows, since a one-row product goes through ``gemv``, which rounds its
-    sums differently and threads from a few thousand elements. So every
-    element has the bits it has in one product of all the rows.
+    f = (w e^{-ie s}) @ e^{-ie j step}, one product per row block, so that
+    no temporary outgrows the block budget. A last block of one row is
+    multiplied with the row before it, since a one-row product goes through
+    ``gemv``, which rounds its sums differently. So every element has the
+    bits it has in one product of all the rows.
     """
     starts = np.asarray(starts, dtype=float)
-    n, k = len(e), len(starts)
+    k = len(starts)
     out = np.empty((k, count))
     inner = np.exp(e[:, None] * (step * np.arange(count)) * -1j)
     rows = max(_BLOCK_ELEMENTS // max(count, 1), 1)
-    group = max(min((_THREADED_PRODUCT - 1) // max(n * count, 1), k), 1)
-    rows -= rows % group
-    whole = k - k % group
-    if whole % rows == 1 and whole > 1:
-        whole -= 1  # the last row goes with the one before it
-    for lo in range(0, whole, rows):
-        hi = min(lo + rows, whole)
-        outer = np.exp(starts[lo:hi, None] * e * -1j) * w
-        if group > 1:
-            outer = outer.reshape(-1, group, n)
-        product = outer @ inner
-        np.abs(product, out=out[lo:hi].reshape(product.shape))
-    if whole < k:
-        lo = min(whole, k - 2)
-        np.abs((np.exp(starts[lo:, None] * e * -1j) * w) @ inner, out=out[lo:])
+    for lo in range(0, k, rows):
+        hi = min(lo + rows, k)
+        if hi - lo == 1 and lo > 0 and rows > 1:
+            lo -= 1  # the last row goes with the one before it
+        np.abs((np.exp(starts[lo:hi, None] * e * -1j) * w) @ inner, out=out[lo:hi])
     return out
 
 

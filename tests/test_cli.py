@@ -337,13 +337,15 @@ class TestInputErrors:
         assert code == 1 and out == ""
         assert "dipolink" in err
 
-    @pytest.mark.parametrize("flag", ["--input-site", "--output-site"])
-    def test_zero_site(self, capsys, flag):
+    @pytest.mark.parametrize("flag, name", [
+        ("--input-site", "input_site"), ("--output-site", "output_site"),
+    ])
+    def test_zero_site(self, capsys, flag, name):
         code, out, err = run_cli(
             capsys, "fidelity-curve", "--n", "4", "--t-max", "1", flag, "0"
         )
         assert code == 1 and out == ""
-        assert "need 1 <= site <= 4, got 0" in err
+        assert f"need 1 <= {name} <= 4, got 0" in err
 
     def test_zero_coupling_constant(self, capsys):
         code, out, err = run_cli(

@@ -1,5 +1,7 @@
 """Eigensolver, time-grid kernel and fidelity tests, including independent oracles."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,26 +348,25 @@ class TestGridKernel:
 
 
 def _kernel_row_counts(n, count):
-    """Row counts that run one row, two rows, a group short of and past a
-    whole one, and more than one block, for N = n and ``count`` columns."""
-    group = max((spectral._THREADED_PRODUCT - 1) // (n * count), 1)
-    block = max(spectral._BLOCK_ELEMENTS // count, 1) // group * group
-    rows = {1, 2, group - 1, group + 1, 2 * block + group // 2 + 1}
-    # the reference holds every row at once
-    return sorted(r for r in rows if r >= 1 and r * (n + count) <= 1 << 21)
+    """Row counts that run one row, two rows, one short of and one past a
+    whole block, and several blocks, for N = n and ``count`` columns."""
+    block = max(spectral._BLOCK_ELEMENTS // count, 1)
+    rows = {1, 2, block - 1, block + 1, 2 * block + block // 2 + 1}
+    # the reference holds every row at once; at most 2^20 elements (16 MiB)
+    # keeps the class near a second
+    return sorted(r for r in rows if r >= 1 and r * (n + count) <= 1 << 20)
 
 
 class TestKernelShape:
-    """The grid kernel's grouping of rows changes no bit of its output.
+    """The grid kernel's cut into row blocks changes no bit of its output.
 
     The reference is the same product formed in one call over all the rows.
     BLAS computes each element of a multi-row product alike whatever the
     number of rows, but a one-row product goes through ``gemv``, whose sums
-    round differently, so a row-by-row reference would not match.
+    round differently, so the rule under test is that the kernel never
+    forms a one-row product where the reference has more rows.
     """
 
-    # 2 N count reaches 2^16 first at N = 32, count 1024: from there on each
-    # block is one product
     @pytest.mark.parametrize("count", [1, 2, 9, 622, 1024])
     @pytest.mark.parametrize("n", [1, 2, 4, 23, 31, 32, 64])
     def test_bit_identical_to_one_product(self, n, count):
@@ -381,27 +382,42 @@ class TestKernelShape:
             assert np.array_equal(spectral.abs_runs(w, e, starts, step, count), reference)
 
 
-# Sweeps the paper's chains in a process whose BLAS worker has gone idle and
-# prints the CPU time that threads other than the main one spent meanwhile.
+# With OPENBLAS_NUM_THREADS unset, imports the package (and so numpy), runs
+# the paper's chain sweeps and the rings whose eigensolves BLAS would thread
+# (N >= 26), and prints the process's thread count and the CPU time spent
+# off the main thread.
 _THREAD_HARNESS = """
+import os
 import time
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
 import dipolink
-time.sleep(0.5)  # OpenBLAS's worker spins for a while after start-up
-before = time.process_time() - time.thread_time()
 for coupling in (dipolink.DIPOLE, dipolink.NEAREST_NEIGHBOUR):
     dipolink.chain_sweep(2, 23, coupling)
-time.sleep(0.3)
-print(time.process_time() - time.thread_time() - before)
+dipolink.ring_sweep(26, 30)
+print(len(os.listdir("/proc/self/task")), time.process_time() - time.thread_time())
 """
 
 
-def test_chain_sweep_keeps_blas_on_one_thread():
-    """Every grid product of the chain sweep stays below BLAS's threading
-    threshold, so no worker thread wakes and spins (0.2-0.5 s of CPU when
-    they did)."""
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_package_keeps_blas_on_one_thread():
+    """Importing the package before numpy pins OpenBLAS to the calling
+    thread: no worker thread is started, so none spins (two threads and
+    about 0.1 s of CPU off the main one when OpenBLAS starts its worker)."""
     proc = run_fresh(_THREAD_HARNESS)
     assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 0.02
+    threads, off_main = proc.stdout.split()
+    assert int(threads) == 1
+    assert float(off_main) < 0.005
+
+
+def test_preset_blas_threads_kept():
+    """A BLAS thread count set before the import is left as it is."""
+    proc = run_fresh(
+        "import os\nos.environ['OPENBLAS_NUM_THREADS'] = '2'\n"
+        "import dipolink\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n"
 
 
 class TestFidelity:

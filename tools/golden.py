@@ -42,9 +42,9 @@ INVOCATIONS = (
         for fmt in ("csv", "json")
     ]
     + [
-        # N = 48, 49 and 52 each make one grid-kernel call whose rows are too
-        # long to pair below the BLAS threading threshold; every other call
-        # is grouped
+        # N = 44..52, past the paper's sweep: eigensolves and some grid
+        # products here are large enough for OpenBLAS to thread when it is
+        # allowed more than one thread, and print the same bytes either way
         ["chain-sweep", "--n-min", "44", "--n-max", "52", "--format", "json"],
         # C = 2 * 2^2: every row's F and flag should equal the C = 2 ring's,
         # and its t_peak be that row's divided by 4, bit for bit
