@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ExpansionInvalidError
-from .lattice import (CouplingSpec, DIPOLE, _count, _read_only, build_hamiltonian,
-                      uniform_chain)
+from .lattice import (CouplingSpec, DIPOLE, _count, _read_only, _real,
+                      build_hamiltonian, uniform_chain)
 from .spectral import decompose
 
 
@@ -91,12 +91,11 @@ def predict_splitting(
 ) -> float:
     """First-order splitting prediction for a unit-spacing chain of this length.
 
-    Returns dl_pred = C (Q / L^3 + R / L^4). Like ``fit_bound_state``, it
-    raises DomainError for a coupling model other than the dipole.
+    Returns dl_pred = C (Q / L^3 + R / L^4). Raises DomainError for a length
+    outside 2^-255..2^255 and, like ``fit_bound_state``, for a non-dipole model.
     """
     _require_dipole(coupling)
-    if length <= 0:
-        raise DomainError(f"chain length must be positive, got {length}")
+    length = _real(length, "length", 2.0**-255, 2.0**255)
     c = coupling.c_const
     dl = c * (model.q_sum / length**3 + model.r_sum / length**4)
     if dl <= 0:

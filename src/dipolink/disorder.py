@@ -31,8 +31,8 @@ from .lattice import (
     _count,
     _hamiltonian_matrices,
     _read_only,
+    _real,
     _to_member,
-    _to_real,
     build_hamiltonian,
 )
 from .spectral import _eigh, fidelity
@@ -86,12 +86,8 @@ class DisorderConfig:
 
     def __post_init__(self):
         _to_member(self, "noise_model", NoiseModel, DomainError)
-        _to_real(self, "error_fraction")
-        if not 0 <= self.error_fraction < np.inf:
-            raise DomainError(
-                "error fraction must be finite and non-negative, "
-                f"got {self.error_fraction}"
-            )
+        fraction = _real(self.error_fraction, "error_fraction", 0)
+        object.__setattr__(self, "error_fraction", fraction)
         object.__setattr__(self, "samples", _count(self.samples, "samples", 1, 1 << 32))
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
 

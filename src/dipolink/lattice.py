@@ -35,6 +35,8 @@ import numpy as np
 
 from .errors import DomainError, InvalidGeometryError
 
+_MAX = float(np.finfo(float).max)
+
 
 class Topology(enum.Enum):
     CHAIN = "chain"
@@ -67,24 +69,21 @@ def _count(value, name: str, lo: int | None = 0, hi: int | None = None) -> int:
     return int(value)
 
 
-def _to_real(obj, name: str):
-    """Set field ``name``, a real number (not a bool), to a float."""
-    value = getattr(obj, name)
+def _real(value, name: str, lo: float = -_MAX, hi: float = _MAX) -> float:
+    """``value``, a real number (not a bool), as a float; DomainError unless
+    lo <= value <= hi (so never NaN). Bounds at the largest float go unprinted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise DomainError(f"{name} must be a real number, got {value!r}")
     try:
-        object.__setattr__(obj, name, float(value))
+        real = float(value)
     except OverflowError:
         raise DomainError(f"{name} {value!r} overflows a float") from None
-
-
-def _to_position(value) -> float:
-    """A position, a real number (not a bool), as a float. A value that
-    float() refuses raises float()'s own error; any other raises TypeError."""
-    position = float(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{value!r} is a {type(value).__name__}, not a real number")
-    return position
+    if not lo <= real <= hi:
+        finite = "finite " if -_MAX <= lo and hi <= _MAX else ""
+        low = "" if lo == -_MAX else f"{lo:.3g} <= "
+        high = "" if hi == _MAX else f" <= {hi:.3g}"
+        raise DomainError(f"need {finite}{low}{name}{high}, got {real}")
+    return real
 
 
 def _read_only(obj, *names: str, dtype=float):
@@ -108,13 +107,8 @@ class CouplingSpec:
 
     def __post_init__(self):
         _to_member(self, "model", CouplingModel, DomainError)
-        _to_real(self, "c_const")
-        if not np.finfo(float).tiny <= self.c_const < np.inf:
-            raise DomainError(
-                "coupling constant must be positive and finite, and no smaller "
-                f"than the smallest normal float {np.finfo(float).tiny:.3g}, "
-                f"got {self.c_const}"
-            )
+        c_const = _real(self.c_const, "c_const", np.finfo(float).tiny)
+        object.__setattr__(self, "c_const", c_const)
 
 
 DIPOLE = CouplingSpec(CouplingModel.DIPOLE)
@@ -125,8 +119,8 @@ NEAREST_NEIGHBOUR = CouplingSpec(CouplingModel.NEAREST_NEIGHBOUR)
 class Geometry:
     """Spatial description of the spin array.
 
-    ``positions`` are real numbers (not bools), kept as floats. For a chain
-    they are arbitrary strictly increasing coordinates.
+    ``positions`` are finite real numbers (not bools), kept as floats. For a
+    chain they are arbitrary strictly increasing coordinates.
     For a ring, sites are the integers 0..N-1 on a circle of circumference N
     and distances are minimal-image arc lengths.
     """
@@ -138,14 +132,11 @@ class Geometry:
     def __post_init__(self):
         _to_member(self, "topology", Topology, InvalidGeometryError)
         try:
-            pos = tuple(_to_position(p) for p in self.positions)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidGeometryError(
-                f"positions must be real numbers ({type(exc).__name__}: {exc})"
-            ) from exc
+            pos = tuple(_real(p, f"position {i}")
+                        for i, p in enumerate(self.positions, 1))
+        except (DomainError, TypeError) as exc:  # TypeError: not a sequence
+            raise InvalidGeometryError(str(exc)) from None
         object.__setattr__(self, "positions", pos)
-        if not np.all(np.isfinite(pos)):
-            raise InvalidGeometryError("positions must be finite")
         fewest = self._FEWEST_SITES[self.topology]
         if len(pos) < fewest:
             raise InvalidGeometryError(
@@ -193,14 +184,13 @@ class Geometry:
     def from_json(cls, text: str | bytes) -> "Geometry":
         """Geometry from JSON, as text or as UTF-8 (or UTF-16/32) bytes.
 
-        Anything that is not a valid geometry, undecodable bytes and a
-        position too large for a float included, raises InvalidGeometryError.
+        Anything but JSON of a known topology and a sequence of positions,
+        undecodable bytes included, raises InvalidGeometryError as malformed.
         """
         try:
             data = json.loads(text)
-            topology = Topology(data["topology"])
-            positions = tuple(_to_position(p) for p in data["positions"])
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            topology, positions = Topology(data["topology"]), tuple(data["positions"])
+        except (ValueError, KeyError, TypeError) as exc:
             raise InvalidGeometryError(
                 f"malformed geometry JSON ({type(exc).__name__}: {exc})"
             ) from exc
@@ -218,11 +208,13 @@ def _sizes(topology: Topology, n_min: int, n_max: int) -> range:
 
 def uniform_chain(n: int) -> Geometry:
     """Uniform chain of n spins at unit spacing."""
-    return Geometry(Topology.CHAIN, tuple(np.arange(_count(n, "n"), dtype=float)))
+    n = _count(n, "n", Geometry._FEWEST_SITES[Topology.CHAIN])
+    return Geometry(Topology.CHAIN, tuple(np.arange(n, dtype=float)))
 
 
 def ring(n: int) -> Geometry:
-    return Geometry(Topology.RING, tuple(range(_count(n, "n"))))
+    n = _count(n, "n", Geometry._FEWEST_SITES[Topology.RING])
+    return Geometry(Topology.RING, tuple(range(n)))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from itertools import accumulate
 import numpy as np
 
 from .disorder import _uniform_stream
-from .errors import DomainError, InfeasibleConstraintError, InvalidGeometryError
+from .errors import InfeasibleConstraintError, InvalidGeometryError
 from .lattice import (
     CouplingSpec,
     DIPOLE,
@@ -39,7 +39,7 @@ from .lattice import (
     Topology,
     _count,
     _hamiltonian_matrices,
-    _to_real,
+    _real,
     build_hamiltonian,
 )
 from .spectral import SiteState, _eigh, decompose, fidelity, site_state
@@ -81,11 +81,8 @@ class SearchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
-        _to_real(self, "min_fidelity")
-        if not (np.isfinite(self.min_fidelity) and self.min_fidelity <= 1.0):
-            raise DomainError(
-                f"min fidelity must be finite and at most 1, got {self.min_fidelity}"
-            )
+        min_fidelity = _real(self.min_fidelity, "min_fidelity", hi=1)
+        object.__setattr__(self, "min_fidelity", min_fidelity)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NumericInputError, ShapeError
-from .lattice import ExcitationHamiltonian, _count, _read_only
+from .lattice import ExcitationHamiltonian, _count, _read_only, _real
 
 # Complex elements per row block of the grid kernel (1 MiB).
 _BLOCK_ELEMENTS = 1 << 16
@@ -52,7 +52,7 @@ class SiteState:
 
     def __post_init__(self):
         norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise DomainError(f"state norm deviates from 1 by {abs(norm - 1.0):.3g}")
         _read_only(self, "amplitudes", dtype=complex)
 
@@ -176,7 +176,7 @@ def propagator_abs_grid(
         gap *= dt
         gap += t0
         gap -= ts
-        if np.abs(gap, out=gap).max() > tol:
+        if not np.abs(gap, out=gap).max() <= tol:
             raise DomainError("time grid is not uniform")
     block = math.ceil(math.sqrt(k))
     return abs_runs(w, e, times[::block], dt, block).ravel()[:k]
@@ -213,10 +213,10 @@ def fidelity(f_abs):
 
     Takes one |f| (and returns a float) or an array of them. Values above 1
     by up to 1e-9 are roundoff and count as 1; anything further outside
-    [0, 1] raises DomainError.
+    [0, 1], and NaN, raises DomainError.
     """
     f_abs = np.asarray(f_abs, dtype=float)
-    outside = (f_abs < 0) | (f_abs > 1 + 1e-9)
+    outside = ~((0 <= f_abs) & (f_abs <= 1 + 1e-9))
     if np.any(outside):
         raise DomainError(f"|f| = {f_abs[outside][0]} outside [0, 1]")
     f_abs = np.minimum(f_abs, 1.0)
@@ -260,8 +260,7 @@ def fidelity_curve(
     the window that the samples per period overflow a float, raise
     DomainError.
     """
-    if not 0 < t_max < np.inf:
-        raise DomainError(f"t_max must be positive and finite, got {t_max}")
+    t_max = _real(t_max, "t_max", 0)
     n_steps = _count(n_steps, "n_steps", 2)
     grid_step(t_max, n_steps)
     times = np.linspace(0.0, t_max, n_steps)
@@ -269,7 +268,7 @@ def fidelity_curve(
     spread = float(spec.eigenvalues[-1] - spec.eigenvalues[0])
     per_period = None
     if spread > 0:
-        cycles = float(t_max) * spread / (2.0 * np.pi)
+        cycles = t_max * spread / (2.0 * np.pi)
         per_period = (n_steps - 1) / cycles if cycles > 0 else np.inf
         if not np.isfinite(per_period):
             raise DomainError(

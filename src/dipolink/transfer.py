@@ -27,6 +27,7 @@ from .lattice import (
     DIPOLE,
     ExcitationHamiltonian,
     Topology,
+    _real,
     _sizes,
     build_hamiltonian,
     ring,
@@ -301,8 +302,8 @@ def find_peak(
     step is below the smallest normal float has no uniform grid, so each
     raises DomainError before any scan.
     """
-    if not 0 < t_max <= _MAX_WINDOW:
-        raise DomainError(f"search window {t_max:.3g} outside (0, {_MAX_WINDOW:.3g}]")
+    t_max = _real(t_max, "t_max", 0, _MAX_WINDOW)
+    level = _real(level, "level", -math.inf, math.inf)
 
     w, e = transfer_terms(spec, input_state, output_state)
     bandwidth = float(e[-1])

@@ -1,6 +1,7 @@
 """The package namespace: what ``dipolink`` exports, and the one rule for
-every count its entries take."""
+every count and the one rule for every real its entries take."""
 
+import math
 import types
 
 import numpy as np
@@ -50,8 +51,8 @@ COUNTS = {
     "fit_bound_state.q": (lambda v: dipolink.fit_bound_state(v, 14), "q", 1, 7, 4),
     "optimize_placement.n": (dipolink.optimize_placement, "n", 3, None, 3),
     "n_free_gaps": (dipolink.n_free_gaps, "n", 2, None, 5),
-    "uniform_chain": (dipolink.uniform_chain, "n", 0, None, 4),
-    "ring": (dipolink.ring, "n", 0, None, 4),
+    "uniform_chain": (dipolink.uniform_chain, "n", 2, None, 4),
+    "ring": (dipolink.ring, "n", 3, None, 4),
 }
 
 
@@ -76,6 +77,81 @@ def test_every_count_refused_with_one_rule(entry, value, message):
 def test_every_count_takes_a_numpy_integer(entry):
     call, *_, good = COUNTS[entry]
     assert call(np.int64(good)) is not None
+
+
+_MODEL = dipolink.fit_bound_state(4)
+_TINY, _MAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
+
+# Every real the package is handed: (call of the real, the error that refuses
+# it, its name, the range lo..hi it must lie in, the rule as the message
+# states it, and a value in it)
+REALS = {
+    "CouplingSpec.c_const": (
+        lambda v: dipolink.CouplingSpec(c_const=v), dipolink.DomainError,
+        "c_const", _TINY, _MAX, "finite 2.23e-308 <= c_const", 2),
+    "DisorderConfig.error_fraction": (
+        lambda v: dipolink.DisorderConfig(v, 3), dipolink.DomainError,
+        "error_fraction", 0.0, _MAX, "finite 0 <= error_fraction", 0),
+    "SearchConfig.min_fidelity": (
+        lambda v: dipolink.SearchConfig(min_fidelity=v), dipolink.DomainError,
+        "min_fidelity", -_MAX, 1.0, "finite min_fidelity <= 1", 1),
+    "fidelity_curve.t_max": (
+        lambda v: dipolink.fidelity_curve(*_CURVE_ARGS[:3], v, 3),
+        dipolink.DomainError, "t_max", 0.0, _MAX, "finite 0 <= t_max", 1),
+    "find_peak.t_max": (
+        lambda v: dipolink.find_peak(*_CURVE_ARGS[:3], v), dipolink.DomainError,
+        "t_max", 0.0, _MAX / 8, "finite 0 <= t_max <= 2.25e+307", 1),
+    "find_peak.level": (
+        lambda v: dipolink.find_peak(*_CURVE_ARGS, level=v), dipolink.DomainError,
+        "level", -math.inf, math.inf, "-inf <= level <= inf", 0),
+    "predict_splitting.length": (
+        lambda v: dipolink.predict_splitting(_MODEL, v), dipolink.DomainError,
+        "length", 2.0**-255, 2.0**255, "finite 1.73e-77 <= length <= 5.79e+76", 20),
+    "Geometry.positions": (
+        lambda v: dipolink.Geometry("chain", (0, 1, v)), dipolink.InvalidGeometryError,
+        "position 3", -_MAX, _MAX, "finite position 3", 2),
+}
+
+
+def _real_refusals():
+    for entry, (_, _, name, lo, hi, rule, _) in REALS.items():
+        yield entry, "bool", True, f"{name} must be a real number, got True"
+        yield entry, "str", "1.5", f"{name} must be a real number, got '1.5'"
+        yield entry, "10**400", 10**400, f"{name} {10**400} overflows a float"
+        # NaN, the infinities, and the floats next to each bound that is
+        # neither infinite nor the largest float, outside it
+        beyond = [math.nan, -math.inf, math.inf] + [
+            float(np.nextafter(bound, side))
+            for bound, side in ((lo, -math.inf), (hi, math.inf)) if abs(bound) < _MAX
+        ]
+        for value in beyond:
+            if not lo <= value <= hi:
+                yield entry, repr(value), value, f"need {rule}, got {value}"
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    pytest.param(entry, value, message, id=f"{entry}-{label}")
+    for entry, label, value, message in _real_refusals()
+])
+def test_every_real_refused_with_one_rule(entry, value, message):
+    call, error = REALS[entry][:2]
+    with pytest.raises(error) as info:
+        call(value)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind", [int, np.float32])
+@pytest.mark.parametrize("entry", list(REALS))
+def test_every_real_takes_an_int_and_a_numpy_float(entry, kind):
+    call, *_, good = REALS[entry]
+    assert call(kind(good)) is not None
+
+
+@pytest.mark.parametrize("level", [-math.inf, math.inf])
+def test_infinite_bounds_take_infinities(level):
+    # find_peak's level is the one real whose bounds are infinite
+    f_abs, t_peak, _ = dipolink.find_peak(*_CURVE_ARGS, level=level)
+    assert 0.0 <= f_abs <= 1.0 and 0.0 <= t_peak <= 1.0
 
 
 @pytest.mark.parametrize("end", ["n_min", "n_max"])

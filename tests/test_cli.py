@@ -353,7 +353,7 @@ class TestInputErrors:
             "--c-const", "0",
         )
         assert code == 1 and out == ""
-        assert "coupling constant" in err
+        assert "need finite 2.23e-308 <= c_const, got 0.0" in err
 
     @pytest.mark.parametrize("c_const", ["inf", "nan"])
     @pytest.mark.parametrize("command", [
@@ -363,7 +363,7 @@ class TestInputErrors:
     def test_non_finite_coupling_constant(self, capsys, command, c_const):
         code, out, err = run_cli(capsys, *command, "--c-const", c_const)
         assert code == 1 and out == ""
-        assert "coupling constant must be positive and finite" in err
+        assert f"need finite 2.23e-308 <= c_const, got {c_const}" in err
 
     @pytest.mark.parametrize("positions", ["[0, 1.5, 2]", "[0, 1, 2, 3, 10]"])
     def test_ring_positions_not_site_indices(self, capsys, tmp_path, positions):
@@ -392,20 +392,18 @@ class TestInputErrors:
             capsys, "onsite-energies", "--geometry-file", str(geo)
         )
         assert code == 1 and out == ""
-        assert err == "dipolink: positions must be finite\n"
+        got = {"NaN": "nan", "Infinity": "inf"}[bad]
+        assert err == f"dipolink: need finite position 3, got {got}\n"
 
     def test_positions_not_real_numbers(self, capsys, tmp_path):
-        # a string of digits is not a list of positions
+        # a string of digits is a sequence of characters, not of positions
         geo = tmp_path / "geo.json"
         geo.write_text('{"topology": "chain", "positions": "0123"}')
         code, out, err = run_cli(
             capsys, "onsite-energies", "--geometry-file", str(geo)
         )
         assert code == 1 and out == ""
-        assert err == (
-            "dipolink: malformed geometry JSON "
-            "(TypeError: '0' is a str, not a real number)\n"
-        )
+        assert err == "dipolink: position 1 must be a real number, got '0'\n"
 
     @pytest.mark.parametrize("command", [
         ["fidelity-curve", "--t-max", "1"],
@@ -446,21 +444,23 @@ class TestInputErrors:
         assert code == 1 and out == ""
         assert "the bound-state model applies to dipole chains only" in err
 
-    @pytest.mark.parametrize("text", [
-        b"{not json",
-        b'{"topology": "chain"}',
-        b'{"topology": "line", "positions": [0, 1, 2]}',
-        b'{"topology": "chain", "positions": [0, 1' + b"0" * 400 + b"]}",
-        b'{"topology": "chain", "positions": [0, 1\xff]}',
+    @pytest.mark.parametrize("text, message", [
+        (b"{not json", "malformed geometry JSON"),
+        (b'{"topology": "chain"}', "malformed geometry JSON"),
+        (b'{"topology": "line", "positions": [0, 1, 2]}', "malformed geometry JSON"),
+        # well-formed JSON whose position a float cannot hold
+        (b'{"topology": "chain", "positions": [0, 1' + b"0" * 400 + b"]}",
+         "position 2 1" + "0" * 400 + " overflows a float"),
+        (b'{"topology": "chain", "positions": [0, 1\xff]}', "malformed geometry JSON"),
     ], ids=["syntax", "no-positions", "topology", "overflow", "not-utf8"])
-    def test_malformed_geometry_file(self, capsys, tmp_path, text):
+    def test_malformed_geometry_file(self, capsys, tmp_path, text, message):
         geo = tmp_path / "geo.json"
         geo.write_bytes(text)
         code, out, err = run_cli(
             capsys, "onsite-energies", "--geometry-file", str(geo)
         )
         assert code == 1 and out == ""
-        assert "malformed geometry JSON" in err
+        assert message in err
 
     @pytest.mark.parametrize("t_max", ["nan", "inf"])
     def test_non_finite_t_max(self, capsys, t_max):
@@ -468,7 +468,7 @@ class TestInputErrors:
             capsys, "fidelity-curve", "--n", "3", "--t-max", t_max, "--steps", "3"
         )
         assert code == 1 and out == ""
-        assert "t_max must be positive and finite" in err
+        assert f"need finite 0 <= t_max, got {t_max}" in err
 
     @pytest.mark.parametrize("eps", ["nan", "inf"])
     def test_non_finite_error_fraction(self, capsys, eps):
@@ -477,12 +477,12 @@ class TestInputErrors:
             "--samples", "10",
         )
         assert code == 1 and out == ""
-        assert "error fraction must be finite" in err
+        assert f"need finite 0 <= error_fraction, got {eps}" in err
 
     @pytest.mark.parametrize("flags, message", [
-        (["--min-fidelity", "nan"], "min fidelity must be finite"),
-        (["--min-fidelity", "inf"], "min fidelity must be finite"),
-        (["--min-fidelity", "1.5"], "at most 1"),
+        (["--min-fidelity", "nan"], "need finite min_fidelity <= 1, got nan"),
+        (["--min-fidelity", "inf"], "need finite min_fidelity <= 1, got inf"),
+        (["--min-fidelity", "1.5"], "need finite min_fidelity <= 1, got 1.5"),
         (["--seed", "-1"], "need 0 <= seed, got -1"),
     ])
     def test_bad_search_config(self, capsys, monkeypatch, flags, message):
@@ -546,11 +546,11 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("argv, message", [
         # the longer chains' default windows, their beats, pass float max / 8
-        (["chain-sweep", "--c-const", "1e-303"], "outside (0, 2.25e+307]"),
-        (["chain-sweep", "--c-const", "1e-305"], "outside (0, 2.25e+307]"),
+        (["chain-sweep", "--c-const", "1e-303"], "need finite 0 <= t_max <= 2.25e+307"),
+        (["chain-sweep", "--c-const", "1e-305"], "need finite 0 <= t_max <= 2.25e+307"),
         # a subnormal C, whose energies would lose bits
         (["optimize-placement", "--n", "4", "--c-const", "1e-310"],
-         "no smaller than the smallest normal float"),
+         "need finite 2.23e-308 <= c_const, got 1e-310"),
     ], ids=["chain-sweep-1e-303", "chain-sweep-1e-305", "placement-1e-310"])
     def test_tiny_coupling_constant(self, argv, message):
         """Windows that a float cannot hold and subnormal coupling constants

@@ -216,6 +216,12 @@ class TestSiteState:
         with pytest.raises(DomainError):
             SiteState(np.array([1.0, 1.0]))
 
+    def test_nan_amplitude_refused(self):
+        # a NaN norm is not within 1e-12 of 1; accepted, it made
+        # summarize_transfer report f_max = nan at a finite t_peak
+        with pytest.raises(DomainError, match="deviates from 1 by nan"):
+            SiteState(np.array([np.nan, 0.0, 0.0, 0.0]))
+
 
 def test_construction_leaves_callers_arrays_writeable():
     # the objects hold read-only copies: the caller may reuse its arrays,
@@ -346,6 +352,14 @@ class TestGridKernel:
         with pytest.raises(DomainError):
             propagator_abs_grid(spec, a, b, times)
 
+    def test_nan_time_rejected(self):
+        # a NaN between finite ends is not within tolerance of the uniform
+        # grid; accepted, it came back as |f(1)|
+        spec = decompose(build_hamiltonian(uniform_chain(4)))
+        a, b = site_state(4, 1), site_state(4, 4)
+        with pytest.raises(DomainError, match="time grid is not uniform"):
+            propagator_abs_grid(spec, a, b, [0.0, np.nan, 2.0])
+
 
 def _kernel_row_counts(n, count):
     """Row counts that run one row, two rows, one short of and one past a
@@ -441,6 +455,12 @@ class TestFidelity:
             fidelity(1.1)
         with pytest.raises(DomainError):
             fidelity(-0.1)
+
+    def test_rejects_nan(self):
+        with pytest.raises(DomainError, match=r"\|f\| = nan outside \[0, 1\]"):
+            fidelity(np.nan)
+        with pytest.raises(DomainError, match="nan outside"):
+            fidelity(np.array([0.5, np.nan]))
 
     def test_array_matches_scalar(self):
         xs = np.array([0.0, 0.25, 0.5, 0.999, 1.0, 1.0 + 1e-12])

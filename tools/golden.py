@@ -87,6 +87,13 @@ INVOCATIONS = (
         ["fidelity-curve", "--n", "4", "--t-max", "1", "--steps", "1"],
         ["optimize-placement", "--n", "2"],
         ["disorder", "--samples", "0"],
+        # reals outside their ranges (NaN among them), each refused with one
+        # line that names the value given
+        ["chain-sweep", "--c-const", "nan"],
+        ["disorder", "--error-fraction", "-0.1"],
+        ["optimize-placement", "--n", "4", "--min-fidelity", "1.5"],
+        ["fidelity-curve", "--n", "4", "--t-max", "nan", "--steps", "3", "--format",
+         "json"],
     ]
     + [["optimize-placement", "--n", str(n)] for n in (3, 4, 5, 7, 8)]
     + [["optimize-placement", "--n", "4", "--c-const", "1e300"]]
