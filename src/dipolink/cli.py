@@ -7,12 +7,14 @@ convergence error. Results go to stdout or --output; warnings go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
 
 from .boundstate import fit_bound_state, predict_splitting
-from .disorder import CLASSICAL_THRESHOLD, DisorderConfig, NoiseModel, run_disorder
+from .disorder import (CLASSICAL_THRESHOLD, DisorderConfig, NoiseModel, _ensemble,
+                       _report, run_disorder)
 from .errors import (
     ConvergenceError,
     DipolinkError,
@@ -24,6 +26,7 @@ from .lattice import (
     CouplingSpec,
     Geometry,
     Topology,
+    _count,
     _sizes,
     build_hamiltonian,
     uniform_chain,
@@ -69,6 +72,11 @@ def _cell(value) -> str:
     return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
+def _lines(records) -> str:
+    """One CSV line per record: its values, in order."""
+    return "".join(",".join(_cell(v) for v in r.values()) + "\n" for r in records)
+
+
 def _render(records, fmt: str, head: dict | None = None) -> str:
     """The one output format: records as CSV or JSON, a document as JSON.
 
@@ -77,23 +85,19 @@ def _render(records, fmt: str, head: dict | None = None) -> str:
     command has a head; a document command passes one dict as ``records``.
     """
     if fmt == "csv":
-        lines = [",".join(records[0])]
-        lines += [",".join(_cell(v) for v in r.values()) for r in records]
-        return "\n".join(lines) + "\n"
+        return ",".join(records[0]) + "\n" + _lines(records)
     doc = records if head is None else {**head, "rows": records}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write(path, text: str):
-    if path:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open(path):
+    """The text file at ``path`` opened for writing, or stdout if no path."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _emit(args, records, head: dict | None = None):
-    _write(args.output, _render(records, args.format, head))
+    with _open(args.output) as fh:
+        fh.write(_render(records, args.format, head))
 
 
 def _cmd_sweep(args):
@@ -111,7 +115,7 @@ def _cmd_fidelity_curve(args):
     curve = fidelity_curve(
         decompose(h), site_state(n, args.input_site, "input_site"),
         site_state(n, out_site, "output_site"),
-        args.t_max, args.steps,
+        args.t_max, _count(args.steps, "steps", 2),
     )
     head = {"metadata": {"n": n, "model": args.model, "input": args.input_site,
                          "output": out_site,
@@ -171,14 +175,27 @@ def _cmd_disorder(args):
         seed=args.seed,
         noise_model=args.noise_model,
     )
-    report = run_disorder(_geometry(args, default_n=4), _coupling(args), config)
+    inputs = _geometry(args, default_n=4), _coupling(args), config
     if args.dump_samples:
-        samples = [
-            {"sample": k, "F_at_t_nominal": f, "failed": int(f < CLASSICAL_THRESHOLD)}
-            for k, f in enumerate(report.sample_fidelities)
-        ]
-        _write(args.dump_samples, _render(samples, "csv"))
+        clean, blocks = _ensemble(*inputs)
+        with _open(args.dump_samples) as fh:
+            report = _report(config, clean, _dumped(fh, blocks))
+    else:
+        report = run_disorder(*inputs)
     _emit(args, report.as_dict())
+
+
+def _dumped(fh, blocks):
+    """Each block of a disorder ensemble, once its samples are written to
+    ``fh`` as CSV lines under one header."""
+    start = 0
+    for block in blocks:
+        rows = [{"sample": k, "F_at_t_nominal": f,
+                 "failed": int(f < CLASSICAL_THRESHOLD)}
+                for k, f in enumerate(block[0].tolist(), start)]
+        fh.write(_lines(rows) if start else _render(rows, "csv"))
+        start += len(rows)
+        yield block
 
 
 def build_parser() -> argparse.ArgumentParser:

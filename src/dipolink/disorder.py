@@ -7,12 +7,12 @@ classical threshold 2/3. Per-sample randomness derives solely from
 (seed, sample index): sample k draws from PCG64(SeedSequence((seed, k))),
 exactly the generator np.random.default_rng((seed, k)) returns, so reports
 are reproducible and order-independent. Samples are drawn and evaluated a
-block at a time, so memory beyond the per-sample fidelities does not grow
-with the sample count. A block's generator states are computed in one
-vectorized pass that replicates numpy's SeedSequence hash and PCG64's
-seeding (a test pins it against numpy), then loaded in turn into one
-generator. The same replica, with PCG64's step and numpy's uniform map in
-Python ints, draws the placement search's restart perturbations.
+block at a time, and each block joins running totals and is dropped, so
+memory does not grow with the sample count. A block's generator states are
+computed in one vectorized pass that replicates numpy's SeedSequence hash
+and PCG64's seeding (a test pins it against numpy), then loaded in turn
+into one generator. The same replica, with PCG64's step and numpy's uniform
+map in Python ints, draws the placement search's restart perturbations.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .lattice import (
     Topology,
     _count,
     _hamiltonian_matrices,
-    _read_only,
     _real,
     _to_member,
     build_hamiltonian,
@@ -94,10 +93,10 @@ class DisorderConfig:
 
 @dataclass(frozen=True)
 class DisorderReport:
-    """Aggregate failure statistics plus the per-sample fidelities.
+    """Aggregate failure statistics of a disorder ensemble.
 
-    Every field but the last, ``sample_fidelities``, is a key of the JSON
-    document, in order; ``noise_model`` is the model's value string.
+    Every field is a key of the JSON document, in order; ``noise_model`` is
+    the model's value string.
     """
 
     failures: int
@@ -110,13 +109,9 @@ class DisorderReport:
     clean_f_max: float
     error_fraction: float
     noise_model: str
-    sample_fidelities: np.ndarray
-
-    def __post_init__(self):
-        _read_only(self, "sample_fidelities")
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _hasher(const: int, mult: int):
@@ -216,25 +211,9 @@ def _draw(rng: np.random.Generator, uniform: bool, size: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size) if uniform else rng.standard_normal(size)
 
 
-def run_disorder(
-    geometry: Geometry,
-    coupling: CouplingSpec = DIPOLE,
-    config: DisorderConfig = DisorderConfig(0.02, 1000),
-) -> DisorderReport:
-    """Failure-rate estimate for end-to-end transfer under placement noise.
-
-    The clean geometry's peak time t_nominal is fixed first; each sample
-    evolves |1> for exactly t_nominal on its perturbed chain. Samples are
-    drawn and evaluated a block of at most 4096 matrix elements at a time:
-    one vectorized pass for the generator states of the block's samples,
-    one draw per sample, then one vectorized perturbation, one stacked
-    build, one batched eigensolve and one vectorized evaluation per block.
-    Sample k draws from PCG64(SeedSequence((seed, k))), exactly
-    np.random.default_rng((seed, k)); its state is loaded into one reused
-    generator. A draw that breaks the site ordering is redrawn from the same
-    stream (and counted as rejected). Memory beyond the per-sample
-    fidelities does not grow with the sample count.
-    """
+def _ensemble(geometry: Geometry, coupling: CouplingSpec, config: DisorderConfig):
+    """The clean transfer summary, checked inputs first, and an iterator over
+    the blocks in sample order: (their samples' fidelities, their redraws)."""
     if geometry.topology is not Topology.CHAIN:
         raise InvalidGeometryError("disorder analysis is defined for chains")
     positions = np.asarray(geometry.positions)
@@ -248,7 +227,6 @@ def run_disorder(
 
     n = geometry.n
     clean = end_to_end_summary(build_hamiltonian(geometry, coupling))
-    t_nominal = clean.t_peak
 
     model = config.noise_model
     per_gap = model in (NoiseModel.UNIFORM_PER_GAP, NoiseModel.GAUSSIAN_PER_GAP)
@@ -263,55 +241,87 @@ def run_disorder(
         chains = positions + (np.cumsum(shifts, axis=-1) if per_gap else shifts)
         return chains, np.any(np.diff(chains) <= 0, axis=-1)
 
-    values = np.empty(config.samples)
-    block = max(_EIGH_BLOCK_ELEMENTS // (n * n), 1)
-    draws = np.zeros((min(block, config.samples), n))
-    rejected = 0
-    # one generator, loaded with each sample's state before its draws
-    rng = np.random.default_rng(0)
-    for lo in range(0, config.samples, block):
-        rows = draws[: config.samples - lo]
-        states = _pcg64_states(config.seed, lo, lo + len(rows))
-        for row, state in zip(rows, states):
-            rng.bit_generator.state = state
-            row[-size:] = _draw(rng, uniform, size)
-        chains, broken = perturb(rows)
-        for i in np.flatnonzero(broken):
-            rng.bit_generator.state = states[i]
-            _draw(rng, uniform, size)  # replays the rejected draw
-            for _ in range(_MAX_REDRAWS):
-                rejected += 1
-                rows[i, -size:] = _draw(rng, uniform, size)
-                chains[i], bad = perturb(rows[i])
-                if not bad:
-                    break
-            else:
-                raise DomainError(
-                    f"sample {lo + i}: exceeded {_MAX_REDRAWS} redraws; "
-                    "error fraction too large for this geometry"
-                )
+    def blocks():
+        block = max(_EIGH_BLOCK_ELEMENTS // (n * n), 1)
+        draws = np.zeros((min(block, config.samples), n))
+        # one generator, loaded with each sample's state before its draws
+        rng = np.random.default_rng(0)
+        for lo in range(0, config.samples, block):
+            rows = draws[: config.samples - lo]
+            states = _pcg64_states(config.seed, lo, lo + len(rows))
+            for row, state in zip(rows, states):
+                rng.bit_generator.state = state
+                row[-size:] = _draw(rng, uniform, size)
+            chains, broken = perturb(rows)
+            redraws = 0
+            for i in np.flatnonzero(broken):
+                rng.bit_generator.state = states[i]
+                _draw(rng, uniform, size)  # replays the rejected draw
+                for _ in range(_MAX_REDRAWS):
+                    redraws += 1
+                    rows[i, -size:] = _draw(rng, uniform, size)
+                    chains[i], bad = perturb(rows[i])
+                    if not bad:
+                        break
+                else:
+                    raise DomainError(
+                        f"sample {lo + i}: exceeded {_MAX_REDRAWS} redraws; "
+                        "error fraction too large for this geometry"
+                    )
 
-        # f = sum_m v[far, m] v[0, m] e^{-i (E_m - E_0) t}, independent of the
-        # eigenvector signs; |f| by hypot, which is how abs() of a complex
-        # scalar computes it, so each sample matches its one-chain evaluation.
-        h, _ = _hamiltonian_matrices(chains, Topology.CHAIN, coupling)
-        energies, vectors = _eigh(h)
-        w = vectors[:, geometry.far_site - 1, :] * vectors[:, 0, :]
-        e = energies - energies[:, :1]
-        f = np.sum(w * np.exp(-1j * e * t_nominal), axis=-1)
-        values[lo : lo + len(rows)] = fidelity(np.hypot(f.real, f.imag))
+            # f = sum_m v[far, m] v[0, m] e^{-i (E_m - E_0) t}, independent of
+            # the eigenvector signs; |f| by hypot, which is how abs() of a
+            # complex scalar computes it, so each sample matches its one-chain
+            # evaluation.
+            h, _ = _hamiltonian_matrices(chains, Topology.CHAIN, coupling)
+            energies, vectors = _eigh(h)
+            w = vectors[:, geometry.far_site - 1, :] * vectors[:, 0, :]
+            e = energies - energies[:, :1]
+            f = np.sum(w * np.exp(-1j * e * clean.t_peak), axis=-1)
+            yield fidelity(np.hypot(f.real, f.imag)), redraws
 
-    failures = int(np.count_nonzero(values < CLASSICAL_THRESHOLD))
+    return clean, blocks()
+
+
+def _report(config: DisorderConfig, clean, blocks) -> DisorderReport:
+    """An ensemble's report: its ``blocks`` folded into running totals."""
+    failures = rejected = total = 0
+    for values, redraws in blocks:
+        failures += int(np.count_nonzero(values < CLASSICAL_THRESHOLD))
+        rejected += redraws
+        # Every F = 1/2 + |f|/3 + |f|^2/6 lies in [1/2, 1], a whole number of
+        # 2^-53: in that unit the total is an exact int whatever the blocks.
+        total += sum((values * 2.0**53).astype(np.int64).tolist())
     return DisorderReport(
         failures=failures,
         failure_rate=failures / config.samples,
-        mean_f_at_nominal_time=float(values.mean()),
+        # an int quotient is rounded once: the exact mean, to the nearest float
+        mean_f_at_nominal_time=total / (config.samples << 53),
         samples=config.samples,
         seed=config.seed,
         rejected=rejected,
-        t_nominal=t_nominal,
+        t_nominal=clean.t_peak,
         clean_f_max=clean.f_max,
         error_fraction=config.error_fraction,
         noise_model=config.noise_model.value,
-        sample_fidelities=values,
     )
+
+
+def run_disorder(
+    geometry: Geometry,
+    coupling: CouplingSpec = DIPOLE,
+    config: DisorderConfig = DisorderConfig(0.02, 1000),
+) -> DisorderReport:
+    """Failure-rate estimate for end-to-end transfer under placement noise.
+
+    The clean geometry's peak time t_nominal is fixed first; each sample
+    evolves |1> for exactly t_nominal on its perturbed chain. A block of
+    samples (at most 4096 matrix elements) takes one vectorized pass for
+    its generator states, one draw per sample, then one vectorized
+    perturbation, one stacked build, one batched eigensolve and one
+    vectorized evaluation. A draw that breaks the site ordering is redrawn
+    from the same stream (and counted as rejected). Memory does not grow
+    with the sample count, and the mean is the samples' exact mean, rounded
+    once, whatever the block size.
+    """
+    return _report(config, *_ensemble(geometry, coupling, config))

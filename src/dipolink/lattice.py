@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -58,6 +59,18 @@ def _to_member(obj, name: str, enum_type, error):
         raise error(f"unknown {name} {value!r}; expected one of {choices}") from None
 
 
+def _shown(value, show=str) -> str:
+    """``show(value)``, or the sign and digit count of an int past Python's
+    limit on int-to-text conversion."""
+    try:
+        return show(value)
+    except ValueError:
+        size = abs(int(value))
+        digits = round(math.log10(size))  # floor(log10 size) + 1 after the test
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} int of {digits + (size >= 10**digits)} digits"
+
+
 def _count(value, name: str, lo: int | None = 0, hi: int | None = None) -> int:
     """``value``, an integer (not a bool), as an int. DomainError unless
     lo <= value <= hi; hi=None is no upper bound, and lo=None no bound at all."""
@@ -65,7 +78,7 @@ def _count(value, name: str, lo: int | None = 0, hi: int | None = None) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if lo is not None and not lo <= value <= (value if hi is None else hi):
         high = "" if hi is None else f" <= {hi}"
-        raise DomainError(f"need {lo} <= {name}{high}, got {value}")
+        raise DomainError(f"need {lo} <= {name}{high}, got {_shown(value)}")
     return int(value)
 
 
@@ -77,7 +90,7 @@ def _real(value, name: str, lo: float = -_MAX, hi: float = _MAX) -> float:
     try:
         real = float(value)
     except OverflowError:
-        raise DomainError(f"{name} {value!r} overflows a float") from None
+        raise DomainError(f"{name} {_shown(value, repr)} overflows a float") from None
     if not lo <= real <= hi:
         finite = "finite " if -_MAX <= lo and hi <= _MAX else ""
         low = "" if lo == -_MAX else f"{lo:.3g} <= "

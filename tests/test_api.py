@@ -79,6 +79,26 @@ def test_every_count_takes_a_numpy_integer(entry):
     assert call(np.int64(good)) is not None
 
 
+# An int past Python's 4300-digit limit on int-to-text conversion: each
+# refusal gives its digit count, not a bare ValueError from printing it.
+@pytest.mark.parametrize("call, value, message", [
+    (lambda v: dipolink.CouplingSpec(c_const=v), 10**5000,
+     "c_const an int of 5001 digits overflows a float"),
+    (lambda v: dipolink.site_state(4, v), 10**5000,
+     "need 1 <= site <= 4, got an int of 5001 digits"),
+    (lambda v: dipolink.site_state(4, v), -(10**5000 - 1),
+     "need 1 <= site <= 4, got a negative int of 5000 digits"),
+    (lambda v: dipolink.DisorderConfig(0.02, v), 10**5000,
+     "need 1 <= samples <= 4294967296, got an int of 5001 digits"),
+    (lambda v: dipolink.DisorderConfig(0.02, v), 5 * 10**4400,
+     "need 1 <= samples <= 4294967296, got an int of 4401 digits"),
+], ids=["c_const", "site", "negative-site", "samples", "samples-5e4400"])
+def test_int_past_the_text_limit_refused_by_digit_count(call, value, message):
+    with pytest.raises(dipolink.DomainError) as info:
+        call(value)
+    assert str(info.value) == message
+
+
 _MODEL = dipolink.fit_bound_state(4)
 _TINY, _MAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
 

@@ -347,6 +347,14 @@ class TestInputErrors:
         assert code == 1 and out == ""
         assert f"need 1 <= {name} <= 4, got 0" in err
 
+    def test_one_step(self, capsys):
+        # the refusal names the flag, not fidelity_curve's n_steps
+        code, out, err = run_cli(
+            capsys, "fidelity-curve", "--n", "4", "--t-max", "1", "--steps", "1"
+        )
+        assert code == 1 and out == ""
+        assert err == "dipolink: need 2 <= steps, got 1\n"
+
     def test_zero_coupling_constant(self, capsys):
         code, out, err = run_cli(
             capsys, "chain-sweep", "--n-min", "2", "--n-max", "3",
@@ -599,14 +607,13 @@ class TestInputErrors:
 
 
     @pytest.mark.parametrize("argv, message", [
-        # per-sample fidelities and grid times of 8 GB, past the 3 GB cap
-        (["disorder", "--samples", "1000000000"], "dipolink: out of memory: "),
+        # grid times and fidelities of 8 GB, past the 3 GB cap
         (["fidelity-curve", "--n", "4", "--t-max", "10", "--steps", "1000000000"],
          "dipolink: out of memory: "),
         # a sample index past one uint32 word: refused before any allocation
         (["disorder", "--samples", "4294967297"],
          "dipolink: need 1 <= samples <= 4294967296, got 4294967297"),
-    ], ids=["disorder-1e9", "fidelity-curve-1e9", "disorder-2^32+1"])
+    ], ids=["fidelity-curve-1e9", "disorder-2^32+1"])
     def test_oversized_run(self, argv, message):
         """An allocation past the address space, or a sample count past 2^32,
         ends in one line and exit 1, not a MemoryError traceback."""
@@ -681,6 +688,20 @@ class TestGoldenInvocations:
         golden = _golden_tool()
         names = [golden._name(argv) for argv in golden.INVOCATIONS]
         assert len(set(names)) == len(names)
+        dumps = [value for argv in golden.INVOCATIONS
+                 for flag, value in zip(argv, argv[1:]) if flag == "--dump-samples"]
+        # the dumps share OUTDIR with the .stdout, .stderr and .code records
+        assert len(set(dumps)) == len(dumps) == 4
+        assert all(d.endswith(".csv") for d in dumps)
+
+    def test_record_name_keeps_a_value_sign(self):
+        # only flags lose their dashes, so -0.1 and 0.1 name two records
+        golden = _golden_tool()
+        assert golden._name(["disorder", "--error-fraction", "-0.1"]) == (
+            "disorder_error-fraction_-0.1")
+        assert golden._name(["disorder", "--error-fraction", "0.1"]) == (
+            "disorder_error-fraction_0.1")
+        assert ["disorder", "--error-fraction", "-0.1"] in golden.INVOCATIONS
 
     def test_geometry_files_are_fixtures_next_to_the_tool(self):
         # records name a fixture, not its path, so a record's name and text
@@ -689,7 +710,7 @@ class TestGoldenInvocations:
         here = Path(golden.__file__).parent
         for argv in golden.INVOCATIONS:
             assert "/" not in golden._name(argv) and "\\" not in golden._name(argv)
-            for flag, value in zip(argv, golden._resolve(argv)[1:]):
+            for flag, value in zip(argv, golden._resolve(argv, "out")[1:]):
                 if flag == "--geometry-file":
                     assert Path(value).parent == here
                     Geometry.from_json(Path(value).read_bytes())

@@ -3,6 +3,8 @@ the full 10^4-sample paper configuration)."""
 
 import dataclasses
 import json
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +82,13 @@ def reference_fidelities(geometry, coupling, config):
     return t_nominal, np.array(values)
 
 
+def sample_fidelities(geometry, config, coupling=DIPOLE):
+    """Every sample's fidelity at t_nominal, in sample order, read through
+    the ensemble's per-block path that run_disorder folds."""
+    _, blocks = disorder._ensemble(geometry, coupling, config)
+    return np.concatenate([values for values, _ in blocks])
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -136,12 +145,11 @@ class TestConfig:
     def test_noise_model_value_is_the_member(self, model):
         config = DisorderConfig(0.02, 5, noise_model=model.value)
         assert config.noise_model is model
-        by_value = run_disorder(uniform_chain(4), config=config)
-        by_member = run_disorder(
-            uniform_chain(4), config=DisorderConfig(0.02, 5, noise_model=model)
-        )
-        assert by_value.as_dict() == by_member.as_dict()
-        assert np.array_equal(by_value.sample_fidelities, by_member.sample_fidelities)
+        by_member = DisorderConfig(0.02, 5, noise_model=model)
+        assert (run_disorder(uniform_chain(4), config=config).as_dict()
+                == run_disorder(uniform_chain(4), config=by_member).as_dict())
+        assert np.array_equal(sample_fidelities(uniform_chain(4), config),
+                              sample_fidelities(uniform_chain(4), by_member))
 
     def test_unknown_noise_model_rejected(self):
         with pytest.raises(DomainError, match="unknown noise_model 'uniform-bond'"):
@@ -162,19 +170,21 @@ class TestRunDisorder:
         assert rep.failures == 0
         assert rep.failure_rate == 0.0
         assert rep.mean_f_at_nominal_time == pytest.approx(rep.clean_f_max, abs=1e-9)
-        assert np.allclose(rep.sample_fidelities, rep.clean_f_max, atol=1e-9)
+        values = sample_fidelities(uniform_chain(4), DisorderConfig(0.0, 20))
+        assert np.allclose(values, rep.clean_f_max, atol=1e-9)
 
     def test_reproducible(self):
         config = DisorderConfig(0.02, 40, seed=11)
         a = run_disorder(uniform_chain(4), config=config)
         b = run_disorder(uniform_chain(4), config=config)
-        assert np.array_equal(a.sample_fidelities, b.sample_fidelities)
+        assert np.array_equal(sample_fidelities(uniform_chain(4), config),
+                              sample_fidelities(uniform_chain(4), config))
         assert a.as_dict() == b.as_dict()
 
     def test_seed_changes_samples(self):
-        a = run_disorder(uniform_chain(4), config=DisorderConfig(0.02, 40, seed=1))
-        b = run_disorder(uniform_chain(4), config=DisorderConfig(0.02, 40, seed=2))
-        assert not np.array_equal(a.sample_fidelities, b.sample_fidelities)
+        a = sample_fidelities(uniform_chain(4), DisorderConfig(0.02, 40, seed=1))
+        b = sample_fidelities(uniform_chain(4), DisorderConfig(0.02, 40, seed=2))
+        assert not np.array_equal(a, b)
 
     def test_mean_fidelity_degrades_with_noise(self):
         means = []
@@ -217,12 +227,9 @@ class TestRunDisorder:
         ],
     )
     def test_all_noise_models_run(self, model):
-        rep = run_disorder(
-            uniform_chain(4),
-            config=DisorderConfig(0.02, 25, seed=5, noise_model=model),
-        )
-        assert rep.samples == 25
-        assert len(rep.sample_fidelities) == 25
+        config = DisorderConfig(0.02, 25, seed=5, noise_model=model)
+        assert run_disorder(uniform_chain(4), config=config).samples == 25
+        assert len(sample_fidelities(uniform_chain(4), config)) == 25
 
     def test_gaussian_rejection_counted(self):
         # heavy-tailed draws close to the ordering limit must redraw sometimes
@@ -234,7 +241,11 @@ class TestRunDisorder:
         )
         assert rep.rejected > 0
 
-    def test_report_serialization(self, tmp_path):
+    # the default block, and 7 samples a block at N = 4, so that the dump
+    # is written in two blocks, the header once
+    @pytest.mark.parametrize("budget", [disorder._EIGH_BLOCK_ELEMENTS, 112])
+    def test_report_serialization(self, tmp_path, monkeypatch, budget):
+        monkeypatch.setattr(disorder, "_EIGH_BLOCK_ELEMENTS", budget)
         rep = run_disorder(uniform_chain(4), config=DisorderConfig(0.02, 10))
         data = rep.as_dict()
         assert data["samples"] == 10
@@ -247,11 +258,11 @@ class TestRunDisorder:
         lines = dump.read_text().strip().split("\n")
         assert lines[0] == "sample,F_at_t_nominal,failed"
         assert len(lines) == 11
-        for k, (line, want) in enumerate(zip(lines[1:], rep.sample_fidelities)):
+        values = sample_fidelities(uniform_chain(4), DisorderConfig(0.02, 10))
+        for k, (line, want) in enumerate(zip(lines[1:], values)):
             sample, f, failed = line.split(",")
             assert int(sample) == k and float(f) == want
             assert (float(f) < CLASSICAL_THRESHOLD) == bool(int(failed))
-
 
     def test_report_keys_are_the_fields_in_order(self):
         rep = run_disorder(
@@ -259,7 +270,7 @@ class TestRunDisorder:
             config=DisorderConfig(0.02, 10, noise_model=NoiseModel.GAUSSIAN_PER_GAP),
         )
         names = [f.name for f in dataclasses.fields(rep)]
-        assert list(rep.as_dict()) == names[:-1] == [
+        assert list(rep.as_dict()) == names == [
             "failures", "failure_rate", "mean_f_at_nominal_time", "samples",
             "seed", "rejected", "t_nominal", "clean_f_max", "error_fraction",
             "noise_model",
@@ -309,9 +320,25 @@ class TestBatchedEnsemble:
         rep = run_disorder(geometry, coupling, config)
         t_nominal, want = reference_fidelities(geometry, coupling, config)
         assert rep.t_nominal == t_nominal
-        assert np.array_equal(rep.sample_fidelities, want)
+        assert np.array_equal(sample_fidelities(geometry, config, coupling), want)
         assert rep.failures == int(np.count_nonzero(want < CLASSICAL_THRESHOLD))
-        assert rep.mean_f_at_nominal_time == want.mean()
+        # the exact mean of the samples, rounded once
+        assert rep.mean_f_at_nominal_time == float(
+            sum(map(Fraction, want.tolist())) / len(want))
+
+    def test_memory_does_not_grow_with_samples(self):
+        # each block joins running totals and is dropped; one float kept per
+        # sample would add 18,000 x 8 bytes to the peak at 2 10^4 samples
+        run_disorder(uniform_chain(4), config=DisorderConfig(0.02, 300))  # warm-up
+        peaks = []
+        for samples in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                run_disorder(uniform_chain(4), config=DisorderConfig(0.02, samples))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 4096, peaks
 
     def test_redraw_cap(self, monkeypatch):
         seen = []
@@ -344,22 +371,23 @@ class TestBatchedEnsemble:
         monkeypatch.setattr(disorder, "_EIGH_BLOCK_ELEMENTS", 44 * 25)
         geometry = Geometry(Topology.CHAIN, (0.0, 0.9, 2.1, 3.0, 4.2))
         config = DisorderConfig(0.3, 150, seed=9, noise_model=model)
-        full = run_disorder(geometry, config=config)
+        full = sample_fidelities(geometry, config)
         rejected = {NoiseModel.GAUSSIAN_PER_SITE: 8, NoiseModel.GAUSSIAN_PER_GAP: 2}
-        assert full.rejected == rejected.get(model, 0)
+        assert run_disorder(geometry, config=config).rejected == rejected.get(model, 0)
         for k in (1, 60, 107):
-            part = run_disorder(geometry, config=dataclasses.replace(config, samples=k))
-            assert np.array_equal(part.sample_fidelities, full.sample_fidelities[:k])
+            part = sample_fidelities(geometry, dataclasses.replace(config, samples=k))
+            assert np.array_equal(part, full[:k])
 
     @pytest.mark.parametrize("n", [4, 9])
     def test_block_budget_does_not_change_report(self, monkeypatch, n):
         config = DisorderConfig(
             0.05, 100, seed=4, noise_model=NoiseModel.GAUSSIAN_PER_GAP
         )
-        reports = []
+        reports, values = [], []
         for budget in (1, 37 * n * n, disorder._EIGH_BLOCK_ELEMENTS):
             monkeypatch.setattr(disorder, "_EIGH_BLOCK_ELEMENTS", budget)
             reports.append(run_disorder(uniform_chain(n), config=config))
-        for rep in reports[1:]:
+            values.append(sample_fidelities(uniform_chain(n), config))
+        for rep, each in zip(reports[1:], values[1:]):
             assert rep.as_dict() == reports[0].as_dict()
-            assert np.array_equal(rep.sample_fidelities, reports[0].sample_fidelities)
+            assert np.array_equal(each, values[0])

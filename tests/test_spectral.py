@@ -29,7 +29,6 @@ from dipolink import (
     fidelity_curve,
     fit_bound_state,
     propagator_abs_grid,
-    run_disorder,
     site_state,
     summarize_transfer,
     uniform_chain,
@@ -180,9 +179,10 @@ class TestSignIndependence:
             "curve": fidelity_curve(
                 decompose(h10), site_state(10, 1), site_state(10, 10), 4000.0, 2000
             ).values.tolist(),
-            "disorder": run_disorder(
-                uniform_chain(4), DIPOLE, DisorderConfig(0.02, 50)
-            ).sample_fidelities.tolist(),
+            "disorder": [
+                values.tolist() for values, _ in disorder._ensemble(
+                    uniform_chain(4), DIPOLE, DisorderConfig(0.02, 50))[1]
+            ],
         }
 
     def test_outputs_unchanged_when_alternate_eigenvectors_flip(self, monkeypatch):

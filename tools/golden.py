@@ -10,10 +10,11 @@ Runs every invocation in ``INVOCATIONS`` in-process through
 script, and writes ``<name>.stdout``, ``<name>.stderr`` and ``<name>.code``
 (the exit code) under OUTDIR. A ``--geometry-file`` value names a fixture
 next to this script (``ring6.json``, ``chain5.json``); it is passed on as
-that file's path, and the record name keeps the bare fixture name. Run it
+that file's path, and the record name keeps the bare fixture name. A
+``--dump-samples`` value names a file that is written under OUTDIR. Run it
 in two checkouts and compare with ``diff -r OUTDIR_A OUTDIR_B``: no output
-means every invocation printed the same bytes and exited with the same
-code.
+means every invocation printed and wrote the same bytes and exited with the
+same code.
 
 ``--compare`` checks two such records for a change that may move numbers
 in their last digits but nothing else. For every file whose bytes differ it
@@ -132,6 +133,17 @@ INVOCATIONS = (
         ["disorder", "--seed", "1267650600228229401496703205376"],
         ["disorder", "--seed", "1267650600228229401496703205376", "--noise-model",
          "gaussian", "--error-fraction", "0.45", "--n", "6"],
+        # the per-sample CSV of each noise model: 8 eigensolve blocks of 256
+        # samples (gaussian-gap), redraws (gaussian), and 7 blocks of 163
+        # (uniform at N = 5)
+        ["disorder", "--noise-model", "gaussian-gap", "--samples", "2000",
+         "--dump-samples", "gaussian-gap.csv"],
+        ["disorder", "--noise-model", "gaussian", "--error-fraction", "0.4",
+         "--samples", "300", "--seed", "5", "--dump-samples", "gaussian.csv"],
+        ["disorder", "--noise-model", "uniform-gap", "--samples", "500", "--seed", "2",
+         "--dump-samples", "uniform-gap.csv"],
+        ["disorder", "--n", "5", "--error-fraction", "0.05",
+         "--dump-samples", "uniform.csv"],
     ]
     + [
         # geometry files: a 6-ring, whose site-1 transfer ends at its far
@@ -155,12 +167,15 @@ INVOCATIONS = (
 
 
 def _name(argv) -> str:
-    return "_".join(a.lstrip("-") for a in argv)
+    """The record name: the arguments joined by "_", flags without their dashes."""
+    return "_".join(a.lstrip("-") if a.startswith("--") else a for a in argv)
 
 
-def _resolve(argv) -> list:
-    """``argv`` with each ``--geometry-file`` fixture name made its path."""
-    return [os.path.join(_HERE, a) if flag == "--geometry-file" else a
+def _resolve(argv, outdir: str) -> list:
+    """``argv`` with each ``--geometry-file`` fixture name made its path, and
+    each ``--dump-samples`` file name its path under ``outdir``."""
+    where = {"--geometry-file": _HERE, "--dump-samples": outdir}
+    return [os.path.join(where[flag], a) if flag in where else a
             for flag, a in zip([None, *argv], argv)]
 
 
@@ -175,7 +190,7 @@ def main(outdir: str) -> int:
         # a new process would.
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
-            code = cli_main(_resolve(argv))
+            code = cli_main(_resolve(argv, outdir))
         base = os.path.join(outdir, _name(argv))
         for suffix, text in ((".stdout", out.getvalue()), (".stderr", err.getvalue()),
                              (".code", f"{code}\n")):
