@@ -121,6 +121,10 @@ def _cmd_fidelity_curve(args):
                          "output": out_site,
                          "samples_per_period": curve.samples_per_period,
                          "undersampled": curve.undersampled}}
+    if curve.undersampled:
+        print(f"dipolink: warning: undersampled: {curve.samples_per_period:.3g} "
+              "samples per period of the fastest frequency, fewer than 2",
+              file=sys.stderr)
     records = [{"t": t, "F": f} for t, f in zip(curve.times, curve.values)]
     _emit(args, records, head)
 

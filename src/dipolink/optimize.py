@@ -368,7 +368,7 @@ def optimize_placement(
         geometry = _geometry_from_gaps(gaps)
         spec = decompose(build_hamiltonian(geometry, coupling))
         # a Python float: past float max it is inf, which find_peak refuses
-        window = _VERIFY_BEATS * 2.0 * np.pi / float(spec.splitting)
+        window = _VERIFY_BEATS * 2.0 * np.pi / spec.splitting
         states = site_state(n, 1), site_state(n, geometry.far_site)
         f_abs, t_best, _ = find_peak(spec, *states, window, level=level)
         return PlacementResult(

@@ -41,7 +41,7 @@ class SpectralDecomposition:
     @property
     def splitting(self) -> float:
         """Gap between the two lowest eigenvalues."""
-        return self.eigenvalues[1] - self.eigenvalues[0]
+        return float(self.eigenvalues[1] - self.eigenvalues[0])
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,7 @@ def _energy_unit(h: ExcitationHamiltonian) -> float:
 
 def _beat_period(h: ExcitationHamiltonian, spec: SpectralDecomposition):
     """2 pi / dl; None if dl is at most 1e-9 J, DomainError if it overflows."""
-    dl = float(spec.splitting)
+    dl = spec.splitting
     return _period(dl) if dl > _DEGENERATE_FLOOR * _energy_unit(h) else None
 
 
@@ -235,19 +235,21 @@ def find_peak(
 ):
     """Locate the first global peak of |f(t)| over the window [0, t_max].
 
-    Returns ``(f_abs_max, t_peak, boundary_flag)``. A coarse grid of 4
-    samples per period of the fastest spectral frequency (at least 5000
-    points) seeds the search; its density changes how many points are
-    evaluated, not the answer. With the overlap weights w_m and
-    M = sum_m |w_m| (E_m - c)^2 (``curvature_bound``), every interval [a, b]
-    of width h obeys |f| <= max(|f(a)|, |f(b)|) + M h^2 / 8. The coarse-grid
-    intervals whose bound reaches the best sample are subdivided until that
-    excess is below the 1e-9 tolerance, and every run of them whose best
-    sample plus the excess reaches the best sample less the tolerance is
-    refined: 4 Newton steps on g = |f|^2 from that sample, with
-    g' = 2 Re(conj(f) f') and g'' = 2 (|f'|^2 + Re(conj(f) f'')), taken only
-    where g'' < 0 and within one final subinterval, reach the root of g' to
-    a few float spacings of t, however flat the peak.
+    Returns ``(f_abs_max, t_peak, boundary_flag)``, Python (float, float,
+    bool). A coarse grid of 4 samples per period of the fastest spectral
+    frequency (at least 5000 points) seeds the search; its density changes
+    how many points are evaluated, not the answer. With the overlap weights
+    w_m and M = sum_m |w_m| (E_m - c)^2 (``curvature_bound``), every
+    interval [a, b] of width h obeys |f| <= max(|f(a)|, |f(b)|) + M h^2 / 8.
+    One screening step, the same for a coarse range and for each subdivision
+    level, keeps the intervals whose bound reaches the best sample; kept
+    intervals are subdivided until that excess is below the 1e-9 tolerance,
+    and every run of them whose best sample plus the excess reaches the best
+    sample less the tolerance is refined: 4 Newton steps on g = |f|^2 from
+    that sample, with g' = 2 Re(conj(f) f') and
+    g'' = 2 (|f'|^2 + Re(conj(f) f'')), taken only where g'' < 0 and within
+    one final subinterval, reach the root of g' to a few float spacings of
+    t, however flat the peak.
 
     One rule picks the answer: the earliest refined peak within 1e-9 of the
     highest, whose heights are right to float resolution wherever the
@@ -312,12 +314,6 @@ def find_peak(
     npts = _grid_size(t_max, bandwidth)
     step = grid_step(t_max, npts)
 
-    # Bounded screen: on an interval of width h, |f| <= the larger end
-    # sample + M h^2 / 8. Keep every interval whose bound reaches within
-    # tolerance (plus phase roundoff) of the best sample so far, and
-    # subdivide the kept ones, a batch at a time, until that excess is
-    # itself below tolerance. A batch may lose all its intervals to a
-    # better sample found in an earlier one.
     tol = _TOLERANCE
     curvature = curvature_bound(w, u)
     slack = 8.0 * np.finfo(float).eps * (1.0 + t_max * bandwidth)
@@ -327,13 +323,6 @@ def find_peak(
             f"search window {t_max:.3g}: roundoff slack {slack:.3g} reaches "
             f"sum |w_m| = {cap:.3g}, so no interval could be pruned"
         )
-    best = level
-
-    def survivors(vals, width):
-        """Which intervals between adjacent samples of ``vals`` are kept."""
-        floor = best - tol - slack - curvature * (width * scale) ** 2 / 8.0
-        high = vals >= floor
-        return high[..., :-1] | high[..., 1:]
 
     subs, width = [], step
     while curvature * (width * scale) ** 2 / 8.0 > tol:
@@ -342,7 +331,7 @@ def find_peak(
         width /= subs[-1]
     excess = curvature * (width * scale) ** 2 / 8.0
 
-    # Contiguous survivors form one run around one peak; each run is
+    # Contiguous kept intervals form one run around one peak; each run is
     # represented by its best sample (time, height), earliest on ties. A run
     # whose bound, head + excess, falls below the best sample less the
     # tolerance holds no peak within tolerance of the maximum, so it is
@@ -354,47 +343,26 @@ def find_peak(
     # intervals that start before t_cap + step / 2 are subdivided: those up
     # to the one holding it, and the one starting at it, whatever the
     # roundoff in a subdivided sample's time.
-    cut = math.inf
+    best, cut = level, math.inf
 
-    def record(vals, time_of):
-        """Raise the best sample to the largest of ``vals``, and lower the cut
-        if one reaches the cap; ``time_of`` maps flat indices of ``vals`` to
-        times."""
+    # Bounded screen, one step for a coarse range or a subdivision level: on
+    # an interval of width h, |f| <= the larger end sample + M h^2 / 8. The
+    # step raises the best sample to the largest of its samples and lowers
+    # the cut if one reaches the cap, then keeps every interval whose bound
+    # reaches within tolerance (plus phase roundoff) of the best sample. Kept
+    # intervals are subdivided until that excess is itself below tolerance.
+    def screen(vals, h, at):
+        """(start, left, right) of the kept intervals between the samples
+        ``vals``, h apart in each row, in time order; ``at`` maps a sample's
+        indices to its time."""
         nonlocal best, cut
         high = float(vals.max())
         best = max(best, high)
         if high >= cap - tol:
-            first = time_of(np.flatnonzero(vals >= cap - tol)).min()
-            cut = min(cut, first + step / 2.0)
-
-    def subdivide(kept):
-        nonlocal heads
-        found = [heads]
-        for lo in range(0, kept.shape[1], _BATCH):
-            # intervals come in time order, so those starting before the cut lead
-            batch = kept[:, lo : lo + _BATCH]
-            starts, left, right = batch[:, : batch[0].searchsorted(cut)]
-            if not len(starts):
-                break
-            h = step
-            for sub in subs:
-                h /= sub
-                vals = abs_runs(w, e, starts, h, sub + 1)
-                record(vals, lambda i: starts[i // (sub + 1)] + h * (i % (sub + 1)))
-                rows, cols = survivors(vals, h).nonzero()
-                if not len(rows):  # no interval of the batch survives
-                    break
-                starts = starts[rows] + h * cols
-                left, right = vals[rows, cols], vals[rows, cols + 1]
-            else:  # every level kept some interval
-                peak = np.maximum(left, right)
-                new = np.ones(len(starts), dtype=bool)  # where a run starts
-                np.greater(starts[1:] - starts[:-1], 1.5 * width, out=new[1:])
-                first = np.lexsort((-peak, new.cumsum()))[new.nonzero()[0]]
-                t_head = starts[first] + width * (right > left)[first]
-                found.append((t_head, peak[first]))
-        heads = np.concatenate(found, axis=1)
-        heads = heads[:, heads[1] + excess >= best - tol]
+            cut = min(cut, at(*np.nonzero(vals >= cap - tol)).min() + step / 2.0)
+        high = vals >= best - tol - slack - curvature * (h * scale) ** 2 / 8.0
+        kept = high[..., :-1] | high[..., 1:]
+        return at(*kept.nonzero()), vals[..., :-1][kept], vals[..., 1:][kept]
 
     # Envelope pruning (see the docstring). U is exact while the samples
     # of f are not, so its level drops by a second slack. The band's level
@@ -416,14 +384,15 @@ def find_peak(
             for c0 in range(0, npts - 1, _CHUNK - 1):
                 todo = _envelope_ranges(pair, band, c0, step, npts)
                 if second:
-                    level = min(band, best - tol - 2.0 * slack)
-                    rest = _envelope_ranges(pair, level, c0, step, npts)
+                    floor = min(band, best - tol - 2.0 * slack)
+                    rest = _envelope_ranges(pair, floor, c0, step, npts)
                     todo = _subtract(rest, todo)
                 yield from todo
 
-    # Each range's grid points are sampled by one call, and the (start,
-    # left, right) of its kept intervals, in time order and screened against
-    # the best sample so far, are subdivided at once.
+    # Each range's grid points are sampled by one call and screened, and its
+    # kept intervals are subdivided at once, a batch at a time, each level
+    # screened in turn; a batch may lose all its intervals to a better
+    # sample found in an earlier one.
     for lo, hi in ranges():
         times = np.arange(lo, hi + 1, dtype=float)
         times *= step
@@ -431,15 +400,36 @@ def find_peak(
             times[-1] = t_max
         fa = propagator_abs_grid(spec, input_state, output_state, times)
         del times
-        record(fa, lambda i: (lo + i) * step)
-        keep = survivors(fa, step).nonzero()[0]
-        subdivide(np.array(((lo + keep) * step, fa[keep], fa[keep + 1])))
+        kept = np.array(screen(fa, step, lambda i: (lo + i) * step))
+        found = [heads]
+        for b in range(0, kept.shape[1], _BATCH):
+            # intervals come in time order, so those starting before the cut lead
+            batch = kept[:, b : b + _BATCH]
+            starts, left, right = batch[:, : batch[0].searchsorted(cut)]
+            if not len(starts):
+                break
+            h = step
+            for sub in subs:
+                h /= sub
+                vals = abs_runs(w, e, starts, h, sub + 1)
+                starts, left, right = screen(vals, h, lambda r, c: starts[r] + h * c)
+                if not len(starts):  # no interval of the batch survives
+                    break
+            else:  # every level kept some interval
+                peak = np.maximum(left, right)
+                new = np.ones(len(starts), dtype=bool)  # where a run starts
+                np.greater(starts[1:] - starts[:-1], 1.5 * width, out=new[1:])
+                first = np.lexsort((-peak, new.cumsum()))[new.nonzero()[0]]
+                t_head = starts[first] + width * (right > left)[first]
+                found.append((t_head, peak[first]))
+        heads = np.concatenate(found, axis=1)
+        heads = heads[:, heads[1] + excess >= best - tol]
         if cut < math.inf:  # a sample came within tolerance of the cap
             break
     terms = np.stack((w, -1j * u * w, -u * u * w), axis=1)
     f_end, df_end, _ = np.exp(-1j * t_max * e) @ terms
     if not heads.size:  # no run reaches the level, nor does |f(t_max)|
-        return abs(f_end), t_max, False
+        return float(abs(f_end)), t_max, False
     at, top = heads[:, heads[0].argsort(kind="stable")]
 
     # Runs are refined a batch at a time, in time order (see the docstring);
@@ -466,10 +456,10 @@ def find_peak(
         pick = int((f_ref[:hi] >= f_ref[:hi].max() - tol).argmax())
         if f_ref[pick] >= later[hi - 1] - tol:
             break
-    t_peak = t_ref[pick]
+    t_peak = float(t_ref[pick])
     f_peak = propagator_abs_grid(spec, input_state, output_state, np.array([t_peak]))[0]
     boundary = abs(f_end) >= f_peak - tol and np.real(np.conj(f_end) * df_end) > 0.0
-    return f_peak, t_peak, bool(boundary)
+    return float(f_peak), t_peak, bool(boundary)
 
 
 def summarize_transfer(

@@ -1,6 +1,8 @@
-"""The package namespace: what ``dipolink`` exports, and the one rule for
-every count and the one rule for every real its entries take."""
+"""The package namespace: what ``dipolink`` exports, the one rule for every
+count and the one rule for every real its entries take, and the Python
+floats its results hold."""
 
+import dataclasses
 import math
 import types
 
@@ -184,3 +186,32 @@ def test_size_range_ends_are_counts(sweep, end):
             sweep(**ends)
         assert str(info.value) == f"{end} must be an integer, got {value!r}"
     assert [s.n for s in sweep(np.int64(3), np.int64(4))] == [3, 4]
+
+
+# Every result type with float fields, built small: (call, its results)
+RESULTS = {
+    "chain": lambda: dipolink.chain_sweep(2, 6),
+    "ring": lambda: dipolink.ring_sweep(4, 7),
+    "nn-chain": lambda: dipolink.chain_sweep(2, 6, dipolink.NEAREST_NEIGHBOUR),
+    "placement": lambda: [dipolink.optimize_placement(4)],
+    "disorder": lambda: [dipolink.run_disorder(
+        dipolink.uniform_chain(4), config=dipolink.DisorderConfig(0.02, 10))],
+}
+
+
+@pytest.mark.parametrize("results", RESULTS.values(), ids=RESULTS)
+def test_float_fields_hold_python_floats(results):
+    # annotations are strings under ``from __future__ import annotations``
+    for result in results():
+        for f in dataclasses.fields(result):
+            value = getattr(result, f.name)
+            if f.type == "float" or (f.type == "float | None" and value is not None):
+                assert type(value) is float, (f.name, type(value))
+
+
+@pytest.mark.parametrize("level", [-math.inf, 2.0], ids=["peak", "short-of-level"])
+def test_find_peak_returns_python_floats(level):
+    # a level above the cap keeps no run: the search returns |f(t_max)|
+    f_abs, t_peak, boundary = dipolink.find_peak(*_CURVE_ARGS[:3], 20.0, level=level)
+    assert (type(f_abs), type(t_peak), type(boundary)) == (float, float, bool)
+    assert (t_peak == 20.0) is (level == 2.0)

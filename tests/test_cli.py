@@ -112,20 +112,31 @@ class TestCurvesAndSpectra:
         assert len(lines) == 12
         assert lines[1].startswith("0,0.5")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("steps, undersampled", [(5000, True), (25000, False)])
-    def test_fidelity_curve_flags_undersampling(self, capsys, steps, undersampled):
+    def test_fidelity_curve_flags_undersampling(self, capsys, steps, undersampled, fmt):
         # N = 10 over t = 4000 spans 3123 periods of its fastest frequency:
-        # 1.60 samples per period at 5000 steps, 8.0 at 25000
-        code, out, _ = run_cli(
+        # 1.60 samples per period at 5000 steps, 8.0 at 25000. An undersampled
+        # curve is still written, with one warning on stderr in either format
+        code, out, err = run_cli(
             capsys, "fidelity-curve", "--n", "10", "--t-max", "4000",
-            "--steps", str(steps), "--format", "json",
+            "--steps", str(steps), "--format", fmt,
         )
         assert code == 0
-        meta = json.loads(out)["metadata"]
         energies = decompose(build_hamiltonian(uniform_chain(10))).eigenvalues
         cycles = 4000.0 * (energies[-1] - energies[0]) / (2.0 * np.pi)
-        assert meta["samples_per_period"] == pytest.approx((steps - 1) / cycles)
-        assert meta["undersampled"] is undersampled
+        per_period = (steps - 1) / cycles
+        if undersampled:
+            assert err == (f"dipolink: warning: undersampled: {per_period:.3g} samples "
+                           "per period of the fastest frequency, fewer than 2\n")
+        else:
+            assert err == ""
+        if fmt == "json":
+            meta = json.loads(out)["metadata"]
+            assert meta["samples_per_period"] == pytest.approx(per_period)
+            assert meta["undersampled"] is undersampled
+        else:
+            assert len(out.strip().split("\n")) == steps + 1
 
     def test_fidelity_curve_geometry_file(self, capsys, tmp_path):
         geo = tmp_path / "geo.json"

@@ -818,6 +818,34 @@ class TestBeatEnvelope:
         else:
             assert len(ranges) > 100
 
+    @pytest.mark.parametrize("c0", [0, transfer._CHUNK - 1], ids=["chunk0", "chunk1"])
+    @pytest.mark.parametrize("drop", [0.0, 0.1, 0.4, 0.7])
+    def test_second_pass_splits_a_lower_level_around_the_band(self, drop, c0):
+        # find_peak's second pass samples _subtract(ranges at a level at or
+        # below the band, band ranges). Each band range lies in one range of
+        # the lower level, and the parts and the band ranges tile the lower
+        # level's ranges, sharing end points. The band is 0.98 and U runs
+        # from 0.3 to 1: a drop of 0.1 widens each of its 105 ranges, one of
+        # 0.4 merges them into one across the chunk, and one of 0.7 leaves U
+        # above the lower level everywhere.
+        step, period = 0.01, 100.0
+        w = np.array([0.45, 0.35 * np.exp(0.7j), 0.2])
+        e = np.array([0.0, 2.0 * np.pi / period, 1.3])
+        pair, band = transfer._beat_pair(w, e), 1.0 - 0.2 / 10.0
+        npts = 2 * transfer._CHUNK - 1
+        inner = transfer._envelope_ranges(pair, band, c0, step, npts)
+        outer = transfer._envelope_ranges(pair, band - drop, c0, step, npts)
+        assert len(inner) > 100
+        assert all(sum(a <= lo and hi <= b for a, b in outer) == 1 for lo, hi in inner)
+        pieces = sorted(transfer._subtract(outer, inner) + inner)
+        tiled = 0
+        for a, b in outer:
+            tiles = [(lo, hi) for lo, hi in pieces if a <= lo and hi <= b]
+            assert tiles[0][0] == a and tiles[-1][1] == b
+            assert all(p[1] == q[0] for p, q in zip(tiles, tiles[1:]))
+            tiled += len(tiles)
+        assert tiled == len(pieces)
+
 
 def _slope(w, e, t):
     """d|f|^2/dt = 2 Re(conj(f) f') at t, from the direct sums
