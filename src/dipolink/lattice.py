@@ -334,4 +334,4 @@ def build_hamiltonian(
 ) -> ExcitationHamiltonian:
     """Single-excitation Hamiltonian for any geometry and coupling model."""
     h, ground = _hamiltonian_matrices(geometry.positions, geometry.topology, coupling)
-    return ExcitationHamiltonian(h, ground, geometry, coupling)
+    return ExcitationHamiltonian(h, float(ground), geometry, coupling)

@@ -5,7 +5,10 @@ evaluated in the eigenbasis,
 
     f(t) = <out| e^{-iHt} |in> = sum_m <out|m><m|in> e^{-i E_m t},
 
-and the averaged transfer fidelity is F = |f|/3 + |f|^2/6 + 1/2.
+and the averaged transfer fidelity is F = |f|/3 + |f|^2/6 + 1/2. On a grid
+of K times f is a product of two tables of phase factors, each formed from
+short tables of exponentials: about 4 K^(1/4) N exponentials in all, and
+each phase factor the product of two rounded ones (more for long factors).
 """
 
 from __future__ import annotations
@@ -20,6 +23,13 @@ from .lattice import ExcitationHamiltonian, _count, _read_only, _real
 
 # Complex elements per row block of the grid kernel (1 MiB).
 _BLOCK_ELEMENTS = 1 << 16
+# Phase tables of fewer entries (N x count) take one exponential per entry,
+# longer ones the product of two shorter tables (see _phases). At N = 3..64,
+# best of 9, factoring 2^7 entries costs about 4 us more, 2^9 breaks even up
+# to N = 10 and costs up to 6 us more at N = 64, and 2^10 saves 1-9 us at
+# every N; chain_sweep(2, 23) takes the same time at 2^9 or 2^10 and forms
+# 51k exponentials against 60k.
+_SHORT = 1 << 9
 # Largest deviation, relative to max |t|, of a grid from exact uniformity.
 _UNIFORM_RTOL = 1e-12
 
@@ -121,26 +131,67 @@ def transfer_terms(
     return w, spec.eigenvalues - spec.eigenvalues[0]
 
 
-def abs_runs(w, e, starts, step: float, count: int) -> np.ndarray:
-    """|sum_m w_m e^{-i e_m (s + j step)}| for starts s (rows), j < count (columns).
+def _phases(ie, t0: float, step: float, count: int, stride: int = 1) -> np.ndarray:
+    """e^{ie_m (t0 + j stride step)} for ie_m = -i e_m (rows of the column
+    ``ie``) and j < count (columns).
 
-    f = (w e^{-ie s}) @ e^{-ie j step}, one product per row block, so that
-    no temporary outgrows the block budget. A last block of one row is
-    multiplied with the row before it, since a one-row product goes through
-    ``gemv``, which rounds its sums differently. So every element has the
-    bits it has in one product of all the rows.
+    A table of fewer than _SHORT entries takes one exponential per entry,
+    at the times t0 + (j stride) step that ``numpy.linspace`` gives. A
+    longer one, where that takes fewer exponentials, is the product of a
+    coarse table at q b and a fine one at c, for j = q b + c and
+    b = ceil(sqrt(count)), each formed by the same rule: about
+    2 sqrt(count) N exponentials and count N products. Each entry is then
+    the product of two rounded factors, or of more where a factor is long
+    itself (N sqrt(count) >= _SHORT).
     """
-    starts = np.asarray(starts, dtype=float)
-    k = len(starts)
+    if count * len(ie) >= _SHORT:
+        fine = math.isqrt(count - 1) + 1
+        coarse = -(-count // fine)
+        if coarse + fine < count:  # fewer exponentials
+            table = _phases(ie, t0, step, coarse, fine * stride)[:, :, None]
+            table = table * _phases(ie, 0.0, step, fine, stride)[:, None]
+            return table.reshape(len(ie), -1)[:, :count]
+    times = np.arange(0, count * stride, stride, dtype=float)
+    times *= step
+    if t0:
+        times += t0
+    return np.exp(ie * times)
+
+
+def _abs_products(w, row_phases, k: int, inner: np.ndarray) -> np.ndarray:
+    """|(w row_phases(lo, hi)) @ inner| for rows lo .. hi - 1 of k.
+
+    One product per row block, so that no temporary outgrows the block
+    budget. A last block of one row is multiplied with the row before it,
+    since a one-row product goes through ``gemv``, which rounds its sums
+    differently. So every element has the bits it has in one product of
+    all the rows.
+    """
+    count = inner.shape[1]
     out = np.empty((k, count))
-    inner = np.exp(e[:, None] * (step * np.arange(count)) * -1j)
     rows = max(_BLOCK_ELEMENTS // max(count, 1), 1)
     for lo in range(0, k, rows):
         hi = min(lo + rows, k)
         if hi - lo == 1 and lo > 0 and rows > 1:
             lo -= 1  # the last row goes with the one before it
-        np.abs((np.exp(starts[lo:hi, None] * e * -1j) * w) @ inner, out=out[lo:hi])
+        np.abs((row_phases(lo, hi) * w) @ inner, out=out[lo:hi])
     return out
+
+
+def abs_runs(w, e, starts, step: float, count: int) -> np.ndarray:
+    """|sum_m w_m e^{-i e_m (s + j step)}| for starts s (rows), j < count (columns).
+
+    f = (w e^{-ie s}) @ e^{-ie j step}: the starts take one exponential
+    each, a row block at a time, and the columns come from ``_phases``.
+    """
+    starts = np.asarray(starts, dtype=float)
+    ie = e * -1j  # (e t) (-i) = (e (-i)) t in every bit, signed zeros too
+    return _abs_products(
+        w,
+        lambda lo, hi: np.exp(starts[lo:hi, None] * ie),
+        len(starts),
+        _phases(ie[:, None], 0.0, step, count),
+    )
 
 
 def propagator_abs_grid(
@@ -151,13 +202,17 @@ def propagator_abs_grid(
 ) -> np.ndarray:
     """|f(t)| on a uniform time grid.
 
-    The grid is cut into about sqrt(K) blocks of sqrt(K) points,
-    t = t_b + tau_j, so that f = (w e^{-iE t_b}) @ e^{-iE tau} needs about
-    2 sqrt(K) N exponentials instead of K N. Energies are measured from E_0
-    to keep the phases small; the product is formed a row block at a time,
-    so no temporary grows with K. A grid that deviates from uniform by more
-    than 1e-12 of max |t|, or whose largest phase max |t| (E_max - E_0)
-    overflows a float, raises DomainError.
+    The grid of K points is cut into blocks of B = ceil(sqrt(K)) points,
+    t = t_b + tau_j, so that f = (w e^{-iE t_b}) @ e^{-iE tau}. The block
+    starts are t0 + (b B) dt, which the uniformity check certifies. Both
+    tables come from ``_phases``, which forms a long one from two tables of
+    about K^(1/4) rows: about 4 K^(1/4) N exponentials instead of K N, each
+    phase factor the product of two rounded ones (more for long factors).
+    Energies are measured from E_0 to keep the phases small; the product
+    is formed a row block at a time, so no temporary grows with K. A grid
+    that deviates from uniform by more than 1e-12 of max |t|, or whose
+    largest phase max |t| (E_max - E_0) overflows a float, raises
+    DomainError.
     """
     w, e = transfer_terms(spec, input_state, output_state)
     times = np.asarray(times, dtype=float)
@@ -179,7 +234,11 @@ def propagator_abs_grid(
         if not np.abs(gap, out=gap).max() <= tol:
             raise DomainError("time grid is not uniform")
     block = math.ceil(math.sqrt(k))
-    return abs_runs(w, e, times[::block], dt, block).ravel()[:k]
+    ie = e[:, None] * -1j  # as in abs_runs
+    starts = _phases(ie, t0, dt, -(-k // block), block).T
+    inner = _phases(ie, 0.0, dt, block)
+    f_abs = _abs_products(w, lambda lo, hi: starts[lo:hi], len(starts), inner)
+    return f_abs.ravel()[:k]
 
 
 def grid_step(t_max: float, points: int) -> float:

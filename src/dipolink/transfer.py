@@ -58,18 +58,18 @@ _SUBDIVIDE = 8
 _BATCH = 1 << 14
 # Coarse-grid points per kernel call. The kernel factorizes a call of K
 # points into sqrt(K)-wide rows, so shorter chunks are slower where ranges
-# fill them: at 2^18 the N = 64 chain's default window takes 91-98 ms
-# against 66 ms, best of 7. The chain sweeps' ranges hold at most 96k
-# points, so 2^18 leaves their calls as they are.
+# fill them: at 2^18 the N = 64 chain's default window takes 53-68 ms
+# against 47-58 ms, best of 7 in each of 2 processes. The chain sweeps'
+# ranges hold at most 96k points, so 2^18 leaves their calls as they are.
 _CHUNK = 1 << 20
 # Ranges of grid points closer than this are sampled by one call, so a
 # window of short beats (nn chains, rings) takes one call per chunk, not one
 # per beat. A window whose beat is shorter than this is sampled whole, so
-# it stays near what one kernel call costs in points (40-45 us a call,
-# 25-40 ns a point at N = 6..23): at 2^16 the N = 6 placement of seed 35,
-# whose 20-beat window beats every 65.3k steps, samples all 1.3M coarse
-# points in 15-17 ms, against 520 in 3.1 ms at 2^12 (best of 7), with or
-# without the verification's level.
+# it stays near what one kernel call costs in points (28-37 us a call,
+# 8-11 ns a point at 10^5 points, N = 6..23): at 2^16 the N = 6 placement
+# of seed 35, whose 20-beat window beats every 65.3k steps, samples all
+# 1.3M coarse points in 16-17 ms, against 520 in 3.3-5.7 ms at 2^12 (best
+# of 7, 2 processes), with or without the verification's level.
 _MERGE = 1 << 12
 # Candidate peaks refined together, and the Newton steps each batch takes
 # from within one final subinterval of its peaks.

@@ -188,8 +188,15 @@ def test_size_range_ends_are_counts(sweep, end):
     assert [s.n for s in sweep(np.int64(3), np.int64(4))] == [3, 4]
 
 
-# Every result type with float fields, built small: (call, its results)
+# Every result type with float fields, and the Hamiltonian, built small:
+# (call, its results)
 RESULTS = {
+    "hamiltonian": lambda: [
+        dipolink.build_hamiltonian(dipolink.uniform_chain(4)),
+        dipolink.build_hamiltonian(dipolink.ring(5)),
+        dipolink.build_hamiltonian(
+            dipolink.uniform_chain(4), dipolink.NEAREST_NEIGHBOUR),
+    ],
     "chain": lambda: dipolink.chain_sweep(2, 6),
     "ring": lambda: dipolink.ring_sweep(4, 7),
     "nn-chain": lambda: dipolink.chain_sweep(2, 6, dipolink.NEAREST_NEIGHBOUR),

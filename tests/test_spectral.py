@@ -1,5 +1,6 @@
 """Eigensolver, time-grid kernel and fidelity tests, including independent oracles."""
 
+import math
 import os
 
 import numpy as np
@@ -307,6 +308,64 @@ class TestGridKernel:
         fa = propagator_abs_grid(spec, site_state(n, 1), site_state(n, n), times)
         assert np.max(np.abs(fa - _direct_abs(spec, times))) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "n, points, start",
+        [(23, 30_011, None), (23, 54_001, None), (64, 54_001, None),
+         (128, 20_011, 1.8e7)],
+    )
+    def test_factored_tables_match_direct_sum(self, n, points, start):
+        # Both tables of these grids are factored, each cut from a longer
+        # coarse x fine product, and the grid's last block is partial:
+        # 30,011 points are 173 blocks of 174, tables of 173 and 174 rows
+        # from 13 x 14; 54,001 are 232 of 233 (15 x 16) and 20,011 are 141
+        # of 142 (12 x 12). The bound is the peak search's roundoff slack,
+        # 8 eps (1 + t_max E_max) at the grid's last time.
+        spec = decompose(build_hamiltonian(uniform_chain(n)))
+        e = spec.eigenvalues - spec.eigenvalues[0]
+        if start is None:  # the search window, one beat
+            times = np.linspace(0.0, 2.0 * np.pi / spec.splitting, points)
+        else:  # the search's 4 samples per period of the fastest frequency
+            step = 2.0 * np.pi / (4.0 * e[-1])
+            times = np.linspace(start, start + (points - 1) * step, points)
+        block = math.isqrt(points - 1) + 1
+        assert n * (points // block) >= spectral._SHORT
+        fa = propagator_abs_grid(spec, site_state(n, 1), site_state(n, n), times)
+        slack = 8.0 * np.finfo(float).eps * (1.0 + times[-1] * e[-1])
+        assert np.max(np.abs(fa - _direct_abs(spec, times))) <= slack
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 23, 64])
+    @pytest.mark.parametrize("stride", [1, 7])
+    def test_short_tables_take_one_exponential_per_entry(self, n, stride):
+        # the longest table below the size rule, on a linspace grid: the
+        # grid's own points, one exponential each, to the bit
+        rng = np.random.default_rng(n * 10 + stride)
+        e = np.sort(rng.uniform(0.0, 5.0, n))
+        e -= e[0]
+        ie = e[:, None] * -1j
+        count = (spectral._SHORT - 1) // n
+        grid = np.linspace(5.0, 905.0, count * stride + 1)
+        dt = (grid[-1] - grid[0]) / (len(grid) - 1)
+        table = spectral._phases(ie, grid[0], dt, count, stride)
+        assert np.array_equal(table, np.exp(-1j * np.outer(e, grid[:-1:stride])))
+        # one entry more per energy row is factored, within the slack
+        table = spectral._phases(ie, grid[0], dt, count + 1, stride)
+        times = grid[0] + np.arange(count + 1) * stride * dt
+        slack = 8.0 * np.finfo(float).eps * (1.0 + times[-1] * e[-1])
+        assert np.max(np.abs(table - np.exp(-1j * np.outer(e, times)))) <= slack
+
+    def test_short_grid_is_one_product_of_its_points(self):
+        # blocks of 45 points and 45 block starts at N = 6, both tables
+        # below the size rule: the kernel is one product of one exponential
+        # per entry at the grid's own block starts, to the bit
+        spec = decompose(build_hamiltonian(uniform_chain(6)))
+        w, e = spectral.transfer_terms(spec, site_state(6, 1), site_state(6, 6))
+        times = np.linspace(3.0, 400.0, 2000)
+        offsets = np.arange(45) * ((times[-1] - times[0]) / 1999)
+        rows = np.exp(-1j * np.outer(times[::45], e)) * w
+        reference = np.abs(rows @ np.exp(-1j * np.outer(e, offsets))).ravel()[:2000]
+        fa = propagator_abs_grid(spec, site_state(6, 1), site_state(6, 6), times)
+        assert np.array_equal(fa, reference)
+
     def test_full_chain_sweep_grid(self):
         # the coarse grid that chain-sweep scans at N = 23
         spec = decompose(build_hamiltonian(uniform_chain(23)))
@@ -374,11 +433,13 @@ def _kernel_row_counts(n, count):
 class TestKernelShape:
     """The grid kernel's cut into row blocks changes no bit of its output.
 
-    The reference is the same product formed in one call over all the rows.
-    BLAS computes each element of a multi-row product alike whatever the
-    number of rows, but a one-row product goes through ``gemv``, whose sums
-    round differently, so the rule under test is that the kernel never
-    forms a one-row product where the reference has more rows.
+    The reference is the same product formed in one call over all the rows,
+    with the kernel's own column table (a long one is factored, see
+    ``_phases``). BLAS computes each element of a multi-row product alike
+    whatever the number of rows, but a one-row product goes through
+    ``gemv``, whose sums round differently, so the rule under test is that
+    the kernel never forms a one-row product where the reference has more
+    rows.
     """
 
     @pytest.mark.parametrize("count", [1, 2, 9, 622, 1024])
@@ -389,7 +450,7 @@ class TestKernelShape:
         e = np.sort(rng.uniform(0.0, 5.0, n))
         e -= e[0]
         step = 0.37
-        inner = np.exp(-1j * np.outer(e, step * np.arange(count)))
+        inner = spectral._phases(e[:, None] * -1j, 0.0, step, count)
         for rows in _kernel_row_counts(n, count):
             starts = rng.uniform(0.0, 1e3, rows)
             reference = np.abs((np.exp(-1j * np.outer(starts, e)) * w) @ inner)

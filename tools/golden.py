@@ -67,6 +67,9 @@ INVOCATIONS = (
         # pi / dl overflows a float: refused with one line
         ["bound-state", "--c-const", "1e-307", "--format", "json"],
         ["fidelity-curve", "--n", "10", "--t-max", "4000", "--steps", "2000"],
+        # 141 blocks of 142 points, about 6.7 samples per period: both phase
+        # tables of the grid kernel are factored, with partial last rows
+        ["fidelity-curve", "--n", "10", "--t-max", "4000", "--steps", "20011"],
         # the grid's largest phase overflows a float: refused with one line
         ["fidelity-curve", "--n", "4", "--t-max", "1e308", "--steps", "3",
          "--format", "json"],
