@@ -131,30 +131,33 @@ def transfer_terms(
     return w, spec.eigenvalues - spec.eigenvalues[0]
 
 
-def _phases(ie, t0: float, step: float, count: int, stride: int = 1) -> np.ndarray:
-    """e^{ie_m (t0 + j stride step)} for ie_m = -i e_m (rows of the column
-    ``ie``) and j < count (columns).
+def _phases(ie, grid, step: float, count: int, stride: int = 1) -> np.ndarray:
+    """e^{ie_m t_j} for ie_m = -i e_m (rows of the column ``ie``) and j < count
+    (columns), at t_j = grid[j stride] of a uniform grid of step ``step``, or
+    at t_j = (j stride) step where ``grid`` is None.
 
     A table of fewer than _SHORT entries takes one exponential per entry,
-    at the times t0 + (j stride) step that ``numpy.linspace`` gives. A
-    longer one, where that takes fewer exponentials, is the product of a
-    coarse table at q b and a fine one at c, for j = q b + c and
-    b = ceil(sqrt(count)), each formed by the same rule: about
-    2 sqrt(count) N exponentials and count N products. Each entry is then
-    the product of two rounded factors, or of more where a factor is long
-    itself (N sqrt(count) >= _SHORT).
+    at exactly those times, so it has the bits of a direct table. A longer
+    one, where that takes fewer exponentials, is the product of a coarse
+    table at q b (on ``grid`` if given) and a fine one at c from 0, for
+    j = q b + c and b = ceil(sqrt(count)), each formed by the same rule:
+    about 2 sqrt(count) N exponentials and count N products. Each entry is
+    then the product of two rounded factors, or of more where a factor is
+    long itself (N sqrt(count) >= _SHORT).
     """
     if count * len(ie) >= _SHORT:
         fine = math.isqrt(count - 1) + 1
         coarse = -(-count // fine)
-        if coarse + fine < count:  # fewer exponentials
-            table = _phases(ie, t0, step, coarse, fine * stride)[:, :, None]
-            table = table * _phases(ie, 0.0, step, fine, stride)[:, None]
+        # fewer exponentials; also ends the recursion, as both factors are
+        # then shorter than the table (counts 1 to 5 never factor)
+        if coarse + fine < count:
+            table = _phases(ie, grid, step, coarse, fine * stride)[:, :, None]
+            table = table * _phases(ie, None, step, fine, stride)[:, None]
             return table.reshape(len(ie), -1)[:, :count]
-    times = np.arange(0, count * stride, stride, dtype=float)
-    times *= step
-    if t0:
-        times += t0
+    if grid is None:
+        times = np.arange(0, count * stride, stride) * step
+    else:
+        times = grid[: count * stride : stride]
     return np.exp(ie * times)
 
 
@@ -190,7 +193,7 @@ def abs_runs(w, e, starts, step: float, count: int) -> np.ndarray:
         w,
         lambda lo, hi: np.exp(starts[lo:hi, None] * ie),
         len(starts),
-        _phases(ie[:, None], 0.0, step, count),
+        _phases(ie[:, None], None, step, count),
     )
 
 
@@ -203,16 +206,15 @@ def propagator_abs_grid(
     """|f(t)| on a uniform time grid.
 
     The grid of K points is cut into blocks of B = ceil(sqrt(K)) points,
-    t = t_b + tau_j, so that f = (w e^{-iE t_b}) @ e^{-iE tau}. The block
-    starts are t0 + (b B) dt, which the uniformity check certifies. Both
-    tables come from ``_phases``, which forms a long one from two tables of
-    about K^(1/4) rows: about 4 K^(1/4) N exponentials instead of K N, each
-    phase factor the product of two rounded ones (more for long factors).
-    Energies are measured from E_0 to keep the phases small; the product
-    is formed a row block at a time, so no temporary grows with K. A grid
-    that deviates from uniform by more than 1e-12 of max |t|, or whose
-    largest phase max |t| (E_max - E_0) overflows a float, raises
-    DomainError.
+    t = t_b + tau_j, so that f = (w e^{-iE t_b}) @ e^{-iE tau}, with the
+    block starts t_b taken from the grid itself. Both tables come from
+    ``_phases``, which forms a long one from two tables of about K^(1/4)
+    rows: about 4 K^(1/4) N exponentials instead of K N, each phase factor
+    the product of two rounded ones (more for long factors). Energies are
+    measured from E_0 to keep the phases small; the product is formed a
+    row block at a time, so no temporary grows with K. A grid that
+    deviates from uniform by more than 1e-12 of max |t|, or whose largest
+    phase max |t| (E_max - E_0) overflows a float, raises DomainError.
     """
     w, e = transfer_terms(spec, input_state, output_state)
     times = np.asarray(times, dtype=float)
@@ -235,8 +237,8 @@ def propagator_abs_grid(
             raise DomainError("time grid is not uniform")
     block = math.ceil(math.sqrt(k))
     ie = e[:, None] * -1j  # as in abs_runs
-    starts = _phases(ie, t0, dt, -(-k // block), block).T
-    inner = _phases(ie, 0.0, dt, block)
+    starts = _phases(ie, times, dt, -(-k // block), block).T
+    inner = _phases(ie, None, dt, block)
     f_abs = _abs_products(w, lambda lo, hi: starts[lo:hi], len(starts), inner)
     return f_abs.ravel()[:k]
 

@@ -336,8 +336,8 @@ class TestGridKernel:
     @pytest.mark.parametrize("n", [1, 2, 4, 23, 64])
     @pytest.mark.parametrize("stride", [1, 7])
     def test_short_tables_take_one_exponential_per_entry(self, n, stride):
-        # the longest table below the size rule, on a linspace grid: the
-        # grid's own points, one exponential each, to the bit
+        # the longest table below the size rule, on a linspace grid's own
+        # points and from 0: one exponential each, to the bit
         rng = np.random.default_rng(n * 10 + stride)
         e = np.sort(rng.uniform(0.0, 5.0, n))
         e -= e[0]
@@ -345,24 +345,58 @@ class TestGridKernel:
         count = (spectral._SHORT - 1) // n
         grid = np.linspace(5.0, 905.0, count * stride + 1)
         dt = (grid[-1] - grid[0]) / (len(grid) - 1)
-        table = spectral._phases(ie, grid[0], dt, count, stride)
+        table = spectral._phases(ie, grid, dt, count, stride)
         assert np.array_equal(table, np.exp(-1j * np.outer(e, grid[:-1:stride])))
+        table = spectral._phases(ie, None, dt, count, stride)
+        offsets = np.arange(count) * stride * dt
+        assert np.array_equal(table, np.exp(-1j * np.outer(e, offsets)))
         # one entry more per energy row is factored, within the slack
-        table = spectral._phases(ie, grid[0], dt, count + 1, stride)
+        table = spectral._phases(ie, grid, dt, count + 1, stride)
         times = grid[0] + np.arange(count + 1) * stride * dt
         slack = 8.0 * np.finfo(float).eps * (1.0 + times[-1] * e[-1])
         assert np.max(np.abs(table - np.exp(-1j * np.outer(e, times)))) <= slack
 
-    def test_short_grid_is_one_product_of_its_points(self):
-        # blocks of 45 points and 45 block starts at N = 6, both tables
-        # below the size rule: the kernel is one product of one exponential
-        # per entry at the grid's own block starts, to the bit
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_one_or_two_columns_at_many_energies(self, count):
+        # 512 energies put tables of one or two columns at the size rule;
+        # they cannot be cut into shorter factors and take one exponential
+        # per entry (and the factoring's recursion ends)
+        e, v = nn_chain_eigenpairs(512)  # e[0] = 0
+        ie = e[:, None] * -1j
+        grid = np.linspace(2.0, 9.0, 2 * count + 1)
+        dt = (grid[-1] - grid[0]) / (len(grid) - 1)
+        assert len(e) * count >= spectral._SHORT
+        table = spectral._phases(ie, grid, dt, count, 2)
+        assert np.array_equal(table, np.exp(-1j * np.outer(e, grid[:-1:2])))
+        table = spectral._phases(ie, None, dt, count, 2)
+        offsets = np.arange(count) * 2 * dt
+        assert np.array_equal(table, np.exp(-1j * np.outer(e, offsets)))
+        # the kernel on one or two points at N = 512, as in the search's
+        # one-point height call
+        spec = SpectralDecomposition(e, v)
+        times = grid[:count]
+        fa = propagator_abs_grid(spec, site_state(512, 1), site_state(512, 512), times)
+        assert np.max(np.abs(fa - direct_abs(v[-1] * v[0], e, times))) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "times",
+        [np.linspace(3.0, 400.0, 2000), np.linspace(0.3, 400.1, 7),
+         np.linspace(0.3, 400.1, 13), np.arange(17.0, 30.0) * 0.37],
+        ids=["linspace-2000", "linspace-7", "linspace-13", "steps-13"],
+    )
+    def test_short_grid_is_one_product_of_its_points(self, times):
+        # N = 6, both tables below the size rule: the kernel is one product
+        # of one exponential per entry at the grid's own block starts, to
+        # the bit. The 7- and 13-point grids end on a block start, which a
+        # start formed as t0 + (b B) dt can miss by an ulp; the last is a
+        # grid of the peak search, (lo + i) step
         spec = decompose(build_hamiltonian(uniform_chain(6)))
         w, e = spectral.transfer_terms(spec, site_state(6, 1), site_state(6, 6))
-        times = np.linspace(3.0, 400.0, 2000)
-        offsets = np.arange(45) * ((times[-1] - times[0]) / 1999)
-        rows = np.exp(-1j * np.outer(times[::45], e)) * w
-        reference = np.abs(rows @ np.exp(-1j * np.outer(e, offsets))).ravel()[:2000]
+        k = len(times)
+        block = math.isqrt(k - 1) + 1
+        offsets = np.arange(block) * ((times[-1] - times[0]) / (k - 1))
+        rows = np.exp(-1j * np.outer(times[::block], e)) * w
+        reference = np.abs(rows @ np.exp(-1j * np.outer(e, offsets))).ravel()[:k]
         fa = propagator_abs_grid(spec, site_state(6, 1), site_state(6, 6), times)
         assert np.array_equal(fa, reference)
 
@@ -450,7 +484,7 @@ class TestKernelShape:
         e = np.sort(rng.uniform(0.0, 5.0, n))
         e -= e[0]
         step = 0.37
-        inner = spectral._phases(e[:, None] * -1j, 0.0, step, count)
+        inner = spectral._phases(e[:, None] * -1j, None, step, count)
         for rows in _kernel_row_counts(n, count):
             starts = rng.uniform(0.0, 1e3, rows)
             reference = np.abs((np.exp(-1j * np.outer(starts, e)) * w) @ inner)
